@@ -335,6 +335,9 @@ def scan_exclusion(d: int, pi_range: tuple, chi_range: tuple) -> tuple:
                 continue
             if foursecant_constraint_residual(d, pi, chi_s) != 0:
                 continue
-            assert quadruple_points(ThreefoldInvariants(d, pi, chi_s, chi_x)) == 1
+            if quadruple_points(ThreefoldInvariants(d, pi, chi_s, chi_x)) != 1:
+                raise ArithmeticError(
+                    "scan survivor %s fails q = 1" % ((d, pi, chi_s, chi_x),)
+                )
             survivors.append((pi, chi_s, chi_x))
     return tuple(survivors)

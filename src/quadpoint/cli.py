@@ -68,10 +68,6 @@ def _emit(args, text_lines, json_obj, tsv_lines=None):
             print(line)
 
 
-def _emit_rational(args, value):
-    _emit(args, [str(value)], rational_json(value))
-
-
 # ----- schubert -----
 
 
@@ -116,39 +112,35 @@ def _cmd_schubert_degree(args):
 # ----- formulas -----
 
 
-def _cmd_formulas_q(args):
-    value = quadruple_points(
-        ThreefoldInvariants(args.d, args.pi, args.chiS, args.chiX)
-    )
-    _emit_rational(args, value)
-    return 0
+# (subcommand, help, integer flags in argument order, function of their values)
+RATIONAL_FORMULAS = (
+    (
+        "q", "apparent quadruple points", ("--d", "--pi", "--chiS", "--chiX"),
+        lambda *v: quadruple_points(ThreefoldInvariants(*v)),
+    ),
+    (
+        "h", "4-secants through a point", ("--d", "--pi", "--chi"),
+        four_secants_through_point,
+    ),
+    (
+        "a1", "4-secant hypersurface degree", ("--d", "--pi", "--chi"),
+        foursecant_scroll_degree,
+    ),
+    ("a2", "4-secants of a space curve", ("--d", "--pi"), curve_foursecants),
+    (
+        "residual", "4-secant constraint residual", ("--d", "--pi", "--chi"),
+        foursecant_constraint_residual,
+    ),
+    (
+        "triple", "apparent triple points", ("--d", "--pi", "--chi", "--K2"),
+        lambda *v: apparent_triple_points(SurfaceInvariants(*v)),
+    ),
+)
 
 
-def _cmd_formulas_h(args):
-    _emit_rational(args, four_secants_through_point(args.d, args.pi, args.chi))
-    return 0
-
-
-def _cmd_formulas_a1(args):
-    _emit_rational(args, foursecant_scroll_degree(args.d, args.pi, args.chi))
-    return 0
-
-
-def _cmd_formulas_a2(args):
-    _emit_rational(args, curve_foursecants(args.d, args.pi))
-    return 0
-
-
-def _cmd_formulas_residual(args):
-    _emit_rational(args, foursecant_constraint_residual(args.d, args.pi, args.chi))
-    return 0
-
-
-def _cmd_formulas_triple(args):
-    value = apparent_triple_points(
-        SurfaceInvariants(args.d, args.pi, args.chi, args.k2)
-    )
-    _emit_rational(args, value)
+def _cmd_formulas_rational(args):
+    value = args.formula(*(getattr(args, flag[2:]) for flag in args.flags))
+    _emit(args, [str(value)], rational_json(value))
     return 0
 
 
@@ -409,38 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_for = sub.add_parser("formulas", help="closed-form enumerative counts")
     fsub = p_for.add_subparsers(dest="subcommand", required=True)
 
-    p_q = fsub.add_parser("q", parents=[fmt], help="apparent quadruple points")
-    for flag in ("--d", "--pi", "--chiS", "--chiX"):
-        p_q.add_argument(flag, type=int, required=True)
-    p_q.set_defaults(handler=_cmd_formulas_q)
-
-    p_h = fsub.add_parser("h", parents=[fmt], help="4-secants through a point")
-    for flag in ("--d", "--pi", "--chi"):
-        p_h.add_argument(flag, type=int, required=True)
-    p_h.set_defaults(handler=_cmd_formulas_h)
-
-    p_a1 = fsub.add_parser("a1", parents=[fmt], help="4-secant hypersurface degree")
-    for flag in ("--d", "--pi", "--chi"):
-        p_a1.add_argument(flag, type=int, required=True)
-    p_a1.set_defaults(handler=_cmd_formulas_a1)
-
-    p_a2 = fsub.add_parser("a2", parents=[fmt], help="4-secants of a space curve")
-    for flag in ("--d", "--pi"):
-        p_a2.add_argument(flag, type=int, required=True)
-    p_a2.set_defaults(handler=_cmd_formulas_a2)
-
-    p_res = fsub.add_parser(
-        "residual", parents=[fmt], help="4-secant constraint residual"
-    )
-    for flag in ("--d", "--pi", "--chi"):
-        p_res.add_argument(flag, type=int, required=True)
-    p_res.set_defaults(handler=_cmd_formulas_residual)
-
-    p_tri = fsub.add_parser("triple", parents=[fmt], help="apparent triple points")
-    for flag in ("--d", "--pi", "--chi"):
-        p_tri.add_argument(flag, type=int, required=True)
-    p_tri.add_argument("--K2", dest="k2", type=int, required=True)
-    p_tri.set_defaults(handler=_cmd_formulas_triple)
+    for name, description, flags, formula in RATIONAL_FORMULAS:
+        p = fsub.add_parser(name, parents=[fmt], help=description)
+        for flag in flags:
+            p.add_argument(flag, type=int, required=True)
+        p.set_defaults(handler=_cmd_formulas_rational, flags=flags, formula=formula)
 
     p_dbl = fsub.add_parser(
         "double", parents=[fmt], help="K^3 and H.K^2 from the double point formulas"

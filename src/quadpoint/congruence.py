@@ -261,10 +261,12 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
         )
     line = ProjLine(kernel[0], kernel[1])
     pt = normalize_point(point)
-    assert line.contains(pt)
+    if not line.contains(pt):
+        raise RuntimeError("solved line misses the probe point %s" % (pt,))
     for m in c.matrices:
         image = m.mat_vec(line.p1)
-        assert sum(a * b for a, b in zip(line.p0, image)) == 0
+        if sum(a * b for a, b in zip(line.p0, image)) != 0:
+            raise RuntimeError("solved line is not isotropic for every A_i")
     return line
 
 
@@ -301,8 +303,8 @@ def line_through_point_determinantal(
         )
     line = ProjLine(kernel[0], kernel[1])
     pt = normalize_point(point)
-    assert all(v == 0 for v in system.mat_vec(pt))
-    assert line.contains(pt)
+    if any(v != 0 for v in system.mat_vec(pt)) or not line.contains(pt):
+        raise RuntimeError("solved line misses the probe point %s" % (pt,))
     return line
 
 
@@ -385,6 +387,26 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
 # ----- Pfaffian of the linear family -----
 
 
+def _lambda_family(c: LinearCongruence) -> list:
+    """The matrix sum(lambda_i * A_i) with entries in lambda_1..lambda_{n-1}."""
+    nvars = c.n - 1
+    size = c.n + 1
+    return [
+        [
+            sum(
+                (
+                    MultiPoly.variable(nvars, i) * c.matrices[i].entry(j, k)
+                    for i in range(nvars)
+                    if c.matrices[i].entry(j, k) != 0
+                ),
+                MultiPoly.zero(nvars),
+            )
+            for k in range(size)
+        ]
+        for j in range(size)
+    ]
+
+
 def pfaffian_polynomial(c: LinearCongruence) -> MultiPoly:
     """Pfaffian of sum(lambda_i * A_i) as a form in lambda_1..lambda_{n-1}.
 
@@ -397,23 +419,7 @@ def pfaffian_polynomial(c: LinearCongruence) -> MultiPoly:
         raise ValueError(
             "n even: determinant of the lambda family vanishes identically"
         )
-    nvars = c.n - 1
-    size = c.n + 1
-    rows = [
-        [
-            sum(
-                (
-                    MultiPoly.variable(nvars, i) * c.matrices[i].entry(j, k)
-                    for i in range(nvars)
-                    if c.matrices[i].entry(j, k) != 0
-                ),
-                MultiPoly.zero(nvars),
-            )
-            for k in range(size)
-        ]
-        for j in range(size)
-    ]
-    pf = pfaffian(rows)
+    pf = pfaffian(_lambda_family(c))
     if not pf:
         raise DegeneracyError("pfaffian vanishes identically")
     expected = (c.n + 1) // 2
@@ -423,26 +429,15 @@ def pfaffian_polynomial(c: LinearCongruence) -> MultiPoly:
 
 
 def determinant_vanishes_identically(c: LinearCongruence) -> bool:
-    """Symbolic check that det(sum(lambda_i * A_i)) is the zero
-    polynomial; always true when n is even (odd matrix size)."""
-    nvars = c.n - 1
-    size = c.n + 1
-    rows = [
-        [
-            sum(
-                (
-                    MultiPoly.variable(nvars, i) * c.matrices[i].entry(j, k)
-                    for i in range(nvars)
-                    if c.matrices[i].entry(j, k) != 0
-                ),
-                MultiPoly.zero(nvars),
-            )
-            for k in range(size)
-        ]
-        for j in range(size)
-    ]
-    det = ring_determinant(rows, MultiPoly.zero(nvars))
-    return not det
+    """Whether det(sum(lambda_i * A_i)) is the zero polynomial.
+
+    LinearCongruence.__init__ checks that every A_i is skew-symmetric,
+    so M = sum(lambda_i * A_i) satisfies M^T = -M.  For even n, M has
+    odd size n+1, and det M = det(M^T) = det(-M) = -det M forces
+    det M = 0 with no expansion.  For odd n, det M = Pf(M)^2, which is
+    zero exactly when the Pfaffian is.
+    """
+    return c.n % 2 == 0 or not pfaffian(_lambda_family(c))
 
 
 # ----- order-one verification -----

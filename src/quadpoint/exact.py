@@ -1,6 +1,10 @@
 """Exact arithmetic substrate: rational matrices, fraction-free elimination,
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
+One elimination kernel, the in-place Bareiss loop `_bareiss`, serves
+both `rank_and_kernel` (followed by back-substitution) and
+`determinant` (last pivot, permutation sign and row scaling).
+
 Everything here stays in exact rational arithmetic (fractions.Fraction);
 no operation introduces floating point.
 """
@@ -60,10 +64,6 @@ class RationalMatrix:
         self.cols = width
 
     @classmethod
-    def from_rows(cls, rows_data) -> "RationalMatrix":
-        return cls(rows_data)
-
-    @classmethod
     def identity(cls, size: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(size)] for i in range(size)])
 
@@ -110,38 +110,50 @@ class RationalMatrix:
         return "RationalMatrix[%s]" % body
 
 
-def _integer_rows(m: RationalMatrix) -> list:
-    # Row scaling changes neither rank nor kernel.
+def _integer_rows(m: RationalMatrix) -> tuple:
+    """Rows cleared of denominators, with the product of the row multipliers.
+
+    Row scaling changes neither rank nor kernel, and it multiplies the
+    determinant by the returned product.
+    """
     out = []
+    scale = 1
     for i in range(m.rows):
         row = m.row(i)
         mult = math.lcm(*(x.denominator for x in row))
+        scale *= mult
         out.append([int(x * mult) for x in row])
-    return out
+    return out, scale
 
 
-def rank_and_kernel(m: RationalMatrix) -> tuple:
-    """Rank of m together with a primitive integer basis of its right kernel.
+def _bareiss(work: list) -> tuple:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
-    Fraction-free (Bareiss) elimination over the integers; every
-    intermediate entry is an exact minor of the scaled input, so the
-    interior division is exact.
+    Returns the pivot columns and the sign of the row permutation.
+    Every intermediate entry is an exact minor of the input, so the
+    interior division is exact; columns without a pivot are skipped.
+    On return row i (i < rank) holds its pivot at pivot_cols[i], rows
+    from rank on are zero, and for a square nonsingular input the last
+    entry is the determinant up to the returned sign.
     """
-    work = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
+    nrows, ncols = len(work), len(work[0])
     pivot_cols = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for k in range(c + 1, ncols):
                 num = work[i][k] * work[r][c] - work[i][c] * work[r][k]
                 q, rem = divmod(num, prev)
-                assert rem == 0
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
                 work[i][k] = q
             work[i][c] = 0
         prev = work[r][c]
@@ -149,7 +161,19 @@ def rank_and_kernel(m: RationalMatrix) -> tuple:
         r += 1
         if r == nrows:
             break
-    rank = r
+    return pivot_cols, sign
+
+
+def rank_and_kernel(m: RationalMatrix) -> tuple:
+    """Rank of m together with a primitive integer basis of its right kernel.
+
+    Fraction-free elimination over the integers, then back-substitution
+    for each free column.
+    """
+    work, _ = _integer_rows(m)
+    ncols = m.cols
+    pivot_cols, _ = _bareiss(work)
+    rank = len(pivot_cols)
 
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
@@ -168,32 +192,11 @@ def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    scale = Fraction(1)
-    work = []
-    for i in range(n):
-        row = m.row(i)
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        work.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for k in range(c + 1, n):
-                num = work[i][k] * work[c][c] - work[i][c] * work[c][k]
-                q, rem = divmod(num, prev)
-                assert rem == 0
-                work[i][k] = q
-            work[i][c] = 0
-        prev = work[c][c]
-    return Fraction(sign * work[n - 1][n - 1]) / scale
+    work, scale = _integer_rows(m)
+    pivot_cols, sign = _bareiss(work)
+    if len(pivot_cols) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * work[-1][-1], scale)
 
 
 def ring_determinant(rows: Sequence[Sequence], zero):
@@ -555,7 +558,8 @@ class BinaryForm:
         for j, c in enumerate(q):
             out[shift + j] = c
         result = BinaryForm(out)
-        assert result * other == self
+        if result * other != self:
+            raise ArithmeticError("exact division check failed")
         return result
 
     def __str__(self):

@@ -176,16 +176,17 @@ def foursecant_constraint_residual(d: int, pi: int, chi: int) -> Fraction:
     )
 
 
+def _triple_point_formula(d: int, k_squared: int, c2: int, hk: int) -> Fraction:
+    dd = Fraction(d)
+    return (
+        dd * (dd**2 - 12 * dd + 44) + 4 * k_squared - 2 * c2 - 3 * hk * (dd - 8)
+    ) / 6
+
+
 def apparent_triple_points(s: SurfaceInvariants) -> Fraction:
     """Apparent triple points of a generic projection of a smooth
     non-scroll surface in P^4 to P^3 (triple-point formula)."""
-    d = Fraction(s.d)
-    return (
-        d * (d**2 - 12 * d + 44)
-        + 4 * s.k_squared
-        - 2 * s.c2
-        - 3 * s.hk * (s.d - 8)
-    ) / 6
+    return _triple_point_formula(s.d, s.k_squared, s.c2, s.hk)
 
 
 def blowup_triple_points(s: SurfaceInvariants) -> Fraction:
@@ -196,13 +197,13 @@ def blowup_triple_points(s: SurfaceInvariants) -> Fraction:
     Equals four_secants_through_point(d, pi, chi) whenever K^2 satisfies
     the double point formula for smooth surfaces in P^4 (see
     k_squared_from_double_point); the blown-up triple points are exactly
-    the 4-secants through the blown-up point.
+    the 4-secants through the blown-up point.  The triple-point formula
+    is taken on the bare invariants rather than on
+    SurfaceInvariants(d - 1, ...), which would reject d = 1.
     """
-    dt = Fraction(s.d - 1)
-    k2t = s.k_squared - 1
-    c2t = s.c2 + 1
-    hkt = 2 * s.pi - s.d - 1
-    return (dt * (dt**2 - 12 * dt + 44) + 4 * k2t - 2 * c2t - 3 * hkt * (dt - 8)) / 6
+    return _triple_point_formula(
+        s.d - 1, s.k_squared - 1, s.c2 + 1, 2 * s.pi - s.d - 1
+    )
 
 
 def k_squared_from_double_point(d: int, pi: int, chi: int) -> int:

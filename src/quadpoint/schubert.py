@@ -272,5 +272,6 @@ def grassmannian_degree(n: int) -> int:
         raise ValueError("n must be >= 2")
     total = comb(2 * n - 2, n)
     q, r = divmod(total, n - 1)
-    assert r == 0
+    if r:
+        raise ArithmeticError("C(2n-2,n) not divisible by n-1")
     return q

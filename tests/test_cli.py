@@ -181,3 +181,98 @@ def test_order_failure_exit_code(capsys, tmp_path):
     path.write_text(save_catalog(records))
     assert main(["classify", "--catalog", str(path)]) == 1
     capsys.readouterr()
+
+
+FORMULAS_HELP = """\
+usage: quadpoint formulas [-h]
+                          {q,h,a1,a2,residual,triple,double,focal-degree} ...
+
+positional arguments:
+  {q,h,a1,a2,residual,triple,double,focal-degree}
+    q                   apparent quadruple points
+    h                   4-secants through a point
+    a1                  4-secant hypersurface degree
+    a2                  4-secants of a space curve
+    residual            4-secant constraint residual
+    triple              apparent triple points
+    double              K^3 and H.K^2 from the double point formulas
+    focal-degree        focal locus degree closed forms
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+FORMAT_HELP = """\
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,tsv}
+                        output format (default text)
+"""
+
+# (subcommand, usage lines of its -h, flag lines of its -h, input, value)
+FORMULAS_GOLDEN = (
+    (
+        "q",
+        "usage: quadpoint formulas q [-h] [--format {text,json,tsv}] --d D --pi PI\n"
+        "                            --chiS CHIS --chiX CHIX\n",
+        "  --d D\n  --pi PI\n  --chiS CHIS\n  --chiX CHIX\n",
+        ["--d", "9", "--pi", "6", "--chiS", "3", "--chiX", "2"],
+        "39",
+    ),
+    (
+        "h",
+        "usage: quadpoint formulas h [-h] [--format {text,json,tsv}] --d D --pi PI\n"
+        "                            --chi CHI\n",
+        "  --d D\n  --pi PI\n  --chi CHI\n",
+        ["--d", "9", "--pi", "7", "--chi", "1"],
+        "5",
+    ),
+    (
+        "a1",
+        "usage: quadpoint formulas a1 [-h] [--format {text,json,tsv}] --d D --pi PI\n"
+        "                             --chi CHI\n",
+        "  --d D\n  --pi PI\n  --chi CHI\n",
+        ["--d", "9", "--pi", "7", "--chi", "1"],
+        "21",
+    ),
+    (
+        "a2",
+        "usage: quadpoint formulas a2 [-h] [--format {text,json,tsv}] --d D --pi PI\n",
+        "  --d D\n  --pi PI\n",
+        ["--d", "10", "--pi", "5"],
+        "101",
+    ),
+    (
+        "residual",
+        "usage: quadpoint formulas residual [-h] [--format {text,json,tsv}] --d D --pi\n"
+        "                                   PI --chi CHI\n",
+        "  --d D\n  --pi PI\n  --chi CHI\n",
+        ["--d", "6", "--pi", "2", "--chi", "1"],
+        "-3",
+    ),
+    (
+        "triple",
+        "usage: quadpoint formulas triple [-h] [--format {text,json,tsv}] --d D --pi PI\n"
+        "                                 --chi CHI --K2 K2\n",
+        "  --d D\n  --pi PI\n  --chi CHI\n  --K2 K2\n",
+        ["--d", "9", "--pi", "7", "--chi", "1", "--K2", "2"],
+        "22",
+    ),
+)
+
+
+def test_formulas_golden_output(capsys, monkeypatch):
+    # argparse wraps help text to the terminal width it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, ["formulas", "-h"]) == (0, FORMULAS_HELP, "")
+    for name, usage, flags, argv, value in FORMULAS_GOLDEN:
+        expected_help = usage + "\n" + FORMAT_HELP + flags
+        assert run(capsys, ["formulas", name, "-h"]) == (0, expected_help, "")
+        outputs = {
+            "text": value + "\n",
+            "json": '{"num": "%s", "den": "1"}\n' % value,
+            "tsv": value + "\n",
+        }
+        for fmt, out in outputs.items():
+            assert run(capsys, ["formulas", name] + argv + ["--format", fmt]) == (0, out, "")
+        assert run(capsys, ["formulas", name] + argv) == (0, value + "\n", "")

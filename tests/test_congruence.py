@@ -22,7 +22,14 @@ from quadpoint.congruence import (
     save_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import BinaryForm, RationalMatrix, rank_and_kernel, rational_roots
+from quadpoint.exact import (
+    BinaryForm,
+    MultiPoly,
+    RationalMatrix,
+    rank_and_kernel,
+    rational_roots,
+    ring_determinant,
+)
 
 
 def test_normalize_point():
@@ -311,3 +318,33 @@ def test_comments_and_blank_lines_ignored():
     )
     loaded = load_congruence(decorated)
     assert loaded.rows == twisted_cubic_congruence().rows
+
+
+def lambda_family_rows(c):
+    """The matrix sum(lambda_i * A_i) with polynomial entries in the lambdas."""
+    nvars, size = c.n - 1, c.n + 1
+    return [
+        [
+            sum(
+                (MultiPoly.variable(nvars, i) * c.matrices[i].entry(j, k) for i in range(nvars)),
+                MultiPoly.zero(nvars),
+            )
+            for k in range(size)
+        ]
+        for j in range(size)
+    ]
+
+
+def test_lambda_family_determinant_oracle():
+    # The odd-order skew theorem that determinant_vanishes_identically
+    # relies on, checked against a full symbolic expansion.
+    for seed in (1, 2, 3):
+        even = random_linear_congruence(4, seed, 9)
+        det = ring_determinant(lambda_family_rows(even), MultiPoly.zero(3))
+        assert det == MultiPoly.zero(3)
+        assert determinant_vanishes_identically(even)
+        odd = random_linear_congruence(3, seed, 9)
+        det = ring_determinant(lambda_family_rows(odd), MultiPoly.zero(2))
+        pf = pfaffian_polynomial(odd)
+        assert det == pf * pf
+        assert not determinant_vanishes_identically(odd)

@@ -115,9 +115,22 @@ def test_rank_nullity_and_annihilation():
 
 def test_determinant_matches_permutation_oracle():
     rng = random.Random(5)
+    cases = []
     for _ in range(25):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        cases.append([[random_rational(rng) for _ in range(n)] for _ in range(n)])
+    for n in (2, 3, 4, 5, 6):
         rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        repeated = [list(r) for r in rows]
+        repeated[-1] = list(repeated[0])
+        zero_col = [list(r) for r in rows]
+        for r in zero_col:
+            r[n // 2] = Fraction(0)
+        # Every row but the last starts with 0, so the first pivot needs a
+        # row swap.
+        swapped = [[Fraction(0)] + r[1:] for r in rows[:-1]] + [rows[-1]]
+        cases += [repeated, zero_col, swapped]
+    for rows in cases:
         assert determinant(RationalMatrix(rows)) == perm_det(rows, Fraction(0))
 
 
