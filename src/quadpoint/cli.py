@@ -245,6 +245,10 @@ def _cmd_verify_foci(args):
         if t.focal_probe:
             text.append("trial %d: focal probe skipped" % i)
             tsv.append("%d\tfocal\t" % i)
+        elif t.reason is not None:
+            failure = "point %s: %s" % (t.point, t.reason)
+            text.append("trial %d: failure: %s" % (i, failure))
+            tsv.append("%d\tfailure\t%s" % (i, failure))
         else:
             state = "ok" if t.ok else "MISMATCH"
             text.append(
@@ -264,6 +268,7 @@ def _cmd_verify_foci(args):
                     "focal_probe": t.focal_probe,
                     "gcd_degree": t.gcd_degree,
                     "ok": t.ok,
+                    **({} if t.reason is None else {"reason": t.reason}),
                 }
                 for t in trials
             ],

@@ -10,6 +10,7 @@ linear algebra and binary-form gcds, never numerically.
 
 from __future__ import annotations
 
+import math
 import random
 
 from fractions import Fraction
@@ -21,11 +22,12 @@ from .exact import (
     MultiPoly,
     RationalMatrix,
     _as_fraction,
+    _integer_determinant,
+    _integer_rows,
     binary_gcd,
     pfaffian,
     primitive_vector,
     rank_and_kernel,
-    ring_determinant,
     seeded_random_matrix,
 )
 
@@ -358,6 +360,38 @@ class FocalSliceReport:
         )
 
 
+def _form_from_integer_values(values: Sequence) -> BinaryForm:
+    """The integer binary form of degree d = len(values) - 1 that takes
+    the value values[u] at (s, t) = (1, u) for u = 0..d.
+
+    Newton interpolation on the unit nodes 0..d, where the k-th divided
+    difference is the k-th forward difference divided by k!.  Scaled by
+    d!, every Newton coefficient and every Horner step is an integer;
+    the form has integer coefficients (its values are those of an
+    integer determinant), so the final division by d! is exact.
+    """
+    d = len(values) - 1
+    d_factorial = math.factorial(d)
+    diffs = list(values)
+    newton = []
+    for k in range(d + 1):
+        newton.append(diffs[0] * (d_factorial // math.factorial(k)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # d! * p(u) = sum_k newton[k] * u(u-1)...(u-k+1), expanded by Horner;
+    # coeffs[j] is the coefficient of u^j, that is of s^(d-j) * t^j.
+    coeffs = [newton[d]]
+    for k in range(d - 1, -1, -1):
+        shifted = [0] + coeffs
+        for j, cj in enumerate(coeffs):
+            shifted[j] -= k * cj
+        shifted[0] += newton[k]
+        coeffs = shifted
+    quotients = [divmod(x, d_factorial) for x in coeffs]
+    if any(r for _, r in quotients):
+        raise ArithmeticError("interpolated minor has non-integer coefficients")
+    return BinaryForm([q for q, _ in quotients])
+
+
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     """Focal scheme cut on a line, as the gcd of restricted minors.
 
@@ -365,6 +399,17 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     minors (choices of n-1 rows, in ascending lexicographic order of
     the kept row indices).  Each nonzero minor is a binary form of
     degree n-1; their gcd is the divisorial part of the focal scheme.
+
+    Every restricted entry is a linear form a*s + b*t, so every maximal
+    minor is zero or a form of degree exactly n-1, and its values at
+    the n points (s, t) = (1, u), u = 0..n-1, determine it.  Each row
+    is cleared of denominators once, which scales each minor by a
+    positive constant and so changes neither which minors vanish, nor
+    their degrees, nor the monic gcd.  At each u the integer matrix
+    a + u*b is built once and every minor is taken from it by the
+    Bareiss kernel; exact Newton interpolation on the n nodes recovers
+    each minor.  Nothing is probabilistic or modular, and a minor whose
+    n values all vanish is the zero form.
     """
     if line.ambient_dim != c.n:
         raise ValueError("line lives in the wrong space")
@@ -373,10 +418,16 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     else:
         rows = c.restricted_rows(line)
     size = c.n - 1
-    minors = [
-        ring_determinant([rows[r] for r in kept], BinaryForm.zero())
-        for kept in combinations(range(len(rows)), size)
-    ]
+    # Row i of `pencil` interleaves the integers a, b of each entry a*s + b*t.
+    flat = [[x for f in row for x in (f.coeffs if f else (0, 0))] for row in rows]
+    pencil, _ = _integer_rows(RationalMatrix(flat))
+    kept_rows = list(combinations(range(len(rows)), size))
+    values = [[] for _ in kept_rows]
+    for u in range(size + 1):
+        at_u = [[a + u * b for a, b in zip(r[0::2], r[1::2])] for r in pencil]
+        for kept, minor_values in zip(kept_rows, values):
+            minor_values.append(_integer_determinant([list(at_u[r]) for r in kept]))
+    minors = [_form_from_integer_values(v) for v in values]
     degrees = tuple(None if m.is_zero else m.degree for m in minors)
     if all(m.is_zero for m in minors):
         return FocalSliceReport(degrees, BinaryForm.zero(), None, True)
@@ -520,25 +571,31 @@ def order_check(
 
 class FociTrial:
     """One probe of the focal-length property: the line through a
-    random point must carry a focal scheme of length exactly n-1."""
+    random point must carry a focal scheme of length exactly n-1.
 
-    __slots__ = ("point", "focal_probe", "gcd_degree", "expected")
+    reason is set when no line could be solved at a non-focal probe
+    (a rank defect); such a trial fails and has no gcd degree.
+    """
 
-    def __init__(self, point, focal_probe, gcd_degree, expected):
+    __slots__ = ("point", "focal_probe", "gcd_degree", "expected", "reason")
+
+    def __init__(self, point, focal_probe, gcd_degree, expected, reason=None):
         self.point = point
         self.focal_probe = focal_probe
         self.gcd_degree = gcd_degree
         self.expected = expected
+        self.reason = reason
 
     @property
     def ok(self) -> bool:
         return self.focal_probe or self.gcd_degree == self.expected
 
     def __repr__(self):
-        return "FociTrial(point=%r, focal_probe=%r, gcd_degree=%r)" % (
+        return "FociTrial(point=%r, focal_probe=%r, gcd_degree=%r, reason=%r)" % (
             self.point,
             self.focal_probe,
             self.gcd_degree,
+            self.reason,
         )
 
 
@@ -547,8 +604,10 @@ def foci_check(
 ) -> tuple:
     """Slice the congruence along `trials` probe lines and report the
     gcd degree of the restricted minors for each; probes that land on
-    the focal locus are marked and skipped.  Uses the same derived-seed
-    scheme as order_check, so the two reports probe the same points.
+    the focal locus are marked and skipped, and a probe whose line hits
+    a rank defect is a failed trial carrying the reason, as in
+    order_check.  Uses the same derived-seed scheme as order_check, so
+    the two reports probe the same points.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -563,6 +622,9 @@ def foci_check(
             line = line_through_point(c, point)
         except FocalPointError:
             out.append(FociTrial(point, True, None, expected))
+            continue
+        except DegeneracyError as err:
+            out.append(FociTrial(point, False, None, expected, str(err)))
             continue
         report = focal_points_on_line(c, line)
         out.append(FociTrial(point, False, report.gcd_degree, expected))

@@ -2,8 +2,10 @@
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
 One elimination kernel, the in-place Bareiss loop `_bareiss`, serves
-both `rank_and_kernel` (followed by back-substitution) and
-`determinant` (last pivot, permutation sign and row scaling).
+both `rank_and_kernel` (followed by back-substitution) and the integer
+determinant `_integer_determinant` (last pivot and permutation sign),
+which `determinant` divides by the row scaling and the focal slice in
+`congruence` evaluates its minors with.
 
 Everything here stays in exact rational arithmetic (fractions.Fraction);
 no operation introduces floating point.
@@ -188,22 +190,29 @@ def rank_and_kernel(m: RationalMatrix) -> tuple:
     return rank, tuple(basis)
 
 
+def _integer_determinant(work: list) -> int:
+    """Determinant of a square integer matrix, eliminating `work` in place."""
+    pivot_cols, sign = _bareiss(work)
+    if len(pivot_cols) < len(work):
+        return 0
+    return sign * work[-1][-1]
+
+
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     work, scale = _integer_rows(m)
-    pivot_cols, sign = _bareiss(work)
-    if len(pivot_cols) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * work[-1][-1], scale)
+    return Fraction(_integer_determinant(work), scale)
 
 
 def ring_determinant(rows: Sequence[Sequence], zero):
     """Cofactor-expansion determinant for small matrices over an exact ring.
 
-    Entries need +, -, * and truth testing; used for matrices of
-    polynomials where elimination would require division.
+    Entries need +, -, * and truth testing, so it works for matrices of
+    polynomials where elimination would require division.  Its cost is
+    factorial in the size; only tests call it, as the symbolic oracle
+    for determinants of polynomial matrices.
     """
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
@@ -240,21 +249,33 @@ def pfaffian(rows: Sequence[Sequence]):
         for j in range(i, size):
             if rows[i][j] != -rows[j][i]:
                 raise ValueError("matrix is not skew-symmetric")
+    return _pfaffian_expand(rows, tuple(range(size)), {})
 
-    def expand(idx):
-        if len(idx) == 2:
-            return rows[idx[0]][idx[1]]
-        first, rest = idx[0], idx[1:]
-        total = None
-        for pos, j in enumerate(rest):
-            entry = rows[first][j]
-            term = entry * expand(rest[:pos] + rest[pos + 1 :])
-            if pos % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        return total
 
-    return expand(tuple(range(size)))
+def _pfaffian_expand(rows, idx: tuple, memo: dict):
+    """Pfaffian of the principal submatrix on idx, expanded along its
+    first index.
+
+    The same sub-Pfaffian (remaining index tuple) recurs across
+    branches; memo holds each one, so it is expanded once per call of
+    `pfaffian`.  This is a module-level function, not a closure: a
+    recursive closure refers to itself, and that cycle would keep rows
+    and the memo alive after the call until the garbage collector ran.
+    """
+    if len(idx) == 2:
+        return rows[idx[0]][idx[1]]
+    if idx in memo:
+        return memo[idx]
+    first, rest = idx[0], idx[1:]
+    total = None
+    for pos, j in enumerate(rest):
+        entry = rows[first][j]
+        term = entry * _pfaffian_expand(rows, rest[:pos] + rest[pos + 1 :], memo)
+        if pos % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    memo[idx] = total
+    return total
 
 
 class MultiPoly:

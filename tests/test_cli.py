@@ -35,6 +35,46 @@ def test_verify_foci_twisted_cubic(capsys, tmp_path):
     assert all("gcd degree 2 (expected 2) ok" in l for l in lines[:-1])
 
 
+def test_verify_foci_degenerate_probe_fails(capsys, tmp_path):
+    # Trial 3 probes (-1, 0, 0, 2), where the lambda-combined forms drop
+    # rank; verify order reports it as a failure, and so must verify foci.
+    path = tmp_path / "d.cong"
+    construct = ["construct", "--kind", "determinantal", "--n", "3", "--seed", "1"]
+    main(construct + ["--bound", "1", "--out", str(path)])
+    capsys.readouterr()
+    probe = ["--in", str(path), "--trials", "5", "--seed", "2", "--bound", "2"]
+    failure = "point (-1, 0, 0, 2): combined forms have rank 1 < 2"
+    code, out, _ = run(capsys, ["verify", "order"] + probe)
+    assert code == 1
+    assert "failure: %s\n" % failure in out
+    code, out, err = run(capsys, ["verify", "foci"] + probe)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "trial 0: gcd degree 2 (expected 2) ok",
+        "trial 1: gcd degree 2 (expected 2) ok",
+        "trial 2: gcd degree 2 (expected 2) ok",
+        "trial 3: failure: %s" % failure,
+        "trial 4: gcd degree 2 (expected 2) ok",
+        "result = fail",
+    ]
+    code, out, _ = run(capsys, ["verify", "foci"] + probe + ["--format", "tsv"])
+    assert code == 1
+    assert out.splitlines()[3] == "3\tfailure\t%s" % failure
+    code, out, _ = run(capsys, ["verify", "foci"] + probe + ["--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["trials"][3] == {
+        "point": [-1, 0, 0, 2],
+        "focal_probe": False,
+        "gcd_degree": None,
+        "ok": False,
+        "reason": "combined forms have rank 1 < 2",
+    }
+    others = payload["trials"][:3] + payload["trials"][4:]
+    assert all(set(t) == {"point", "focal_probe", "gcd_degree", "ok"} for t in others)
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     path = tmp_path / "lin.cong"
     assert main(["construct", "--kind", "linear", "--n", "5", "--seed", "42", "--out", str(path)]) == 0

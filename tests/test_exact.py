@@ -5,6 +5,7 @@ re-done by permutation expansion, gcd fixtures are built as explicit
 products of linear factors.
 """
 
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -200,6 +201,55 @@ def test_pfaffian_squared_is_determinant_polynomials():
                 rows[i][j] = p
                 rows[j][i] = -p
         assert pfaffian(rows) * pfaffian(rows) == perm_det(rows, MultiPoly.zero(2))
+
+
+def expansion_pfaffian(rows, idx=None):
+    """First-row expansion with no sharing of sub-Pfaffians, the oracle."""
+    if idx is None:
+        idx = tuple(range(len(rows)))
+    if len(idx) == 2:
+        return rows[idx[0]][idx[1]]
+    first, rest = idx[0], idx[1:]
+    total = None
+    for pos, j in enumerate(rest):
+        term = rows[first][j] * expansion_pfaffian(rows, rest[:pos] + rest[pos + 1 :])
+        if pos % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def test_pfaffian_matches_expansion_oracle():
+    # From size 8 on, sub-Pfaffians recur across branches of the expansion.
+    for size in (8, 10):
+        for seed in range(2):
+            m = seeded_random_matrix(7 * size + seed, size, size, 9, skew=True)
+            rows = [list(m.row(i)) for i in range(size)]
+            assert pfaffian(rows) == expansion_pfaffian(rows)
+            assert pfaffian(rows) ** 2 == determinant(m)
+    rng = random.Random(23)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rows = [[MultiPoly.zero(3) for _ in range(8)] for _ in range(8)]
+    for i in range(8):
+        for j in range(i + 1, 8):
+            p = MultiPoly(3, {e: rng.randint(-3, 3) for e in units})
+            rows[i][j] = p
+            rows[j][i] = -p
+    assert pfaffian(rows) == expansion_pfaffian(rows)
+
+
+def test_pfaffian_frees_its_memo_on_return():
+    # The memo of sub-Pfaffians must go when pfaffian returns, not wait
+    # in a reference cycle for the next run of the garbage collector.
+    m = seeded_random_matrix(5, 8, 8, 9, skew=True)
+    rows = [list(m.row(i)) for i in range(8)]
+    gc.collect()
+    gc.disable()
+    try:
+        pfaffian(rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pfaffian_zero_matrix():

@@ -1,0 +1,161 @@
+"""The focal slice against a cofactor-expansion oracle.
+
+`focal_points_on_line` evaluates each restricted maximal minor at n
+points and interpolates.  The oracle here rebuilds every minor
+symbolically with `ring_determinant` over the restricted binary forms
+and takes `binary_gcd`, so each report field can be compared exactly.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from quadpoint.congruence import (
+    DeterminantalCongruence,
+    LinearCongruence,
+    ProjLine,
+    focal_points_on_line,
+    line_through_point,
+    random_determinantal_congruence,
+    random_linear_congruence,
+)
+from quadpoint.exact import BinaryForm, binary_gcd, ring_determinant
+
+RANDOM = {
+    "linear": random_linear_congruence,
+    "determinantal": random_determinantal_congruence,
+}
+
+
+def restricted(c, line):
+    if isinstance(c, LinearCongruence):
+        return c.restricted_columns(line)
+    return c.restricted_rows(line)
+
+
+def cofactor_slice(c, line):
+    """(minor_degrees, gcd_form, gcd_degree, focal_line) by cofactor expansion."""
+    rows = restricted(c, line)
+    minors = [
+        ring_determinant([rows[r] for r in kept], BinaryForm.zero())
+        for kept in combinations(range(len(rows)), c.n - 1)
+    ]
+    degrees = tuple(None if m.is_zero else m.degree for m in minors)
+    if all(m.is_zero for m in minors):
+        return degrees, BinaryForm.zero(), None, True
+    g = binary_gcd(minors)
+    return degrees, g, g.degree, False
+
+
+def assert_matches_oracle(c, line):
+    rep = focal_points_on_line(c, line)
+    degrees, gcd_form, gcd_degree, focal_line = cofactor_slice(c, line)
+    assert rep.minor_degrees == degrees
+    assert rep.gcd_form.is_zero == gcd_form.is_zero
+    assert rep.gcd_form.coeffs == gcd_form.coeffs
+    assert rep.gcd_degree == gcd_degree
+    assert rep.focal_line is focal_line
+    return rep
+
+
+def random_point(rng, n, bound=9):
+    while True:
+        point = tuple(rng.randint(-bound, bound) for _ in range(n + 1))
+        if any(point):
+            return point
+
+
+def random_line(rng, n):
+    while True:
+        try:
+            return ProjLine(random_point(rng, n), random_point(rng, n))
+        except ValueError:
+            continue
+
+
+def congruence_line(c, rng):
+    """The congruence line through a random non-focal probe point."""
+    while True:
+        try:
+            return line_through_point(c, random_point(rng, c.n))
+        except ValueError:
+            continue
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def fractional_linear(n, rng):
+    mats = []
+    for _ in range(n - 1):
+        m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for i, j in combinations(range(n + 1), 2):
+            m[i][j] = random_fraction(rng)
+            m[j][i] = -m[i][j]
+        mats.append(m)
+    return LinearCongruence(n, mats)
+
+
+def fractional_determinantal(n, rng):
+    rows = [
+        [[random_fraction(rng) for _ in range(n + 1)] for _ in range(n - 1)]
+        for _ in range(n)
+    ]
+    return DeterminantalCongruence(n, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM))
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_slice_matches_cofactor_oracle(kind, n):
+    seeds = (1, 2) if n == 6 else (1, 2, 3)
+    for seed in seeds:
+        c = RANDOM[kind](n, seed, 9)
+        rng = random.Random(seed * 100 + n)
+        rep = assert_matches_oracle(c, congruence_line(c, rng))
+        assert rep.gcd_degree == n - 1
+        assert_matches_oracle(c, random_line(rng, n))
+
+
+@pytest.mark.parametrize(
+    "build", (fractional_linear, fractional_determinantal), ids=("linear", "determinantal")
+)
+def test_slice_matches_oracle_with_fraction_entries(build):
+    for n in (3, 4, 5):
+        rng = random.Random(n)
+        c = build(n, rng)
+        line = congruence_line(c, rng)
+        rows = restricted(c, line)
+        assert any(x.denominator != 1 for row in rows for f in row for x in f.coeffs)
+        rep = assert_matches_oracle(c, line)
+        assert rep.gcd_degree == n - 1
+        assert_matches_oracle(c, random_line(rng, n))
+
+
+def test_identical_columns_give_a_focal_line():
+    for n in (3, 4, 5):
+        rng = random.Random(n)
+        column = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)]
+        rows = [
+            [column[i], column[i]]
+            + [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n - 3)]
+            for i in range(n)
+        ]
+        c = DeterminantalCongruence(n, rows)
+        rep = assert_matches_oracle(c, random_line(rng, n))
+        assert rep.focal_line
+        assert rep.minor_degrees == (None,) * n
+        assert rep.gcd_degree is None
+        assert rep.gcd_form.is_zero
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM))
+@pytest.mark.parametrize("n", (8, 9))
+def test_slice_beyond_cofactor_reach(kind, n):
+    c = RANDOM[kind](n, 1, 9)
+    rep = focal_points_on_line(c, congruence_line(c, random.Random(n)))
+    assert not rep.focal_line
+    assert rep.gcd_degree == n - 1
+    assert all(d in (None, n - 1) for d in rep.minor_degrees)
