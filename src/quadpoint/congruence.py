@@ -88,10 +88,6 @@ class ProjLine:
     def ambient_dim(self) -> int:
         return len(self.p0) - 1
 
-    @property
-    def plucker(self) -> tuple:
-        return self._plucker
-
     def point_at(self, s, t) -> tuple:
         sv, tv = _as_fraction(s), _as_fraction(t)
         coords = tuple(sv * x + tv * y for x, y in zip(self.p0, self.p1))
@@ -126,9 +122,10 @@ class LinearCongruence:
     """n-1 skew-symmetric (n+1) x (n+1) matrices A_1..A_{n-1}.
 
     Each matrix cuts a hyperplane section of G(1,n) in the Plucker
-    embedding; together they cut a congruence of lines.  The line
-    through a general point P is the kernel of the stack of row vectors
-    tP*A_i, which contains P automatically by skew-symmetry.
+    embedding; together they cut a congruence of lines.  The defining
+    matrix A(P) has column i equal to A_i*P.  The line through a
+    general point P is the kernel of A(P)^T, whose rows
+    (A_i*P)^T = -tP*A_i vanish at P by skew-symmetry.
     """
 
     __slots__ = ("n", "matrices", "witness")
@@ -155,25 +152,12 @@ class LinearCongruence:
     def kind(self) -> str:
         return "linear"
 
-    def stacked_rows_at(self, point: Sequence) -> RationalMatrix:
-        """The (n-1) x (n+1) matrix with rows tP * A_i."""
+    def matrix_at(self, point: Sequence) -> RationalMatrix:
+        """The (n+1) x (n-1) matrix A(P) whose column i is A_i * P."""
         pt = normalize_point(point)
         if len(pt) != self.n + 1:
             raise ValueError("point has wrong length")
-        return RationalMatrix(
-            [m.transpose().mat_vec(pt) for m in self.matrices]
-        )
-
-    def restricted_columns(self, line: ProjLine) -> list:
-        """(n+1) x (n-1) matrix of degree-1 binary forms: column i is
-        A_i * (s*p0 + t*p1)."""
-        cols = [
-            (m.mat_vec(line.p0), m.mat_vec(line.p1)) for m in self.matrices
-        ]
-        return [
-            [BinaryForm.linear(u[k], v[k]) for (u, v) in cols]
-            for k in range(self.n + 1)
-        ]
+        return RationalMatrix([m.mat_vec(pt) for m in self.matrices]).transpose()
 
 
 class DeterminantalCongruence:
@@ -214,6 +198,7 @@ class DeterminantalCongruence:
         return "determinantal"
 
     def matrix_at(self, point: Sequence) -> RationalMatrix:
+        """The n x (n-1) matrix A(P) of the linear forms evaluated at P."""
         pt = normalize_point(point)
         if len(pt) != self.n + 1:
             raise ValueError("point has wrong length")
@@ -223,21 +208,6 @@ class DeterminantalCongruence:
                 for row in self.rows
             ]
         )
-
-    def restricted_rows(self, line: ProjLine) -> list:
-        """n x (n-1) matrix of degree-1 binary forms: A at s*p0 + t*p1."""
-        out = []
-        for row in self.rows:
-            out.append(
-                [
-                    BinaryForm.linear(
-                        sum(c * x for c, x in zip(coeffs, line.p0)),
-                        sum(c * x for c, x in zip(coeffs, line.p1)),
-                    )
-                    for coeffs in row
-                ]
-            )
-        return out
 
 
 Congruence = Union[LinearCongruence, DeterminantalCongruence]
@@ -249,13 +219,12 @@ Congruence = Union[LinearCongruence, DeterminantalCongruence]
 def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     """The unique congruence line through a general point P.
 
-    Solves tP * A_i * v = 0 for all i.  P itself always solves the
-    system; a second independent solution exists because the stack has
-    at most n-1 rows.  A kernel of dimension 3 or more means P is a
-    focal (fundamental) point.
+    Solves A(P)^T * v = 0, that is tP * A_i * v = 0 for all i.  P itself
+    always solves the system; a second independent solution exists
+    because A(P)^T has n-1 rows.  A kernel of dimension 3 or more means
+    P is a focal (fundamental) point.
     """
-    stack = c.stacked_rows_at(point)
-    rank, kernel = rank_and_kernel(stack)
+    rank, kernel = rank_and_kernel(c.matrix_at(point).transpose())
     dim = c.n + 1 - rank
     if dim != 2:
         raise FocalPointError(
@@ -317,16 +286,7 @@ def line_through_point(c: Congruence, point: Sequence) -> ProjLine:
 
 
 def is_focal_point(c: Congruence, point: Sequence) -> bool:
-    """True iff P lies on the focal locus of the congruence."""
-    if isinstance(c, LinearCongruence):
-        pt = normalize_point(point)
-        if len(pt) != c.n + 1:
-            raise ValueError("point has wrong length")
-        columns = RationalMatrix(
-            [m.mat_vec(pt) for m in c.matrices]
-        ).transpose()
-        rank, _ = rank_and_kernel(columns)
-        return rank <= c.n - 2
+    """True iff P lies on the focal locus: A(P) has rank below n-1."""
     rank, _ = rank_and_kernel(c.matrix_at(point))
     return rank <= c.n - 2
 
@@ -395,7 +355,8 @@ def _form_from_integer_values(values: Sequence) -> BinaryForm:
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     """Focal scheme cut on a line, as the gcd of restricted minors.
 
-    Restricts the defining matrix to s*p0 + t*p1 and takes all maximal
+    Restricts the defining matrix to s*p0 + t*p1, where it is the pencil
+    s*A(p0) + t*A(p1) since A(P) is linear in P, and takes all maximal
     minors (choices of n-1 rows, in ascending lexicographic order of
     the kept row indices).  Each nonzero minor is a binary form of
     degree n-1; their gcd is the divisorial part of the focal scheme.
@@ -413,18 +374,16 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     """
     if line.ambient_dim != c.n:
         raise ValueError("line lives in the wrong space")
-    if isinstance(c, LinearCongruence):
-        rows = c.restricted_columns(line)
-    else:
-        rows = c.restricted_rows(line)
     size = c.n - 1
-    # Row i of `pencil` interleaves the integers a, b of each entry a*s + b*t.
-    flat = [[x for f in row for x in (f.coeffs if f else (0, 0))] for row in rows]
-    pencil, _ = _integer_rows(RationalMatrix(flat))
-    kept_rows = list(combinations(range(len(rows)), size))
+    at_p0, at_p1 = c.matrix_at(line.p0), c.matrix_at(line.p1)
+    # Row k of `pencil`: the a of each entry a*s + b*t of row k, then each b.
+    pencil, _ = _integer_rows(
+        RationalMatrix([at_p0.row(k) + at_p1.row(k) for k in range(at_p0.rows)])
+    )
+    kept_rows = list(combinations(range(len(pencil)), size))
     values = [[] for _ in kept_rows]
     for u in range(size + 1):
-        at_u = [[a + u * b for a, b in zip(r[0::2], r[1::2])] for r in pencil]
+        at_u = [[a + u * b for a, b in zip(r[:size], r[size:])] for r in pencil]
         for kept, minor_values in zip(kept_rows, values):
             minor_values.append(_integer_determinant([list(at_u[r]) for r in kept]))
     minors = [_form_from_integer_values(v) for v in values]
@@ -769,8 +728,12 @@ def load_congruence(text: str) -> Congruence:
         if len(tokens) != expect_len:
             fail(no, "expected %d entries, got %d" % (expect_len, len(tokens)))
         try:
+            # Fraction expands an exponent such as 1e999999999 in full
+            # before any size check could run, so exponents are refused.
+            if "e" in line.lower():
+                raise ValueError("exponent")
             return [Fraction(tok) for tok in tokens]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             fail(no, "non-rational entry in %r" % line)
 
     if kind == "linear":

@@ -75,9 +75,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple:
         return self._rows[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._rows)
-
     @property
     def entries(self) -> tuple:
         """Row-major flat view."""

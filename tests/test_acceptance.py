@@ -46,6 +46,7 @@ from quadpoint.schubert import (
     sigma1_power_closed,
     sigma1_power_iterative,
 )
+from restriction import restricted
 
 THREEFOLDS = (
     ThreefoldInvariants(7, 4, 1, 1),
@@ -142,11 +143,11 @@ def _probe_lines(kind, n, seed):
         else:
             _, left = rank_and_kernel(c.matrix_at(point).transpose())
             lam = left[0]
-            restricted = c.restricted_rows(line)
+            rows = restricted(c, line)
             for j in range(n - 1):
                 combo = BinaryForm.zero()
                 for i in range(n):
-                    combo = combo + restricted[i][j] * lam[i]
+                    combo = combo + rows[i][j] * lam[i]
                 assert combo.is_zero
         lines.append((c, line))
     return lines

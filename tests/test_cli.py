@@ -203,6 +203,19 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_malformed_entries_exit_two(capsys, tmp_path):
+    # The cheap exponent comes first: a parser that let exponents through
+    # would fail there before it tried to expand 1e999999999.
+    good = save_congruence(twisted_cubic_congruence())
+    path = tmp_path / "bad.cong"
+    for entry in ("1/0", "1E5", "1e999999999"):
+        line = "%s 0 0 0" % entry
+        path.write_text(good.replace("1 0 0 0", line, 1))
+        code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: line 4: non-rational entry in %r\n" % line
+
+
 def test_closed_route_range_check(capsys):
     code, out, _ = run(capsys, ["schubert", "pow", "--n", "5", "--l", "4", "--closed"])
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quadpoint.congruence import (
@@ -29,7 +31,9 @@ from quadpoint.exact import (
     rank_and_kernel,
     rational_roots,
     ring_determinant,
+    seeded_random_matrix,
 )
+from restriction import restricted
 
 
 def test_normalize_point():
@@ -183,11 +187,11 @@ def test_lambda_combination_vanishes_on_line():
         line = line_through_point_determinantal(c, point)
         _, left = rank_and_kernel(c.matrix_at(point).transpose())
         lam = left[0]
-        restricted = c.restricted_rows(line)
+        rows = restricted(c, line)
         for j in range(n - 1):
             combo = BinaryForm.zero()
             for i in range(n):
-                combo = combo + restricted[i][j] * lam[i]
+                combo = combo + rows[i][j] * lam[i]
             assert combo.is_zero
 
 
@@ -222,6 +226,63 @@ def test_random_points_rarely_focal():
     for seed in range(20):
         c = random_linear_congruence(4, seed, 9)
         assert not is_focal_point(c, (1, seed + 2, 3, 5, 7))
+
+
+def focal_linear_congruence(n, seed):
+    """A_1 = E01 - E10 has rank 2, so every point of span(e2..en) is focal."""
+    a1 = [[0] * (n + 1) for _ in range(n + 1)]
+    a1[0][1], a1[1][0] = 1, -1
+    rest = [
+        seeded_random_matrix(seed * 100 + i, n + 1, n + 1, 9, skew=True)
+        for i in range(n - 2)
+    ]
+    return LinearCongruence(n, [a1] + rest)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_linear_focal_point(n):
+    c = focal_linear_congruence(n, n)
+    e2 = tuple(int(k == 2) for k in range(n + 1))
+    assert is_focal_point(c, e2)
+    with pytest.raises(FocalPointError):
+        line_through_point(c, e2)
+    at = c.matrix_at(e2)
+    assert (at.rows, at.cols) == (n + 1, n - 1)
+    assert all(at.entry(k, 0) == 0 for k in range(n + 1))
+    # Column i of A(P) is A_i * P, entry by entry.
+    point = tuple(range(3, n + 4))
+    at = c.matrix_at(point)
+    for i, m in enumerate(c.matrices):
+        for k in range(n + 1):
+            assert at.entry(k, i) == sum(m.entry(k, j) * point[j] for j in range(n + 1))
+
+
+def test_focal_test_agrees_with_line_solver():
+    # Half the probes are drawn from the focal locus: ker A_1 for the
+    # linear congruences, the curve itself for the twisted cubic.
+    rng = random.Random(5)
+    cases = [focal_linear_congruence(n, n) for n in (3, 4, 5)]
+    cases.append(twisted_cubic_congruence())
+    for c in cases:
+        outcomes = set()
+        for k in range(24):
+            if isinstance(c, DeterminantalCongruence) and k % 2:
+                t = rng.randint(-5, 5)
+                point = (1, t, t * t, t ** 3)
+            else:
+                point = tuple(
+                    0 if k % 2 and i < 2 else rng.randint(-9, 9) for i in range(c.n + 1)
+                )
+                if not any(point):
+                    continue
+            try:
+                line_through_point(c, point)
+                raised = False
+            except FocalPointError:
+                raised = True
+            assert is_focal_point(c, point) is raised
+            outcomes.add(raised)
+        assert outcomes == {False, True}
 
 
 def test_pfaffian_polynomial_degrees():

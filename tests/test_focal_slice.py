@@ -22,17 +22,12 @@ from quadpoint.congruence import (
     random_linear_congruence,
 )
 from quadpoint.exact import BinaryForm, binary_gcd, ring_determinant
+from restriction import restricted
 
 RANDOM = {
     "linear": random_linear_congruence,
     "determinantal": random_determinantal_congruence,
 }
-
-
-def restricted(c, line):
-    if isinstance(c, LinearCongruence):
-        return c.restricted_columns(line)
-    return c.restricted_rows(line)
 
 
 def cofactor_slice(c, line):
