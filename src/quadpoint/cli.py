@@ -182,7 +182,13 @@ def _cmd_formulas_focal_degree(args):
 # ----- constructions and verification -----
 
 
+# A congruence holds about n^3 entries; larger n is refused before the draw.
+_MAX_CONSTRUCT_N = 64
+
+
 def _cmd_construct(args):
+    if args.n > _MAX_CONSTRUCT_N:
+        raise ValueError("n must be <= %d" % _MAX_CONSTRUCT_N)
     if args.kind == "linear":
         c = random_linear_congruence(args.n, args.seed, args.bound)
     else:

@@ -18,12 +18,12 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .exact import (
-    BinaryForm,
     MultiPoly,
     RationalMatrix,
     _as_fraction,
     _integer_determinant,
     _integer_rows,
+    binary_form,
     binary_gcd,
     pfaffian,
     primitive_vector,
@@ -299,10 +299,11 @@ class FocalSliceReport:
 
     minor_degrees lists the degree of each restricted maximal minor in
     a fixed order (None for identically zero minors); gcd_form is the
-    monic gcd of the nonzero minors.  On a line of the congruence the
-    gcd degree equals n-1, the focal length.  If every minor vanishes,
-    the line lies inside the focal locus and focal_line is set; the
-    gcd degree is then None.
+    monic gcd of the nonzero minors, a binary form (a homogeneous
+    MultiPoly in the line coordinates s, t).  On a line of the
+    congruence the gcd degree equals n-1, the focal length.  If every
+    minor vanishes, the line lies inside the focal locus and focal_line
+    is set; gcd_form is then zero and the gcd degree is None.
     """
 
     __slots__ = ("minor_degrees", "gcd_form", "gcd_degree", "focal_line")
@@ -320,7 +321,7 @@ class FocalSliceReport:
         )
 
 
-def _form_from_integer_values(values: Sequence) -> BinaryForm:
+def _form_from_integer_values(values: Sequence) -> MultiPoly:
     """The integer binary form of degree d = len(values) - 1 that takes
     the value values[u] at (s, t) = (1, u) for u = 0..d.
 
@@ -349,7 +350,7 @@ def _form_from_integer_values(values: Sequence) -> BinaryForm:
     quotients = [divmod(x, d_factorial) for x in coeffs]
     if any(r for _, r in quotients):
         raise ArithmeticError("interpolated minor has non-integer coefficients")
-    return BinaryForm([q for q, _ in quotients])
+    return binary_form([q for q, _ in quotients])
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
@@ -387,11 +388,11 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
         for kept, minor_values in zip(kept_rows, values):
             minor_values.append(_integer_determinant([list(at_u[r]) for r in kept]))
     minors = [_form_from_integer_values(v) for v in values]
-    degrees = tuple(None if m.is_zero else m.degree for m in minors)
-    if all(m.is_zero for m in minors):
-        return FocalSliceReport(degrees, BinaryForm.zero(), None, True)
+    degrees = tuple(m.total_degree() for m in minors)
+    if not any(minors):
+        return FocalSliceReport(degrees, MultiPoly.zero(2), None, True)
     g = binary_gcd(minors)
-    return FocalSliceReport(degrees, g, g.degree, False)
+    return FocalSliceReport(degrees, g, g.total_degree(), False)
 
 
 # ----- Pfaffian of the linear family -----
@@ -495,6 +496,28 @@ def _random_point(rng: random.Random, n: int, bound: int) -> tuple:
             return tuple(coords)
 
 
+def _probes(c: Congruence, trials: int, seed: int, bound: int) -> list:
+    """(point, line, reason) for each trial's probe point, drawn from
+    the derived seed of (seed, trial).  line is None at a focal point
+    (reason None) and at a rank defect (reason is the error text).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    out = []
+    for trial in range(trials):
+        rng = random.Random(_derived_seed(seed, trial, 0))
+        point = _random_point(rng, c.n, bound)
+        try:
+            out.append((point, line_through_point(c, point), None))
+        except FocalPointError:
+            out.append((point, None, None))
+        except DegeneracyError as err:
+            out.append((point, None, str(err)))
+    return out
+
+
 def order_check(
     c: Congruence, trials: int = 10, seed: int = 0, bound: int = 9
 ) -> OrderCheckReport:
@@ -504,28 +527,11 @@ def order_check(
     probes are recorded as skips.  Per-trial seeds are derived from
     (seed, trial), so the report does not depend on evaluation order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    successes = 0
-    focal_skips = 0
-    failures = []
-    lines = set()
-    for trial in range(trials):
-        rng = random.Random(_derived_seed(seed, trial, 0))
-        point = _random_point(rng, c.n, bound)
-        try:
-            line = line_through_point(c, point)
-        except FocalPointError:
-            focal_skips += 1
-            continue
-        except DegeneracyError as err:
-            failures.append("point %s: %s" % (point, err))
-            continue
-        successes += 1
-        lines.add(line)
-    return OrderCheckReport(trials, successes, focal_skips, failures, len(lines))
+    probes = _probes(c, trials, seed, bound)
+    lines = [line for _, line, _ in probes if line is not None]
+    failures = ["point %s: %s" % (p, r) for p, _, r in probes if r is not None]
+    focal_skips = trials - len(lines) - len(failures)
+    return OrderCheckReport(trials, len(lines), focal_skips, failures, len(set(lines)))
 
 
 class FociTrial:
@@ -565,28 +571,17 @@ def foci_check(
     gcd degree of the restricted minors for each; probes that land on
     the focal locus are marked and skipped, and a probe whose line hits
     a rank defect is a failed trial carrying the reason, as in
-    order_check.  Uses the same derived-seed scheme as order_check, so
-    the two reports probe the same points.
+    order_check.  Both draw their probes from `_probes`, so the two
+    reports probe the same points.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     expected = c.n - 1
     out = []
-    for trial in range(trials):
-        rng = random.Random(_derived_seed(seed, trial, 0))
-        point = _random_point(rng, c.n, bound)
-        try:
-            line = line_through_point(c, point)
-        except FocalPointError:
-            out.append(FociTrial(point, True, None, expected))
-            continue
-        except DegeneracyError as err:
-            out.append(FociTrial(point, False, None, expected, str(err)))
-            continue
-        report = focal_points_on_line(c, line)
-        out.append(FociTrial(point, False, report.gcd_degree, expected))
+    for point, line, reason in _probes(c, trials, seed, bound):
+        if line is None:
+            out.append(FociTrial(point, reason is None, None, expected, reason))
+        else:
+            report = focal_points_on_line(c, line)
+            out.append(FociTrial(point, False, report.gcd_degree, expected))
     return tuple(out)
 
 

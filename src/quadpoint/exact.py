@@ -7,6 +7,10 @@ determinant `_integer_determinant` (last pivot and permutation sign),
 which `determinant` divides by the row scaling and the focal slice in
 `congruence` evaluates its minors with.
 
+There is one polynomial type, `MultiPoly`; a binary form in (s, t) is
+a homogeneous two-variable one, built by `binary_form` and read back
+densely by `binary_coeffs` for the gcd, resultant and root finder.
+
 Everything here stays in exact rational arithmetic (fractions.Fraction);
 no operation introduces floating point.
 """
@@ -295,7 +299,7 @@ class MultiPoly:
             e = tuple(int(k) for k in exp)
             if len(e) != self.nvars or any(k < 0 for k in e):
                 raise ValueError("bad exponent tuple %r" % (exp,))
-            clean[e] = clean.get(e, Fraction(0)) + c
+            clean[e] = clean[e] + c if e in clean else c
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
@@ -383,6 +387,13 @@ class MultiPoly:
             total += term
         return total
 
+    def monic(self) -> "MultiPoly":
+        """Divide by the leading coefficient in graded-lex order; zero stays zero."""
+        if not self.terms:
+            return self
+        lead = self.terms[max(self.terms, key=lambda e: (sum(e), e))]
+        return self if lead == 1 else self * (1 / lead)
+
     def _sorted_terms(self):
         # graded lex, highest first
         return sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True)
@@ -432,186 +443,35 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.render()
 
 
-class BinaryForm:
-    """Homogeneous form in two variables s, t.
+def binary_form(coeffs: Sequence) -> MultiPoly:
+    """The binary form sum_k coeffs[k] * s^(d-k) * t^k, d = len(coeffs) - 1,
+    as a homogeneous MultiPoly in (s, t)."""
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    d = len(coeffs) - 1
+    return MultiPoly(2, {(d - k, k): c for k, c in enumerate(coeffs)})
 
-    coeffs[k] is the coefficient of s^(degree-k) * t^k.  The
-    identically-zero form carries an explicit flag since it has no
-    well-defined degree.
+
+def binary_coeffs(f: MultiPoly) -> list:
+    """Dense coefficients of a nonzero binary form: entry k belongs to
+    s^(d-k) * t^k, d the degree."""
+    if not isinstance(f, MultiPoly) or f.nvars != 2 or not f or not f.is_homogeneous():
+        raise ValueError("expected a nonzero homogeneous form in two variables")
+    out = [Fraction(0)] * (f.total_degree() + 1)
+    for (_, k), c in f.terms.items():
+        out[k] = c
+    return out
+
+
+def _binary_core(f: MultiPoly) -> tuple:
+    """(t-valuation, s-valuation, dense u-polynomial coeffs) with u = t/s.
+
+    The u-polynomial has nonzero constant and leading terms.
     """
-
-    __slots__ = ("degree", "coeffs", "is_zero")
-
-    def __init__(self, coeffs: Sequence):
-        cs = tuple(_as_fraction(x) for x in coeffs)
-        if not cs:
-            raise ValueError("empty coefficient list")
-        if all(c == 0 for c in cs):
-            self.degree = 0
-            self.coeffs = (Fraction(0),)
-            self.is_zero = True
-        else:
-            self.degree = len(cs) - 1
-            self.coeffs = cs
-            self.is_zero = False
-
-    @classmethod
-    def zero(cls) -> "BinaryForm":
-        return cls([0])
-
-    @classmethod
-    def constant(cls, c) -> "BinaryForm":
-        return cls([c])
-
-    @classmethod
-    def linear(cls, a, b) -> "BinaryForm":
-        """The form a*s + b*t."""
-        return cls([a, b])
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.is_zero, self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return BinaryForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return BinaryForm([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            c = _as_fraction(other)
-            if self.is_zero or c == 0:
-                return BinaryForm.zero()
-            return BinaryForm([k * c for k in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return BinaryForm.zero()
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return BinaryForm(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, s, t) -> Fraction:
-        sv, tv = _as_fraction(s), _as_fraction(t)
-        if self.is_zero:
-            return Fraction(0)
-        total = Fraction(0)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += c * sv ** (self.degree - k) * tv**k
-        return total
-
-    def t_valuation(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero form")
-        return next(k for k, c in enumerate(self.coeffs) if c)
-
-    def s_valuation(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero form")
-        top = max(k for k, c in enumerate(self.coeffs) if c)
-        return self.degree - top
-
-    def monic(self) -> "BinaryForm":
-        """Divide by the leading (highest s-power) nonzero coefficient."""
-        if self.is_zero:
-            return self
-        lead = self.coeffs[self.t_valuation()]
-        if lead == 1:
-            return self
-        return BinaryForm([c / lead for c in self.coeffs])
-
-    def _core(self) -> tuple:
-        """(t_val, s_val, dense u-polynomial coeffs) with u = t/s.
-
-        The u-polynomial has nonzero constant and leading terms.
-        """
-        a, b = self.t_valuation(), self.s_valuation()
-        return a, b, [self.coeffs[a + j] for j in range(self.degree - a - b + 1)]
-
-    def divide(self, other: "BinaryForm") -> "BinaryForm":
-        """Exact division; raises if other does not divide self."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero form")
-        if self.is_zero:
-            return BinaryForm.zero()
-        fa, fb, fcore = self._core()
-        ga, gb, gcore = other._core()
-        if fa < ga or fb < gb:
-            raise ValueError("not divisible")
-        q, r = _upoly_divmod(fcore, gcore)
-        if any(c != 0 for c in r):
-            raise ValueError("not divisible")
-        out = [Fraction(0)] * (self.degree - other.degree + 1)
-        shift = fa - ga
-        for j, c in enumerate(q):
-            out[shift + j] = c
-        result = BinaryForm(out)
-        if result * other != self:
-            raise ArithmeticError("exact division check failed")
-        return result
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            sp, tp = self.degree - k, k
-            factors = []
-            if sp == 1:
-                factors.append("s")
-            elif sp > 1:
-                factors.append("s^%d" % sp)
-            if tp == 1:
-                factors.append("t")
-            elif tp > 1:
-                factors.append("t^%d" % tp)
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (str(abs(c)), mono)
-            parts.append(("-" if c < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
-
-    def __repr__(self):
-        return "BinaryForm(%s)" % self
+    cs = binary_coeffs(f)
+    nonzero = [k for k, c in enumerate(cs) if c]
+    first, last = nonzero[0], nonzero[-1]
+    return first, len(cs) - 1 - last, cs[first : last + 1]
 
 
 def _upoly_normalize(p: list) -> list:
@@ -645,14 +505,11 @@ def _upoly_gcd(f: Sequence, g: Sequence) -> list:
     while b:
         _, r = _upoly_divmod(a, b)
         a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
     return a
 
 
-def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Monic gcd of the nonzero forms; zero forms are ignored.
+def binary_gcd(forms: Sequence[MultiPoly]) -> MultiPoly:
+    """Monic gcd of the nonzero binary forms; zero forms are ignored.
 
     Powers of t and s are tracked separately so the Euclid step runs on
     dehomogenizations with nonzero constant and leading coefficients.
@@ -660,67 +517,50 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     forms = list(forms)
     if not forms:
         raise ValueError("empty input")
-    nonzero = [f for f in forms if not f.is_zero]
-    if not nonzero:
-        return BinaryForm.zero()
-    g = nonzero[0]
-    for f in nonzero[1:]:
-        g = _pair_gcd(g, f)
-    return g.monic()
+    cores = [_binary_core(f) for f in forms if f]
+    if not cores:
+        return MultiPoly.zero(2)
+    core = cores[0][2]
+    for _, _, other in cores[1:]:
+        core = _upoly_gcd(core, other)
+    t_val = min(a for a, _, _ in cores)
+    s_val = min(b for _, b, _ in cores)
+    return binary_form([0] * t_val + core + [0] * s_val).monic()
 
 
-def _pair_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    fa, fb, fcore = f._core()
-    ga, gb, gcore = g._core()
-    core = _upoly_gcd(fcore, gcore)
-    a, b = min(fa, ga), min(fb, gb)
-    if not core:
-        core = [Fraction(1)]
-    out = [Fraction(0)] * (a + b + len(core))
-    for j, c in enumerate(core):
-        out[a + j] = c
-    return BinaryForm(out)
-
-
-def binary_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
-    """Sylvester resultant at the stated degrees.
+def binary_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
+    """Sylvester resultant of two binary forms at their degrees.
 
     Vanishes exactly when f and g share a projective root, including
     the point at infinity when both leading coefficients drop.
     """
-    if f.is_zero or g.is_zero:
+    if not f or not g:
         return Fraction(0)
-    df, dg = f.degree, g.degree
+    fc, gc = binary_coeffs(f), binary_coeffs(g)
+    df, dg = len(fc) - 1, len(gc) - 1
     if df == 0:
-        return f.coeffs[0] ** dg
+        return fc[0] ** dg
     if dg == 0:
-        return g.coeffs[0] ** df
+        return gc[0] ** df
     size = df + dg
     rows = []
-    for i in range(dg):
-        row = [Fraction(0)] * size
-        for k, c in enumerate(f.coeffs):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(df):
-        row = [Fraction(0)] * size
-        for k, c in enumerate(g.coeffs):
-            row[i + k] = c
-        rows.append(row)
+    for coeffs, shifts in ((fc, dg), (gc, df)):
+        for i in range(shifts):
+            row = [Fraction(0)] * size
+            row[i : i + len(coeffs)] = coeffs
+            rows.append(row)
     return determinant(RationalMatrix(rows))
 
 
-def rational_roots(form: BinaryForm) -> list:
+def rational_roots(form: MultiPoly) -> list:
     """Rational projective roots (s:t) of a nonzero binary form.
 
     Canonical primitive integer pairs; multiplicities are not repeated.
     """
-    if form.is_zero:
+    if not form:
         raise ValueError("every point is a root of the zero form")
-    if form.degree == 0:
-        return []
     roots = []
-    a, b, core = form._core()
+    a, b, core = _binary_core(form)
     if a > 0:
         roots.append((1, 0))
     if b > 0:

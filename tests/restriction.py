@@ -8,7 +8,7 @@ s*p0 + t*p1 of the line.
 """
 
 from quadpoint.congruence import LinearCongruence
-from quadpoint.exact import BinaryForm
+from quadpoint.exact import binary_form
 
 
 def restricted(c, line):
@@ -17,14 +17,16 @@ def restricted(c, line):
     if isinstance(c, LinearCongruence):
         cols = [(m.mat_vec(line.p0), m.mat_vec(line.p1)) for m in c.matrices]
         return [
-            [BinaryForm.linear(u[k], v[k]) for u, v in cols]
+            [binary_form([u[k], v[k]]) for u, v in cols]
             for k in range(c.n + 1)
         ]
     return [
         [
-            BinaryForm.linear(
-                sum(a * x for a, x in zip(coeffs, line.p0)),
-                sum(a * x for a, x in zip(coeffs, line.p1)),
+            binary_form(
+                [
+                    sum(a * x for a, x in zip(coeffs, line.p0)),
+                    sum(a * x for a, x in zip(coeffs, line.p1)),
+                ]
             )
             for coeffs in row
         ]

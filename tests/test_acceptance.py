@@ -23,7 +23,7 @@ from quadpoint.congruence import (
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import BinaryForm, rank_and_kernel
+from quadpoint.exact import MultiPoly, binary_form, rank_and_kernel
 from quadpoint.formulas import (
     SurfaceInvariants,
     ThreefoldInvariants,
@@ -145,7 +145,7 @@ def _probe_lines(kind, n, seed):
             lam = left[0]
             rows = restricted(c, line)
             for j in range(n - 1):
-                combo = BinaryForm.zero()
+                combo = MultiPoly.zero(2)
                 for i in range(n):
                     combo = combo + rows[i][j] * lam[i]
                 assert combo.is_zero
@@ -175,7 +175,7 @@ def test_criterion_09_focal_length_on_probe_lines():
     line = line_through_point(tc, (1, 0, 0, 1))
     report = focal_points_on_line(tc, line)
     assert report.minor_degrees == (None, 2, None)
-    assert report.gcd_form == BinaryForm([0, 1, 0])
+    assert report.gcd_form == binary_form([0, 1, 0])
     assert report.gcd_degree == 2
 
 

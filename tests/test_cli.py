@@ -203,6 +203,16 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_construct_rejects_huge_n_before_drawing(capsys, tmp_path):
+    # n = 10**9 would draw about 10**27 entries; the bound check must come first.
+    path = tmp_path / "c.cong"
+    for kind in ("linear", "determinantal"):
+        argv = ["construct", "--kind", kind, "--n", str(10**9), "--seed", "1"]
+        code, out, err = run(capsys, argv + ["--out", str(path)])
+        assert (code, out, err) == (2, "", "error: n must be <= 64\n")
+        assert not path.exists()
+
+
 def test_malformed_entries_exit_two(capsys, tmp_path):
     # The cheap exponent comes first: a parser that let exponents through
     # would fail there before it tried to expand 1e999999999.

@@ -25,9 +25,10 @@ from quadpoint.congruence import (
     twisted_cubic_congruence,
 )
 from quadpoint.exact import (
-    BinaryForm,
     MultiPoly,
     RationalMatrix,
+    binary_coeffs,
+    binary_form,
     rank_and_kernel,
     rational_roots,
     ring_determinant,
@@ -81,7 +82,7 @@ def test_twisted_cubic_focal_slice():
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
     rep = focal_points_on_line(tc, line)
     assert rep.minor_degrees == (None, 2, None)
-    assert rep.gcd_form == BinaryForm([0, 1, 0])
+    assert rep.gcd_form == binary_form([0, 1, 0])
     assert rep.gcd_degree == 2
     assert not rep.focal_line
     roots = rational_roots(rep.gcd_form)
@@ -189,7 +190,7 @@ def test_lambda_combination_vanishes_on_line():
         lam = left[0]
         rows = restricted(c, line)
         for j in range(n - 1):
-            combo = BinaryForm.zero()
+            combo = MultiPoly.zero(2)
             for i in range(n):
                 combo = combo + rows[i][j] * lam[i]
             assert combo.is_zero
@@ -218,7 +219,7 @@ def test_gcd_invariant_under_reparametrization():
         rep = focal_points_on_line(c, line)
         swapped = focal_points_on_line(c, line.swapped())
         assert rep.gcd_degree == swapped.gcd_degree == n - 1
-        reversed_gcd = BinaryForm(rep.gcd_form.coeffs[::-1]).monic()
+        reversed_gcd = binary_form(binary_coeffs(rep.gcd_form)[::-1]).monic()
         assert swapped.gcd_form == reversed_gcd
 
 

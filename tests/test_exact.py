@@ -13,9 +13,10 @@ from itertools import permutations
 import pytest
 
 from quadpoint.exact import (
-    BinaryForm,
     MultiPoly,
     RationalMatrix,
+    binary_coeffs,
+    binary_form,
     binary_gcd,
     binary_resultant,
     determinant,
@@ -45,9 +46,9 @@ def perm_det(rows, zero):
 
 def form_from_roots(roots):
     """Product of the linear forms t0*s - s0*t over the given roots."""
-    out = BinaryForm.constant(1)
+    out = binary_form([1])
     for s0, t0 in roots:
-        out = out * BinaryForm([t0, -s0])
+        out = out * binary_form([t0, -s0])
     return out
 
 
@@ -278,13 +279,14 @@ def test_odd_skew_determinant_is_zero():
 
 
 def test_binary_gcd_ignores_zero_forms():
-    st = BinaryForm([0, 1, 0])
-    g = binary_gcd([st, BinaryForm.zero(), BinaryForm.zero()])
+    st = binary_form([0, 1, 0])
+    zero = MultiPoly.zero(2)
+    g = binary_gcd([st, zero, zero])
     assert g == st
 
 
 def test_binary_gcd_all_zero():
-    assert binary_gcd([BinaryForm.zero(), BinaryForm.zero()]).is_zero
+    assert binary_gcd([MultiPoly.zero(2), MultiPoly.zero(2)]).is_zero
 
 
 def test_binary_gcd_empty_input_rejected():
@@ -297,13 +299,13 @@ def test_binary_gcd_shared_factor():
     f2 = form_from_roots([(1, 1), (0, 1), (0, 1)])  # (s-t) * s^2
     g = binary_gcd([f1, f2])
     assert g == form_from_roots([(1, 1), (0, 1)]).monic()
-    assert g.degree == 2
+    assert g.total_degree() == 2
 
 
 def test_binary_gcd_coprime_forms():
-    g = binary_gcd([BinaryForm([1, 0, 0]), BinaryForm([0, 0, 1])])
-    assert g.degree == 0
-    assert g == BinaryForm.constant(1)
+    g = binary_gcd([binary_form([1, 0, 0]), binary_form([0, 0, 1])])
+    assert g.total_degree() == 0
+    assert g == binary_form([1])
 
 
 def test_binary_gcd_scaling_invariance():
@@ -316,7 +318,7 @@ def test_binary_gcd_scaling_invariance():
         c1 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         c2 = Fraction(-rng.randint(1, 9), rng.randint(1, 9))
         scaled = binary_gcd([f1 * c1, f2 * c2])
-        assert scaled.degree == base.degree
+        assert scaled.total_degree() == base.total_degree()
         assert scaled == base  # monic output is scale-free entirely
 
 
@@ -324,13 +326,13 @@ def test_binary_gcd_divides_inputs_and_quotients_coprime():
     rng = random.Random(59)
     for _ in range(20):
         shared = [(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
-        forms = []
-        for k in range(3):
-            extra = [(5 + 3 * k, 1)]  # distinct extra roots keep quotients coprime
-            forms.append(form_from_roots(shared + extra))
+        # distinct extra roots keep the quotients coprime
+        quots = [form_from_roots([(5 + 3 * k, 1)]) for k in range(3)]
+        forms = [form_from_roots(shared) * q for q in quots]
         g = binary_gcd(forms)
-        quots = [f.divide(g) for f in forms]
-        assert binary_gcd(quots).degree == 0
+        for f, q in zip(forms, quots):
+            assert (g * q).monic() == f.monic()
+        assert binary_gcd(quots).total_degree() == 0
         assert binary_resultant(quots[0], quots[1]) != 0
 
 
@@ -344,37 +346,47 @@ def test_binary_resultant_detects_common_root():
 
 def test_binary_resultant_common_root_at_infinity():
     # both divisible by t: shared root (1:0)
-    f = BinaryForm([0, 1, 2])
-    g = BinaryForm([0, 3, 1])
+    f = binary_form([0, 1, 2])
+    g = binary_form([0, 3, 1])
     assert binary_resultant(f, g) == 0
 
 
 def test_rational_roots():
-    assert sorted(rational_roots(BinaryForm([0, 1, 0]))) == [(0, 1), (1, 0)]
+    assert sorted(rational_roots(binary_form([0, 1, 0]))) == [(0, 1), (1, 0)]
     roots = rational_roots(form_from_roots([(2, 1), (1, -1)]))
     assert sorted(roots) == [(1, -1), (2, 1)]
-    assert rational_roots(BinaryForm([1, 0, 1])) == []  # s^2 + t^2
+    assert rational_roots(binary_form([1, 0, 1])) == []  # s^2 + t^2
     with pytest.raises(ValueError):
-        rational_roots(BinaryForm.zero())
-
-
-def test_binary_form_add_requires_matching_degree():
-    with pytest.raises(ValueError):
-        BinaryForm([1, 0]) + BinaryForm([1, 0, 0])
-
-
-def test_binary_form_exact_division_only():
-    f = form_from_roots([(1, 1), (2, 1)])
-    with pytest.raises(ValueError):
-        f.divide(form_from_roots([(3, 1)]))
-    assert f.divide(form_from_roots([(2, 1)])) == form_from_roots([(1, 1)])
+        rational_roots(MultiPoly.zero(2))
 
 
 def test_binary_form_reparametrized_evaluation():
     f = form_from_roots([(1, 2), (3, 4)])
-    assert f.evaluate(1, 2) == 0
-    assert f.evaluate(3, 4) == 0
-    assert f.evaluate(1, 0) != 0
+    assert f.evaluate([1, 2]) == 0
+    assert f.evaluate([3, 4]) == 0
+    assert f.evaluate([1, 0]) != 0
+
+
+def test_binary_coeffs_round_trip():
+    rng = random.Random(7)
+    cases = [[0, 1, 0], [0, 0, 1], [1, 0, 0], [5], [Fraction(-2, 3), 0, 4, 0]]
+    cases += [[random_rational(rng) or 1 for _ in range(rng.randint(1, 6))] for _ in range(20)]
+    for coeffs in cases:
+        assert binary_coeffs(binary_form(coeffs)) == coeffs
+    with pytest.raises(ValueError):
+        binary_form([])
+
+
+def test_binary_functions_reject_non_binary_forms():
+    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    three_vars = MultiPoly.variable(3, 0)
+    inhomogeneous = s * s + t
+    for bad in (three_vars, inhomogeneous, MultiPoly.zero(2)):
+        with pytest.raises(ValueError):
+            binary_coeffs(bad)
+    for bad in (three_vars, inhomogeneous):
+        with pytest.raises(ValueError):
+            binary_gcd([binary_form([1, 1]), bad])
 
 
 # ----- multivariate polynomials -----
@@ -397,6 +409,19 @@ def test_multipoly_render_is_graded_lex():
     p = y + x * x * 2 - x * y
     assert str(p) == "2*x0^2 - x0*x1 + x1"
     assert p.render(["s", "t"]) == "2*s^2 - s*t + t"
+
+
+def test_multipoly_monic():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    assert MultiPoly.zero(2).monic().is_zero
+    p = y * y * 3 - x * y * Fraction(2, 5) + y * 7
+    # graded lex: x0*x1 leads among the degree-2 terms
+    assert p.monic() == p * Fraction(-5, 2)
+    assert p.monic().terms[(1, 1)] == 1
+    for c in (Fraction(3, 7), -2, Fraction(-1, 9)):
+        assert (p * c).monic() == p.monic()
+    assert binary_form([0, -4, 2]).monic() == binary_form([0, 1, Fraction(-1, 2)])
 
 
 def test_multipoly_rejects_mixed_variable_counts():
