@@ -27,18 +27,23 @@ from .formulas import (
     quadruple_points,
 )
 
-TSV_COLUMNS = (
-    "name",
-    "n",
-    "dim",
-    "d",
-    "pi",
-    "chi_S",
-    "chi_X",
-    "K2",
-    "scroll",
-    "tags",
+# (TSV column, VarietyRecord field) in file order.  The seven integer
+# columns follow name; the first four of them are required.
+TSV_FIELDS = (
+    ("name", "name"),
+    ("n", "n"),
+    ("dim", "dim"),
+    ("d", "d"),
+    ("pi", "pi"),
+    ("chi_S", "chi_section"),
+    ("chi_X", "chi"),
+    ("K2", "k_squared"),
+    ("scroll", "scroll"),
+    ("tags", "tags"),
 )
+TSV_COLUMNS = tuple(column for column, _ in TSV_FIELDS)
+_INT_FIELDS = TSV_FIELDS[1:8]
+_REQUIRED_FIELDS = TSV_FIELDS[1:5]
 
 
 @dataclass(frozen=True)
@@ -129,34 +134,22 @@ def parse_catalog(text: str) -> tuple:
                 "line %d: expected %d columns, got %d"
                 % (line_no, len(TSV_COLUMNS), len(cells))
             )
-        row = dict(zip(TSV_COLUMNS, cells))
-        scroll_token = row["scroll"]
+        values = {fieldname: cell for (_, fieldname), cell in zip(TSV_FIELDS, cells)}
+        scroll_token = values["scroll"]
         if scroll_token not in ("", "0", "1"):
             raise ValueError(
                 "line %d, column scroll: expected 0 or 1, got %r"
                 % (line_no, scroll_token)
             )
-        ints = {
-            col: _parse_int(row[col], line_no, col)
-            for col in ("n", "dim", "d", "pi", "chi_S", "chi_X", "K2")
-        }
-        for col in ("n", "dim", "d", "pi"):
-            if ints[col] is None:
+        for col, fieldname in _INT_FIELDS:
+            values[fieldname] = _parse_int(values[fieldname], line_no, col)
+        for col, fieldname in _REQUIRED_FIELDS:
+            if values[fieldname] is None:
                 raise ValueError("line %d, column %s: required" % (line_no, col))
-        tags = tuple(t for t in row["tags"].split(",") if t)
+        values["scroll"] = None if scroll_token == "" else scroll_token == "1"
+        values["tags"] = tuple(t for t in values["tags"].split(",") if t)
         try:
-            record = VarietyRecord(
-                name=row["name"],
-                n=ints["n"],
-                dim=ints["dim"],
-                d=ints["d"],
-                pi=ints["pi"],
-                chi_section=ints["chi_S"],
-                chi=ints["chi_X"],
-                k_squared=ints["K2"],
-                scroll=None if scroll_token == "" else scroll_token == "1",
-                tags=tags,
-            )
+            record = VarietyRecord(**values)
         except ValueError as err:
             raise ValueError("line %d: %s" % (line_no, err)) from None
         records.append(record)
@@ -164,31 +157,16 @@ def parse_catalog(text: str) -> tuple:
 
 
 def save_catalog(records: Sequence[VarietyRecord]) -> str:
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        return str(value)
+    def cells(fieldname) -> list:
+        values = [getattr(r, fieldname) for r in records]
+        if fieldname == "tags":
+            return [",".join(v) for v in values]
+        if fieldname == "scroll":
+            return ["" if v is None else "1" if v else "0" for v in values]
+        return ["" if v is None else str(v) for v in values]
 
     lines = ["\t".join(TSV_COLUMNS)]
-    for r in records:
-        lines.append(
-            "\t".join(
-                (
-                    r.name,
-                    cell(r.n),
-                    cell(r.dim),
-                    cell(r.d),
-                    cell(r.pi),
-                    cell(r.chi_section),
-                    cell(r.chi),
-                    cell(r.k_squared),
-                    cell(r.scroll),
-                    ",".join(r.tags),
-                )
-            )
-        )
+    lines += map("\t".join, zip(*(cells(f) for _, f in TSV_FIELDS)))
     return "\n".join(lines) + "\n"
 
 

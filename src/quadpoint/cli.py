@@ -56,6 +56,18 @@ from .schubert import (
 )
 
 
+# Largest accepted values of the flags that size the work; main refuses
+# larger ones before any of it.  A congruence holds about n^3 entries,
+# `verify` keeps the probe of every trial, each Bareiss step grows with
+# the bit size of --bound, and `schubert lincong` already takes seconds
+# at n = 2000.  sigma_1^l vanishes on G(1,n) for l > 2(n-1).
+_MAX_CONSTRUCT_N = 64
+_MAX_SCHUBERT_N = 1000
+_MAX_SCHUBERT_L = 2 * (_MAX_SCHUBERT_N - 1)
+_MAX_TRIALS = 10_000
+_MAX_BOUND = 10**18
+
+
 def _emit(args, text_lines, json_obj, tsv_lines=None):
     fmt = getattr(args, "format", "text")
     if fmt == "json":
@@ -66,6 +78,17 @@ def _emit(args, text_lines, json_obj, tsv_lines=None):
     else:
         for line in text_lines:
             print(line)
+
+
+def _emit_fields(args, fields):
+    """(name, value) pairs as `name = value` lines in text, `name<TAB>value`
+    lines in tsv, and one object in json."""
+    _emit(
+        args,
+        ["%s = %s" % f for f in fields],
+        dict(fields),
+        ["%s\t%s" % f for f in fields],
+    )
 
 
 # ----- schubert -----
@@ -146,13 +169,7 @@ def _cmd_formulas_rational(args):
 
 def _cmd_formulas_double(args):
     t = ThreefoldInvariants(args.d, args.pi, args.chiS, args.chiX)
-    k3, hk2 = k_cubed(t), h_k_squared(t)
-    _emit(
-        args,
-        ["K3 = %d" % k3, "HK2 = %d" % hk2],
-        {"K3": k3, "HK2": hk2},
-        ["K3\t%d" % k3, "HK2\t%d" % hk2],
-    )
+    _emit_fields(args, (("K3", k_cubed(t)), ("HK2", h_k_squared(t))))
     return 0
 
 
@@ -162,19 +179,9 @@ def _cmd_formulas_focal_degree(args):
         _emit(args, [str(degree)], {"degree": degree})
     else:
         inv = determinantal_invariants(args.n)
-        _emit(
+        _emit_fields(
             args,
-            [
-                "degree = %d" % inv.degree,
-                "genus = %d" % inv.sectional_genus,
-                "dim = %d" % inv.dim,
-            ],
-            {"degree": inv.degree, "genus": inv.sectional_genus, "dim": inv.dim},
-            [
-                "degree\t%d" % inv.degree,
-                "genus\t%d" % inv.sectional_genus,
-                "dim\t%d" % inv.dim,
-            ],
+            (("degree", inv.degree), ("genus", inv.sectional_genus), ("dim", inv.dim)),
         )
     return 0
 
@@ -182,13 +189,7 @@ def _cmd_formulas_focal_degree(args):
 # ----- constructions and verification -----
 
 
-# A congruence holds about n^3 entries; larger n is refused before the draw.
-_MAX_CONSTRUCT_N = 64
-
-
 def _cmd_construct(args):
-    if args.n > _MAX_CONSTRUCT_N:
-        raise ValueError("n must be <= %d" % _MAX_CONSTRUCT_N)
     if args.kind == "linear":
         c = random_linear_congruence(args.n, args.seed, args.bound)
     else:
@@ -211,32 +212,18 @@ def _cmd_verify_order(args):
     c = _load_input(args.infile)
     rep = order_check(c, args.trials, args.seed, args.bound)
     verdict = "pass" if rep.passed else "fail"
-    text = [
-        "trials = %d" % rep.trials,
-        "successes = %d" % rep.successes,
-        "focal skips = %d" % rep.focal_skips,
-        "unique lines = %d" % rep.unique_lines,
+    counts = [
+        (name, getattr(rep, name))
+        for name in ("trials", "successes", "focal_skips", "unique_lines")
     ]
+    text = ["%s = %d" % (name.replace("_", " "), v) for name, v in counts]
     text += ["failure: %s" % f for f in rep.failures]
     text.append("result = %s" % verdict)
     _emit(
         args,
         text,
-        {
-            "trials": rep.trials,
-            "successes": rep.successes,
-            "focal_skips": rep.focal_skips,
-            "unique_lines": rep.unique_lines,
-            "failures": list(rep.failures),
-            "pass": rep.passed,
-        },
-        [
-            "trials\t%d" % rep.trials,
-            "successes\t%d" % rep.successes,
-            "focal_skips\t%d" % rep.focal_skips,
-            "unique_lines\t%d" % rep.unique_lines,
-            "pass\t%s" % verdict,
-        ],
+        {**dict(counts), "failures": list(rep.failures), "pass": rep.passed},
+        ["%s\t%d" % pair for pair in counts] + ["pass\t%s" % verdict],
     )
     return 0 if rep.passed else 1
 
@@ -303,14 +290,7 @@ def _cmd_pfaffian(args):
         return 0 if vanishes else 1
     pf = pfaffian_polynomial(c)
     names = ["l%d" % (i + 1) for i in range(c.n - 1)]
-    rendered = pf.render(names)
-    degree = pf.total_degree()
-    _emit(
-        args,
-        ["pf = %s" % rendered, "degree = %d" % degree],
-        {"pf": rendered, "degree": degree},
-        ["pf\t%s" % rendered, "degree\t%d" % degree],
-    )
+    _emit_fields(args, (("pf", pf.render(names)), ("degree", pf.total_degree())))
     return 0
 
 
@@ -394,12 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--iterative", action="store_true", help="iterate the Pieri rule (default)"
     )
-    p_pow.set_defaults(handler=_cmd_schubert_pow)
+    p_pow.set_defaults(
+        handler=_cmd_schubert_pow,
+        limits=(("n", _MAX_SCHUBERT_N), ("l", _MAX_SCHUBERT_L)),
+    )
     p_lin = sch.add_parser(
         "lincong", parents=[fmt], help="multidegree of the general linear congruence"
     )
     p_lin.add_argument("--n", type=int, required=True)
-    p_lin.set_defaults(handler=_cmd_schubert_lincong)
+    p_lin.set_defaults(
+        handler=_cmd_schubert_lincong, limits=(("n", _MAX_SCHUBERT_N),)
+    )
     p_deg = sch.add_parser(
         "degree", parents=[fmt], help="Plucker degree of a multidegree"
     )
@@ -440,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, required=True)
     p_con.add_argument("--bound", type=int, default=9)
     p_con.add_argument("--out", help="write to file instead of stdout")
-    p_con.set_defaults(handler=_cmd_construct)
+    p_con.set_defaults(
+        handler=_cmd_construct,
+        limits=(("n", _MAX_CONSTRUCT_N), ("bound", _MAX_BOUND)),
+    )
 
     p_ver = sub.add_parser("verify", help="probe a stored congruence")
     vsub = p_ver.add_subparsers(dest="subcommand", required=True)
@@ -453,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--bound", type=int, default=9)
-        p.set_defaults(handler=handler)
+        p.set_defaults(
+            handler=handler, limits=(("trials", _MAX_TRIALS), ("bound", _MAX_BOUND))
+        )
 
     p_pf = sub.add_parser(
         "pfaffian", parents=[fmt], help="pfaffian of the lambda family"
@@ -496,6 +486,9 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        for name, limit in getattr(args, "limits", ()):
+            if getattr(args, name) > limit:
+                raise ValueError("%s must be <= %d" % (name, limit))
         return args.handler(args)
     except GenericityError as err:
         print("error: %s" % err, file=sys.stderr)

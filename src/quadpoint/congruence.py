@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -216,21 +217,30 @@ Congruence = Union[LinearCongruence, DeterminantalCongruence]
 # ----- line through a point -----
 
 
+def _left_kernel(c: Congruence, point: Sequence) -> tuple:
+    """A basis of the left kernel of A(P).
+
+    P lies off the focal locus exactly when A(P) has rank n-1; the
+    kernel then has dimension 2 for the linear kind (it holds P) and 1
+    for the determinantal kind.  A lower rank raises FocalPointError.
+    """
+    rank, kernel = rank_and_kernel(c.matrix_at(point).transpose())
+    if rank != c.n - 1:
+        raise FocalPointError(
+            "A(P) has rank %d < %d at %s: focal point"
+            % (rank, c.n - 1, normalize_point(point))
+        )
+    return kernel
+
+
 def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     """The unique congruence line through a general point P.
 
     Solves A(P)^T * v = 0, that is tP * A_i * v = 0 for all i.  P itself
     always solves the system; a second independent solution exists
-    because A(P)^T has n-1 rows.  A kernel of dimension 3 or more means
-    P is a focal (fundamental) point.
+    because A(P)^T has n-1 rows.
     """
-    rank, kernel = rank_and_kernel(c.matrix_at(point).transpose())
-    dim = c.n + 1 - rank
-    if dim != 2:
-        raise FocalPointError(
-            "kernel dimension %d at %s: focal point" % (dim, normalize_point(point))
-        )
-    line = ProjLine(kernel[0], kernel[1])
+    line = ProjLine(*_left_kernel(c, point))
     pt = normalize_point(point)
     if not line.contains(pt):
         raise RuntimeError("solved line misses the probe point %s" % (pt,))
@@ -250,15 +260,7 @@ def line_through_point_determinantal(
     to scale), then intersects the n-1 hyperplanes given by the lambda
     combination of the columns of A.
     """
-    evaluated = c.matrix_at(point)
-    rank, left = rank_and_kernel(evaluated.transpose())
-    dim = c.n - rank
-    if dim != 1:
-        raise FocalPointError(
-            "lambda space has dimension %d at %s: degeneracy locus point"
-            % (dim, normalize_point(point))
-        )
-    lam = left[0]
+    (lam,) = _left_kernel(c, point)
     forms = [
         tuple(
             sum(lam[i] * c.rows[i][j][k] for i in range(c.n))
@@ -267,10 +269,10 @@ def line_through_point_determinantal(
         for j in range(c.n - 1)
     ]
     system = RationalMatrix(forms)
-    rank2, kernel = rank_and_kernel(system)
-    if rank2 != c.n - 1:
+    rank, kernel = rank_and_kernel(system)
+    if rank != c.n - 1:
         raise DegeneracyError(
-            "combined forms have rank %d < %d" % (rank2, c.n - 1)
+            "combined forms have rank %d < %d" % (rank, c.n - 1)
         )
     line = ProjLine(kernel[0], kernel[1])
     pt = normalize_point(point)
@@ -294,6 +296,7 @@ def is_focal_point(c: Congruence, point: Sequence) -> bool:
 # ----- focal length on a line -----
 
 
+@dataclass(slots=True)
 class FocalSliceReport:
     """Outcome of slicing the defining matrix along one line.
 
@@ -306,19 +309,10 @@ class FocalSliceReport:
     is set; gcd_form is then zero and the gcd degree is None.
     """
 
-    __slots__ = ("minor_degrees", "gcd_form", "gcd_degree", "focal_line")
-
-    def __init__(self, minor_degrees, gcd_form, gcd_degree, focal_line):
-        self.minor_degrees = tuple(minor_degrees)
-        self.gcd_form = gcd_form
-        self.gcd_degree = gcd_degree
-        self.focal_line = focal_line
-
-    def __repr__(self):
-        return "FocalSliceReport(gcd_degree=%r, focal_line=%r)" % (
-            self.gcd_degree,
-            self.focal_line,
-        )
+    minor_degrees: tuple
+    gcd_form: MultiPoly
+    gcd_degree: Optional[int]
+    focal_line: bool
 
 
 def _form_from_integer_values(values: Sequence) -> MultiPoly:
@@ -454,6 +448,7 @@ def determinant_vanishes_identically(c: LinearCongruence) -> bool:
 # ----- order-one verification -----
 
 
+@dataclass(slots=True)
 class OrderCheckReport:
     """Aggregate outcome of probing the congruence at random points.
 
@@ -461,26 +456,15 @@ class OrderCheckReport:
     line; focal probes are skipped and counted, never failed.
     """
 
-    __slots__ = ("trials", "successes", "focal_skips", "failures", "unique_lines")
-
-    def __init__(self, trials, successes, focal_skips, failures, unique_lines):
-        self.trials = trials
-        self.successes = successes
-        self.focal_skips = focal_skips
-        self.failures = tuple(failures)
-        self.unique_lines = unique_lines
+    trials: int
+    successes: int
+    focal_skips: int
+    failures: tuple
+    unique_lines: int
 
     @property
     def passed(self) -> bool:
         return not self.failures and self.successes + self.focal_skips == self.trials
-
-    def __repr__(self):
-        return "OrderCheckReport(trials=%d, successes=%d, focal_skips=%d, failures=%d)" % (
-            self.trials,
-            self.successes,
-            self.focal_skips,
-            len(self.failures),
-        )
 
 
 def _derived_seed(seed: int, stage: int, index: int) -> int:
@@ -529,11 +513,12 @@ def order_check(
     """
     probes = _probes(c, trials, seed, bound)
     lines = [line for _, line, _ in probes if line is not None]
-    failures = ["point %s: %s" % (p, r) for p, _, r in probes if r is not None]
+    failures = tuple("point %s: %s" % (p, r) for p, _, r in probes if r is not None)
     focal_skips = trials - len(lines) - len(failures)
     return OrderCheckReport(trials, len(lines), focal_skips, failures, len(set(lines)))
 
 
+@dataclass(slots=True)
 class FociTrial:
     """One probe of the focal-length property: the line through a
     random point must carry a focal scheme of length exactly n-1.
@@ -542,26 +527,15 @@ class FociTrial:
     (a rank defect); such a trial fails and has no gcd degree.
     """
 
-    __slots__ = ("point", "focal_probe", "gcd_degree", "expected", "reason")
-
-    def __init__(self, point, focal_probe, gcd_degree, expected, reason=None):
-        self.point = point
-        self.focal_probe = focal_probe
-        self.gcd_degree = gcd_degree
-        self.expected = expected
-        self.reason = reason
+    point: tuple
+    focal_probe: bool
+    gcd_degree: Optional[int]
+    expected: int
+    reason: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return self.focal_probe or self.gcd_degree == self.expected
-
-    def __repr__(self):
-        return "FociTrial(point=%r, focal_probe=%r, gcd_degree=%r, reason=%r)" % (
-            self.point,
-            self.focal_probe,
-            self.gcd_degree,
-            self.reason,
-        )
 
 
 def foci_check(
@@ -588,8 +562,26 @@ def foci_check(
 # ----- random constructions -----
 
 
-def _probe_point(n: int) -> tuple:
-    return tuple(range(1, n + 2))
+def _first_generic(n: int, bound: int, kind: str, draw, solve):
+    """The first of MAX_REDRAWS candidates draw(attempt) through whose
+    fixed probe point `solve` finds a unique line; the probe point
+    becomes the candidate's witness."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    probe = tuple(range(1, n + 2))
+    for attempt in range(MAX_REDRAWS):
+        candidate = draw(attempt)
+        try:
+            solve(candidate, probe)
+        except (FocalPointError, DegeneracyError):
+            continue
+        candidate.witness = probe
+        return candidate
+    raise GenericityError(
+        "no generic %s congruence after %d draws" % (kind, MAX_REDRAWS)
+    )
 
 
 def random_linear_congruence(
@@ -597,25 +589,14 @@ def random_linear_congruence(
 ) -> LinearCongruence:
     """Draw n-1 random integer skew matrices until they pass a
     genericity probe (unique line through a fixed point)."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    probe = _probe_point(n)
-    for attempt in range(MAX_REDRAWS):
-        mats = [
-            seeded_random_matrix(
-                _derived_seed(seed, attempt, i), n + 1, n + 1, bound, skew=True
-            )
-            for i in range(n - 1)
-        ]
-        candidate = LinearCongruence(n, mats)
-        try:
-            line_through_point_linear(candidate, probe)
-        except (FocalPointError, DegeneracyError):
-            continue
-        return LinearCongruence(n, mats, witness=probe)
-    raise GenericityError(
-        "no generic linear congruence after %d draws" % MAX_REDRAWS
-    )
+
+    def draw(attempt):
+        seeds = [_derived_seed(seed, attempt, i) for i in range(n - 1)]
+        return LinearCongruence(
+            n, [seeded_random_matrix(s, n + 1, n + 1, bound, skew=True) for s in seeds]
+        )
+
+    return _first_generic(n, bound, "linear", draw, line_through_point_linear)
 
 
 def random_determinantal_congruence(
@@ -623,12 +604,8 @@ def random_determinantal_congruence(
 ) -> DeterminantalCongruence:
     """Draw a random n x (n-1) tensor of integer linear forms until it
     passes a genericity probe (unique lambda and a genuine line)."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    probe = _probe_point(n)
-    for attempt in range(MAX_REDRAWS):
+
+    def draw(attempt):
         rng = random.Random(_derived_seed(seed, attempt, 0))
         rows = [
             [
@@ -637,14 +614,10 @@ def random_determinantal_congruence(
             ]
             for _ in range(n)
         ]
-        candidate = DeterminantalCongruence(n, rows)
-        try:
-            line_through_point_determinantal(candidate, probe)
-        except (FocalPointError, DegeneracyError):
-            continue
-        return DeterminantalCongruence(n, rows, witness=probe)
-    raise GenericityError(
-        "no generic determinantal congruence after %d draws" % MAX_REDRAWS
+        return DeterminantalCongruence(n, rows)
+
+    return _first_generic(
+        n, bound, "determinantal", draw, line_through_point_determinantal
     )
 
 
@@ -700,7 +673,8 @@ def load_congruence(text: str) -> Congruence:
         fail(no, "unknown kind %r" % kind)
     no, second = raw[1]
     parts = second.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].lstrip("-").isdigit():
+    digits = parts[-1].removeprefix("-")
+    if len(parts) != 2 or parts[0] != "n" or not digits.isdecimal():
         fail(no, "expected 'n <integer>'")
     n = int(parts[1])
     if n < 3:

@@ -22,8 +22,6 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):

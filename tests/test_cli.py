@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -339,3 +340,136 @@ def test_formulas_golden_output(capsys, monkeypatch):
         for fmt, out in outputs.items():
             assert run(capsys, ["formulas", name] + argv + ["--format", fmt]) == (0, out, "")
         assert run(capsys, ["formulas", name] + argv) == (0, value + "\n", "")
+
+
+# (argv, exit code, stdout per format); {path} names a congruence file.
+FIELDS_GOLDEN = (
+    (
+        ["formulas", "double", "--d", "9", "--pi", "6", "--chiS", "3", "--chiX", "2"],
+        0,
+        {
+            "text": "K3 = -96\nHK2 = 12\n",
+            "json": '{"K3": -96, "HK2": 12}\n',
+            "tsv": "K3\t-96\nHK2\t12\n",
+        },
+    ),
+    (
+        ["formulas", "focal-degree", "--kind", "linear", "--n", "5"],
+        0,
+        {"text": "7\n", "json": '{"degree": 7}\n', "tsv": "7\n"},
+    ),
+    (
+        ["formulas", "focal-degree", "--kind", "determinantal", "--n", "5"],
+        0,
+        {
+            "text": "degree = 10\ngenus = 11\ndim = 3\n",
+            "json": '{"degree": 10, "genus": 11, "dim": 3}\n',
+            "tsv": "degree\t10\ngenus\t11\ndim\t3\n",
+        },
+    ),
+    (
+        ["pfaffian", "--in", "{odd}"],
+        0,
+        {
+            "text": "pf = -63*l1^2 - 22*l1*l2 - 76*l2^2\ndegree = 2\n",
+            "json": '{"pf": "-63*l1^2 - 22*l1*l2 - 76*l2^2", "degree": 2}\n',
+            "tsv": "pf\t-63*l1^2 - 22*l1*l2 - 76*l2^2\ndegree\t2\n",
+        },
+    ),
+    (
+        ["pfaffian", "--in", "{even}"],
+        0,
+        {
+            "text": "n even: no pfaffian; determinant vanishes identically = true\n",
+            "json": '{"even_n": true, "determinant_vanishes": true}\n',
+            "tsv": "determinant_vanishes\ttrue\n",
+        },
+    ),
+    (
+        ["verify", "order", "--in", "{cubic}", "--trials", "4"],
+        0,
+        {
+            "text": "trials = 4\nsuccesses = 4\nfocal skips = 0\nunique lines = 4\n"
+            "result = pass\n",
+            "json": '{"trials": 4, "successes": 4, "focal_skips": 0, '
+            '"unique_lines": 4, "failures": [], "pass": true}\n',
+            "tsv": "trials\t4\nsuccesses\t4\nfocal_skips\t0\nunique_lines\t4\n"
+            "pass\tpass\n",
+        },
+    ),
+    (
+        ["verify", "order", "--in", "{degenerate}", "--trials", "5", "--seed", "2",
+         "--bound", "2"],
+        1,
+        {
+            "text": "trials = 5\nsuccesses = 4\nfocal skips = 0\nunique lines = 4\n"
+            "failure: point (-1, 0, 0, 2): combined forms have rank 1 < 2\n"
+            "result = fail\n",
+            "json": '{"trials": 5, "successes": 4, "focal_skips": 0, '
+            '"unique_lines": 4, "failures": ["point (-1, 0, 0, 2): combined '
+            'forms have rank 1 < 2"], "pass": false}\n',
+            "tsv": "trials\t5\nsuccesses\t4\nfocal_skips\t0\nunique_lines\t4\n"
+            "pass\tfail\n",
+        },
+    ),
+)
+
+
+def test_fields_golden_output(capsys, tmp_path):
+    files = {"cubic": tmp_path / "cubic.cong"}
+    files["cubic"].write_text(save_congruence(twisted_cubic_congruence()))
+    for name, argv in (
+        ("odd", ["--kind", "linear", "--n", "3", "--seed", "1"]),
+        ("even", ["--kind", "linear", "--n", "4", "--seed", "1"]),
+        ("degenerate", ["--kind", "determinantal", "--n", "3", "--seed", "1", "--bound", "1"]),
+    ):
+        files[name] = tmp_path / (name + ".cong")
+        assert run(capsys, ["construct"] + argv + ["--out", str(files[name])]) == (0, "", "")
+    paths = {name: str(path) for name, path in files.items()}
+    for argv, code, outputs in FIELDS_GOLDEN:
+        argv = [a.format(**paths) for a in argv]
+        assert run(capsys, argv) == (code, outputs["text"], "")
+        for fmt, out in outputs.items():
+            assert run(capsys, argv + ["--format", fmt]) == (code, out, "")
+
+
+def test_save_catalog_reproduces_builtin_tsv():
+    text = (
+        resources.files("quadpoint")
+        .joinpath("data/builtin_catalog.tsv")
+        .read_text(encoding="utf-8")
+    )
+    assert save_catalog(load_builtin_catalog()) == text
+
+
+def test_bad_n_line_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.cong"
+    for token in ("--5", "²"):
+        path.write_text("kind linear\nn %s\n" % token, encoding="utf-8")
+        code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
+        assert (code, out, err) == (2, "", "error: line 2: expected 'n <integer>'\n")
+
+
+def test_input_bounds_refused_before_work(capsys, tmp_path):
+    # Each value would run for hours; the limit check must come first.
+    path = tmp_path / "c.cong"
+    path.write_text(save_congruence(twisted_cubic_congruence()))
+    huge, over_bound = str(10**9), str(10**19)
+    trials = "trials must be <= 10000"
+    bound = "bound must be <= 1000000000000000000"
+    cases = [
+        (["verify", sub, "--in", str(path), flag, value], message)
+        for sub in ("order", "foci")
+        for flag, value, message in (("--trials", huge, trials), ("--bound", over_bound, bound))
+    ]
+    cases += [
+        (["construct", "--kind", kind, "--n", "3", "--seed", "1", "--bound", over_bound], bound)
+        for kind in ("linear", "determinantal")
+    ]
+    cases += [
+        (["schubert", "pow", "--n", huge, "--l", "2"], "n must be <= 1000"),
+        (["schubert", "pow", "--n", "5", "--l", huge], "l must be <= 1998"),
+        (["schubert", "lincong", "--n", huge], "n must be <= 1000"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv) == (2, "", "error: %s\n" % message)

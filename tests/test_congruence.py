@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+import quadpoint.congruence as congruence
+from quadpoint.cli import main
 from quadpoint.congruence import (
+    MAX_REDRAWS,
     DegeneracyError,
     DeterminantalCongruence,
     FocalPointError,
@@ -141,6 +144,26 @@ def test_determinantal_construction_shapes():
     assert all(len(r) == 3 for r in c.rows)
     assert all(len(coeffs) == 5 for r in c.rows for coeffs in r)
     assert c.witness == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("kind", ["linear", "determinantal"])
+def test_redraws_exhausted(kind, monkeypatch, capsys):
+    calls = []
+
+    def always_focal(c, point):
+        calls.append(point)
+        raise FocalPointError("forced")
+
+    monkeypatch.setattr(congruence, "line_through_point_linear", always_focal)
+    monkeypatch.setattr(congruence, "line_through_point_determinantal", always_focal)
+    make = getattr(congruence, "random_%s_congruence" % kind)
+    message = "no generic %s congruence after 32 draws" % kind
+    with pytest.raises(GenericityError) as excinfo:
+        make(4, 1)
+    assert str(excinfo.value) == message
+    assert len(calls) == MAX_REDRAWS == 32
+    code = main(["construct", "--kind", kind, "--n", "4", "--seed", "1"])
+    assert (code,) + tuple(capsys.readouterr()) == (1, "", "error: %s\n" % message)
 
 
 def test_congruence_validation():
