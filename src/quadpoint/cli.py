@@ -60,12 +60,15 @@ from .schubert import (
 # larger ones before any of it.  A congruence holds about n^3 entries,
 # `verify` keeps the probe of every trial, each Bareiss step grows with
 # the bit size of --bound, and `schubert lincong` already takes seconds
-# at n = 2000.  sigma_1^l vanishes on G(1,n) for l > 2(n-1).
+# at n = 2000.  sigma_1^l vanishes on G(1,n) for l > 2(n-1).  `scan`
+# visits (pi_max + 1)(2 chi_max + 1) cells at 70-80 us each, so the
+# largest accepted scan runs for 2-3 minutes.
 _MAX_CONSTRUCT_N = 64
 _MAX_SCHUBERT_N = 1000
 _MAX_SCHUBERT_L = 2 * (_MAX_SCHUBERT_N - 1)
 _MAX_TRIALS = 10_000
 _MAX_BOUND = 10**18
+_MAX_SCAN = 1000
 
 
 def _emit(args, text_lines, json_obj, tsv_lines=None):
@@ -126,7 +129,12 @@ def _cmd_schubert_lincong(args):
 
 
 def _cmd_schubert_degree(args):
-    parts = tuple(int(tok) for tok in args.multidegree.split(","))
+    parts = []
+    for tok in args.multidegree.split(","):
+        try:
+            parts.append(int(tok))
+        except ValueError:
+            raise ValueError("--multidegree: not an integer: %r" % tok) from None
     degree = plucker_degree(Multidegree(args.n, parts))
     _emit(args, [str(degree)], {"degree": degree})
     return 0
@@ -473,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--d", type=int, required=True)
     p_scan.add_argument("--pi-max", dest="pi_max", type=int, required=True)
     p_scan.add_argument("--chi-max", dest="chi_max", type=int, required=True)
-    p_scan.set_defaults(handler=_cmd_scan)
+    p_scan.set_defaults(
+        handler=_cmd_scan, limits=(("pi_max", _MAX_SCAN), ("chi_max", _MAX_SCAN))
+    )
 
     return parser
 

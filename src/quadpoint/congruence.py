@@ -89,23 +89,12 @@ class ProjLine:
     def ambient_dim(self) -> int:
         return len(self.p0) - 1
 
-    def point_at(self, s, t) -> tuple:
-        sv, tv = _as_fraction(s), _as_fraction(t)
-        coords = tuple(sv * x + tv * y for x, y in zip(self.p0, self.p1))
-        if all(c == 0 for c in coords):
-            raise ValueError("(s,t) must be nonzero")
-        return primitive_vector(coords)
-
     def contains(self, point: Sequence) -> bool:
         pt = normalize_point(point)
         if len(pt) != len(self.p0):
             return False
         rank, _ = rank_and_kernel(RationalMatrix([self.p0, self.p1, pt]))
         return rank == 2
-
-    def swapped(self) -> "ProjLine":
-        """The same line with the parametrization reversed."""
-        return ProjLine(self.p1, self.p0)
 
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
@@ -287,12 +276,6 @@ def line_through_point(c: Congruence, point: Sequence) -> ProjLine:
     return line_through_point_determinantal(c, point)
 
 
-def is_focal_point(c: Congruence, point: Sequence) -> bool:
-    """True iff P lies on the focal locus: A(P) has rank below n-1."""
-    rank, _ = rank_and_kernel(c.matrix_at(point))
-    return rank <= c.n - 2
-
-
 # ----- focal length on a line -----
 
 
@@ -468,8 +451,8 @@ class OrderCheckReport:
 
 
 def _derived_seed(seed: int, stage: int, index: int) -> int:
-    # Deterministic mix so redraw attempts and trial probes are
-    # reproducible and order-independent.
+    # Deterministic mix so redraw attempts are reproducible and
+    # order-independent.
     return seed * 1000003 + stage * 1009 + index
 
 
@@ -481,9 +464,13 @@ def _random_point(rng: random.Random, n: int, bound: int) -> tuple:
 
 
 def _probes(c: Congruence, trials: int, seed: int, bound: int) -> list:
-    """(point, line, reason) for each trial's probe point, drawn from
-    the derived seed of (seed, trial).  line is None at a focal point
-    (reason None) and at a rank defect (reason is the error text).
+    """(point, line, reason) for each trial's probe point.  line is None
+    at a focal point (reason None) and at a rank defect (reason is the
+    error text).
+
+    Trial t draws from Random("probe <seed> <t>"), a string seed that no
+    construction uses, so a probe never repeats the draws of a
+    congruence built from the same seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -491,7 +478,7 @@ def _probes(c: Congruence, trials: int, seed: int, bound: int) -> list:
         raise ValueError("bound must be >= 1")
     out = []
     for trial in range(trials):
-        rng = random.Random(_derived_seed(seed, trial, 0))
+        rng = random.Random("probe %d %d" % (seed, trial))
         point = _random_point(rng, c.n, bound)
         try:
             out.append((point, line_through_point(c, point), None))
@@ -653,17 +640,20 @@ def save_congruence(c: Congruence) -> str:
 
 def load_congruence(text: str) -> Congruence:
     """Parse the save_congruence format; diagnostics carry line numbers."""
+    lines = text.splitlines()
     raw = [
         (no, line.strip())
-        for no, line in enumerate(text.splitlines(), start=1)
+        for no, line in enumerate(lines, start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
+    # A short file is reported at its last line; an empty one has line 1.
+    last = max(len(lines), 1)
 
     def fail(no, msg):
         raise ValueError("line %d: %s" % (no, msg))
 
     if len(raw) < 2:
-        raise ValueError("truncated congruence file")
+        fail(last, "truncated congruence file")
     no, first = raw[0]
     parts = first.split()
     if len(parts) != 2 or parts[0] != "kind":
@@ -686,7 +676,7 @@ def load_congruence(text: str) -> Congruence:
     def next_line(expect: str):
         nonlocal pos
         if pos >= len(body):
-            raise ValueError("unexpected end of file: expected %s" % expect)
+            fail(last, "unexpected end of file: expected %s" % expect)
         item = body[pos]
         pos += 1
         return item

@@ -9,7 +9,7 @@ which `determinant` divides by the row scaling and the focal slice in
 
 There is one polynomial type, `MultiPoly`; a binary form in (s, t) is
 a homogeneous two-variable one, built by `binary_form` and read back
-densely by `binary_coeffs` for the gcd, resultant and root finder.
+densely by `binary_coeffs` for the gcd.
 
 Everything here stays in exact rational arithmetic (fractions.Fraction);
 no operation introduces floating point.
@@ -67,20 +67,11 @@ class RationalMatrix:
         self.rows = len(data)
         self.cols = width
 
-    @classmethod
-    def identity(cls, size: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(size)] for i in range(size)])
-
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
 
     def row(self, i: int) -> tuple:
         return self._rows[i]
-
-    @property
-    def entries(self) -> tuple:
-        """Row-major flat view."""
-        return tuple(x for row in self._rows for x in row)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(zip(*self._rows))
@@ -211,7 +202,8 @@ def ring_determinant(rows: Sequence[Sequence], zero):
     Entries need +, -, * and truth testing, so it works for matrices of
     polynomials where elimination would require division.  Its cost is
     factorial in the size; only tests call it, as the symbolic oracle
-    for determinants of polynomial matrices.
+    for determinants of polynomial matrices, and it stays here because
+    the benchmark's tracer looks it up by name.
     """
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
@@ -373,18 +365,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, values: Sequence) -> Fraction:
-        vals = [_as_fraction(v) for v in values]
-        if len(vals) != self.nvars:
-            raise ValueError("value count mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                term *= v**k
-            total += term
-        return total
-
     def monic(self) -> "MultiPoly":
         """Divide by the leading coefficient in graded-lex order; zero stays zero."""
         if not self.terms:
@@ -524,70 +504,6 @@ def binary_gcd(forms: Sequence[MultiPoly]) -> MultiPoly:
     t_val = min(a for a, _, _ in cores)
     s_val = min(b for _, b, _ in cores)
     return binary_form([0] * t_val + core + [0] * s_val).monic()
-
-
-def binary_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
-    """Sylvester resultant of two binary forms at their degrees.
-
-    Vanishes exactly when f and g share a projective root, including
-    the point at infinity when both leading coefficients drop.
-    """
-    if not f or not g:
-        return Fraction(0)
-    fc, gc = binary_coeffs(f), binary_coeffs(g)
-    df, dg = len(fc) - 1, len(gc) - 1
-    if df == 0:
-        return fc[0] ** dg
-    if dg == 0:
-        return gc[0] ** df
-    size = df + dg
-    rows = []
-    for coeffs, shifts in ((fc, dg), (gc, df)):
-        for i in range(shifts):
-            row = [Fraction(0)] * size
-            row[i : i + len(coeffs)] = coeffs
-            rows.append(row)
-    return determinant(RationalMatrix(rows))
-
-
-def rational_roots(form: MultiPoly) -> list:
-    """Rational projective roots (s:t) of a nonzero binary form.
-
-    Canonical primitive integer pairs; multiplicities are not repeated.
-    """
-    if not form:
-        raise ValueError("every point is a root of the zero form")
-    roots = []
-    a, b, core = _binary_core(form)
-    if a > 0:
-        roots.append((1, 0))
-    if b > 0:
-        roots.append((0, 1))
-    mult = math.lcm(*(c.denominator for c in core))
-    ints = [int(c * mult) for c in core]
-    if len(ints) > 1:
-        const, lead = ints[0], ints[-1]
-        seen = set()
-        for p in _divisors(abs(const)):
-            for q in _divisors(abs(lead)):
-                for num in (p, -p):
-                    u = Fraction(num, q)
-                    if u in seen:
-                        continue
-                    seen.add(u)
-                    if sum(c * u**k for k, c in enumerate(core)) == 0:
-                        roots.append((u.denominator, u.numerator))
-    return roots
-
-
-def _divisors(n: int) -> list:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def seeded_random_matrix(

@@ -10,13 +10,6 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Optional
 
-DEGREE_PAIRING_NOTE = (
-    "degree = sum(a_i * (C(n-2,i) - C(n-2,i-2))), the self-duality pairing; "
-    "the alternative coefficient set C(n,i)*(n-2i+1)/(n-i+1) fails the "
-    "linear-section cross-check (23 instead of 14 for (1,3,2) at n=5) and is "
-    "not used"
-)
-
 
 def _pairing_coefficient(n: int, i: int) -> int:
     """Coefficient of sigma_{n-1-i,i} in sigma_1^(n-1); self-dual pairing weight."""
@@ -61,21 +54,6 @@ class SchubertClass:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def codimension(self) -> Optional[int]:
-        """Common codimension a+b when homogeneous, else None."""
-        codims = {a + b for a, b in self.coefficients}
-        if len(codims) == 1:
-            return codims.pop()
-        return None
-
-    def is_homogeneous(self, codim: Optional[int] = None) -> bool:
-        if self.is_zero:
-            return True
-        c = self.codimension()
-        if c is None:
-            return False
-        return codim is None or c == codim
 
     def _coerce(self, other) -> "SchubertClass":
         if not isinstance(other, SchubertClass):
@@ -158,10 +136,6 @@ class Multidegree:
     def order(self) -> int:
         return self.degrees[0]
 
-    @property
-    def is_first_order(self) -> bool:
-        return self.order == 1
-
     def __iter__(self):
         return iter(self.degrees)
 
@@ -225,36 +199,15 @@ def sigma1_power_closed(n: int, power: int) -> SchubertClass:
     return SchubertClass(n, out)
 
 
-def class_of_multidegree(m: Multidegree) -> SchubertClass:
-    """The codimension n-1 class sum_i a_i sigma_{n-1-i,i}."""
-    return SchubertClass(
-        m.n, {(m.n - 1 - i, i): a for i, a in enumerate(m.degrees) if a}
-    )
-
-
-def multidegree_of(c: SchubertClass) -> Multidegree:
-    """Extract (a_0, ..., a_nu) from a homogeneous codimension n-1 class."""
-    if not c.is_homogeneous(c.n - 1) or c.is_zero:
-        raise ValueError("class must be homogeneous of codimension n-1")
-    nu = (c.n - 1) // 2
-    return Multidegree(c.n, [c.coefficient(c.n - 1 - i, i) for i in range(nu + 1)])
-
-
 def plucker_degree(m: Multidegree) -> int:
     """Degree of a congruence with multidegree m in the Pluecker embedding.
 
     Self-duality of the sigma_{n-1-i,i} basis reduces the degree pairing
-    to sum(a_i * (C(n-2,i) - C(n-2,i-2))); see DEGREE_PAIRING_NOTE.
+    to sum(a_i * (C(n-2,i) - C(n-2,i-2))).  The alternative coefficient
+    set C(n,i)*(n-2i+1)/(n-i+1) is not used: it fails the linear-section
+    cross-check, giving 23 instead of 14 for (1,3,2) at n=5.
     """
     return sum(a * _pairing_coefficient(m.n, i) for i, a in enumerate(m.degrees))
-
-
-def plucker_degree_via_pieri(m: Multidegree) -> int:
-    """Oracle route: coefficient of sigma_{n-1,n-1} in [B] * sigma_1^(n-1)."""
-    c = class_of_multidegree(m)
-    for _ in range(m.n - 1):
-        c = pieri_sigma1(c)
-    return c.coefficient(m.n - 1, m.n - 1)
 
 
 def linear_congruence_multidegree(n: int) -> Multidegree:

@@ -43,7 +43,7 @@ def test_verify_foci_degenerate_probe_fails(capsys, tmp_path):
     construct = ["construct", "--kind", "determinantal", "--n", "3", "--seed", "1"]
     main(construct + ["--bound", "1", "--out", str(path)])
     capsys.readouterr()
-    probe = ["--in", str(path), "--trials", "5", "--seed", "2", "--bound", "2"]
+    probe = ["--in", str(path), "--trials", "5", "--seed", "606", "--bound", "2"]
     failure = "point (-1, 0, 0, 2): combined forms have rank 1 < 2"
     code, out, _ = run(capsys, ["verify", "order"] + probe)
     assert code == 1
@@ -192,6 +192,8 @@ def test_schubert_degree_subcommand(capsys):
     code, out, _ = run(capsys, ["schubert", "degree", "--n", "5", "--multidegree", "1,3,2"])
     assert code == 0
     assert out == "14\n"
+    code, out, err = run(capsys, ["schubert", "degree", "--n", "5", "--multidegree", "1,x"])
+    assert (code, out, err) == (2, "", "error: --multidegree: not an integer: 'x'\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -398,7 +400,7 @@ FIELDS_GOLDEN = (
         },
     ),
     (
-        ["verify", "order", "--in", "{degenerate}", "--trials", "5", "--seed", "2",
+        ["verify", "order", "--in", "{degenerate}", "--trials", "5", "--seed", "606",
          "--bound", "2"],
         1,
         {
@@ -450,6 +452,18 @@ def test_bad_n_line_exits_two(capsys, tmp_path):
         assert (code, out, err) == (2, "", "error: line 2: expected 'n <integer>'\n")
 
 
+def test_truncated_file_names_its_last_line(capsys, tmp_path):
+    path = tmp_path / "short.cong"
+    head = "".join(save_congruence(twisted_cubic_congruence()).splitlines(True)[:4])
+    for text, message in (
+        ("kind linear\n", "line 1: truncated congruence file"),
+        (head + "\n# end\n", "line 6: unexpected end of file: expected 4 entries"),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_input_bounds_refused_before_work(capsys, tmp_path):
     # Each value would run for hours; the limit check must come first.
     path = tmp_path / "c.cong"
@@ -470,6 +484,8 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
         (["schubert", "pow", "--n", huge, "--l", "2"], "n must be <= 1000"),
         (["schubert", "pow", "--n", "5", "--l", huge], "l must be <= 1998"),
         (["schubert", "lincong", "--n", huge], "n must be <= 1000"),
+        (["scan", "--d", "7", "--pi-max", huge, "--chi-max", "5"], "pi_max must be <= 1000"),
+        (["scan", "--d", "7", "--pi-max", "10", "--chi-max", huge], "chi_max must be <= 1000"),
     ]
     for argv, message in cases:
         assert run(capsys, argv) == (2, "", "error: %s\n" % message)

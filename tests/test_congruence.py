@@ -13,8 +13,8 @@ from quadpoint.congruence import (
     LinearCongruence,
     ProjLine,
     determinant_vanishes_identically,
+    foci_check,
     focal_points_on_line,
-    is_focal_point,
     line_through_point,
     line_through_point_determinantal,
     line_through_point_linear,
@@ -33,11 +33,15 @@ from quadpoint.exact import (
     binary_coeffs,
     binary_form,
     rank_and_kernel,
-    rational_roots,
     ring_determinant,
     seeded_random_matrix,
 )
 from restriction import restricted
+
+
+# Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
+def is_focal_point(c, point):
+    return rank_and_kernel(c.matrix_at(point))[0] < c.n - 1
 
 
 def test_normalize_point():
@@ -52,10 +56,10 @@ def test_projline_equality_is_projective():
     b = ProjLine((2, 0, 0, 5), (0, 0, 0, -3))
     assert a == b
     assert hash(a) == hash(b)
-    assert a.swapped() == a
+    assert ProjLine(a.p1, a.p0) == a
     assert a.contains((3, 0, 0, 7))
     assert not a.contains((0, 1, 0, 0))
-    assert a.point_at(1, -1) == (1, 0, 0, 0)
+    assert normalize_point([x - y for x, y in zip(a.p0, a.p1)]) == (1, 0, 0, 0)
 
 
 def test_projline_validation():
@@ -88,10 +92,9 @@ def test_twisted_cubic_focal_slice():
     assert rep.gcd_form == binary_form([0, 1, 0])
     assert rep.gcd_degree == 2
     assert not rep.focal_line
-    roots = rational_roots(rep.gcd_form)
-    assert set(roots) == {(1, 0), (0, 1)}
-    for s, t in roots:
-        assert is_focal_point(tc, line.point_at(s, t))
+    # s*t vanishes at (s, t) = (1, 0) and (0, 1): the points p0 and p1.
+    assert is_focal_point(tc, line.p0)
+    assert is_focal_point(tc, line.p1)
 
 
 def test_twisted_cubic_focal_points():
@@ -109,11 +112,12 @@ def test_secant_line_gcd_roots_are_curve_points():
     line = line_through_point_determinantal(tc, (2, 1, 1, 1))
     assert line == ProjLine((1, 0, 0, 0), (1, 1, 1, 1))
     rep = focal_points_on_line(tc, line)
+    assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 1, 1, 1))
     assert rep.gcd_degree == 2
-    roots = rational_roots(rep.gcd_form)
-    assert len(roots) == 2
-    for s, t in roots:
-        assert is_focal_point(tc, line.point_at(s, t))
+    # s*t - t^2 vanishes at (s, t) = (1, 0) and (1, 1): p0 and p0 + p1.
+    assert rep.gcd_form == binary_form([0, 1, -1])
+    assert is_focal_point(tc, line.p0)
+    assert is_focal_point(tc, [x + y for x, y in zip(line.p0, line.p1)])
 
 
 def test_line_outside_congruence_has_trivial_gcd():
@@ -195,11 +199,12 @@ def test_linear_line_membership_residuals():
 def test_two_points_determine_the_line():
     c = random_linear_congruence(5, 42, 9)
     line = line_through_point_linear(c, (1, 1, 2, 3, 5, 8))
-    other = line.point_at(3, -2)
+    other = [3 * x - 2 * y for x, y in zip(line.p0, line.p1)]
     assert line_through_point_linear(c, other) == line
     d = random_determinantal_congruence(4, 3, 9)
     dline = line_through_point_determinantal(d, (1, 1, 2, 3, 5))
-    assert line_through_point_determinantal(d, dline.point_at(1, 4)) == dline
+    other = [x + 4 * y for x, y in zip(dline.p0, dline.p1)]
+    assert line_through_point_determinantal(d, other) == dline
 
 
 def test_lambda_combination_vanishes_on_line():
@@ -240,7 +245,7 @@ def test_gcd_invariant_under_reparametrization():
         c = random_linear_congruence(n, 5, 9)
         line = line_through_point_linear(c, tuple(range(2, n + 3)))
         rep = focal_points_on_line(c, line)
-        swapped = focal_points_on_line(c, line.swapped())
+        swapped = focal_points_on_line(c, ProjLine(line.p1, line.p0))
         assert rep.gcd_degree == swapped.gcd_degree == n - 1
         reversed_gcd = binary_form(binary_coeffs(rep.gcd_form)[::-1]).monic()
         assert swapped.gcd_form == reversed_gcd
@@ -335,12 +340,29 @@ def test_order_check_reports():
 
 
 def test_order_check_skips_focal_probes():
-    # seed 29 with bound 2 sends the first probe onto the curve.
+    # seed 30 with bound 2 sends the first probe, (0, 0, 0, -2), onto the curve.
     tc = twisted_cubic_congruence()
-    rep = order_check(tc, trials=3, seed=29, bound=2)
+    rep = order_check(tc, trials=3, seed=30, bound=2)
     assert rep.focal_skips == 1
     assert rep.successes == 2
     assert rep.passed
+
+
+def test_probes_do_not_repeat_construction_draws():
+    # With equal seeds, a probe drawn from the construction's own stream
+    # would be the first coefficients the construction drew: entry (0, 0)
+    # for the determinantal kind, row 0 of A_1 then A_1[1][2] for the
+    # linear kind.
+    for seed in (1, 2, 3, 4, 5):
+        for n in (3, 4, 5):
+            d = random_determinantal_congruence(n, seed, 9)
+            (trial,) = foci_check(d, trials=1, seed=seed, bound=9)
+            assert trial.point != d.rows[0][0]
+            c = random_linear_congruence(n, seed, 9)
+            (trial,) = foci_check(c, trials=1, seed=seed, bound=9)
+            a1 = c.matrices[0]
+            drawn = tuple(a1.entry(0, k) for k in range(1, n + 1)) + (a1.entry(1, 2),)
+            assert trial.point != drawn
 
 
 def test_serialization_roundtrip():
