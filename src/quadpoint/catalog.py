@@ -46,7 +46,7 @@ _INT_FIELDS = TSV_FIELDS[1:8]
 _REQUIRED_FIELDS = TSV_FIELDS[1:5]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarietyRecord:
     """One codimension-two variety with the invariants its dimension needs.
 
@@ -191,7 +191,7 @@ def rational_json(value: Fraction) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordVerdict:
     """Per-record outcome: named boolean verdicts plus the computed
     counts behind them; passed is the conjunction of all verdicts."""
@@ -287,10 +287,12 @@ def classify_surfaces(records: Sequence[VarietyRecord]) -> ClassificationReport:
 
 
 def scan_exclusion(d: int, pi_range: tuple, chi_range: tuple) -> tuple:
-    """Enumerate (pi, chi_S) over the given inclusive ranges, solve
-    q = 1 exactly for chi_X (q is affine of slope 6 in chi_X), and keep
-    triples with integral in-range chi_X and vanishing 4-secant
-    residual.  Survivors are re-verified post hoc.  Negative lower pi
+    """Survivors (pi, chi_S, chi_X) over the given inclusive ranges with
+    vanishing 4-secant residual and q = 1.  The residual is affine in
+    chi_S with odd slope 2d - 17, so each pi pins chi_S to one rational
+    value; q is affine in chi_X with slope 6, so chi_S pins chi_X.
+    Integral solutions are re-verified before the chi-range filter, so
+    the work depends on d and the pi range only.  Negative lower pi
     bounds clamp to 0, since sectional genus cannot be negative.
     """
     if d < 1:
@@ -299,23 +301,20 @@ def scan_exclusion(d: int, pi_range: tuple, chi_range: tuple) -> tuple:
     chi_lo, chi_hi = chi_range
     if pi_lo > pi_hi or chi_lo > chi_hi:
         raise ValueError("empty range")
-    if pi_lo < 0:
-        pi_lo = 0
     survivors = []
-    for pi in range(pi_lo, pi_hi + 1):
-        for chi_s in range(chi_lo, chi_hi + 1):
-            rest = quadruple_points(ThreefoldInvariants(d, pi, chi_s, 0))
-            chi_x = (1 - rest) / 6
-            if chi_x.denominator != 1:
-                continue
-            chi_x = int(chi_x)
-            if not chi_lo <= chi_x <= chi_hi:
-                continue
-            if foursecant_constraint_residual(d, pi, chi_s) != 0:
-                continue
-            if quadruple_points(ThreefoldInvariants(d, pi, chi_s, chi_x)) != 1:
-                raise ArithmeticError(
-                    "scan survivor %s fails q = 1" % ((d, pi, chi_s, chi_x),)
-                )
-            survivors.append((pi, chi_s, chi_x))
+    for pi in range(max(pi_lo, 0), pi_hi + 1):
+        chi_s = -foursecant_constraint_residual(d, pi, 0) / (2 * d - 17)
+        if chi_s.denominator != 1:
+            continue
+        chi_s = int(chi_s)
+        chi_x = (1 - quadruple_points(ThreefoldInvariants(d, pi, chi_s, 0))) / 6
+        if chi_x.denominator != 1:
+            continue
+        solution = (d, pi, chi_s, int(chi_x))
+        if foursecant_constraint_residual(d, pi, chi_s) != 0:
+            raise ArithmeticError("scan solution %s fails residual = 0" % (solution,))
+        if quadruple_points(ThreefoldInvariants(*solution)) != 1:
+            raise ArithmeticError("scan solution %s fails q = 1" % (solution,))
+        if chi_lo <= chi_s <= chi_hi and chi_lo <= solution[3] <= chi_hi:
+            survivors.append(solution[1:])
     return tuple(survivors)

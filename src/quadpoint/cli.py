@@ -61,8 +61,9 @@ from .schubert import (
 # `verify` keeps the probe of every trial, each Bareiss step grows with
 # the bit size of --bound, and `schubert lincong` already takes seconds
 # at n = 2000.  sigma_1^l vanishes on G(1,n) for l > 2(n-1).  `scan`
-# visits (pi_max + 1)(2 chi_max + 1) cells at 70-80 us each, so the
-# largest accepted scan runs for 2-3 minutes.
+# makes pi_max + 1 exact solves, one per sectional genus, whatever
+# chi_max is; the limit on both keeps the invariants, and so every
+# integer the formulas see, small.
 _MAX_CONSTRUCT_N = 64
 _MAX_SCHUBERT_N = 1000
 _MAX_SCHUBERT_L = 2 * (_MAX_SCHUBERT_N - 1)
@@ -72,9 +73,12 @@ _MAX_SCAN = 1000
 
 
 def _emit(args, text_lines, json_obj, tsv_lines=None):
+    """Print the requested format only.  The lines may be lazy iterables
+    and json_obj a function returning the object, so that the formats
+    not asked for are never built."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
-        print(json.dumps(json_obj))
+        print(json.dumps(json_obj() if callable(json_obj) else json_obj))
     elif fmt == "tsv":
         for line in tsv_lines if tsv_lines is not None else text_lines:
             print(line)
@@ -321,23 +325,28 @@ def _cmd_classify(args):
         selected = [r for r in records if r.dim == 2 and r.n == 4]
         entries.extend(classify_surfaces(selected).entries)
     all_pass = all(e.passed for e in entries)
-    text = []
-    tsv = []
-    for e in entries:
-        failed = [k for k, v in e.verdicts.items() if not v]
-        if e.passed and e.name in threefold_names:
-            md = multidegree_of_verdict(e)
-            text.append(
-                "%s: pass multidegree (%s)" % (e.name, ",".join(str(a) for a in md))
-            )
-        elif e.passed:
-            text.append("%s: pass" % e.name)
-        else:
-            text.append("%s: fail [%s]" % (e.name, ", ".join(failed)))
-        tsv.append("%s\t%s\t%s" % (e.name, "pass" if e.passed else "fail", ",".join(failed)))
-    text.append("result = %s" % ("pass" if all_pass else "fail"))
-    _emit(args, text, [e.jsonable() for e in entries], tsv)
+
+    def text():
+        for e in entries:
+            if not e.passed:
+                yield "%s: fail [%s]" % (e.name, ", ".join(_failed(e)))
+            elif e.name in threefold_names:
+                md = multidegree_of_verdict(e)
+                yield "%s: pass multidegree (%s)" % (e.name, ",".join(map(str, md)))
+            else:
+                yield "%s: pass" % e.name
+        yield "result = %s" % ("pass" if all_pass else "fail")
+
+    tsv = (
+        "%s\t%s\t%s" % (e.name, "pass" if e.passed else "fail", ",".join(_failed(e)))
+        for e in entries
+    )
+    _emit(args, text(), lambda: [e.jsonable() for e in entries], tsv)
     return 0 if all_pass else 1
+
+
+def _failed(entry):
+    return [k for k, v in entry.verdicts.items() if not v]
 
 
 def _cmd_scan(args):

@@ -3,8 +3,9 @@
 Multiple-point counts of generic projections (double, triple, quadruple
 points), 4-secant line counts for surfaces and curves in P^4, and
 degree/genus closed forms for the focal loci of first-order line
-congruences.  Every evaluator works in exact rational arithmetic;
-integrality is asserted after the fact, never obtained by rounding.
+congruences.  Every evaluator is one integer polynomial over a single
+common denominator, turned into an exact Fraction (or an int) only at
+the end; integrality is checked, never obtained by rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from math import comb
 from typing import NamedTuple
 
 
-def _require_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError("%s is not an integer: %s" % (what, value))
-    return int(value)
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ValueError("%s is not an integer: %s" % (what, Fraction(num, den)))
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -73,20 +75,16 @@ class SurfaceInvariants:
 
 def k_cubed(t: ThreefoldInvariants) -> int:
     """K^3 of a smooth threefold in P^5 from its basic invariants."""
-    value = (
-        Fraction(-5) * t.d**2
-        + Fraction(t.d) * (2 * t.pi + 25)
-        + 24 * (t.pi - 1)
-        - 36 * t.chi
-        - 24 * t.chi_section
+    d, p = t.d, t.pi
+    return (
+        -5 * d**2 + d * (2 * p + 25) + 24 * (p - 1) - 36 * t.chi - 24 * t.chi_section
     )
-    return _require_integer(value, "K^3")
 
 
 def h_k_squared(t: ThreefoldInvariants) -> int:
-    """H.K^2 of a smooth threefold in P^5 from its basic invariants."""
-    value = Fraction(t.d * (t.d + 1), 2) - 9 * (t.pi - 1) + 6 * t.chi
-    return _require_integer(value, "H.K^2")
+    """H.K^2 of a smooth threefold in P^5 from its basic invariants;
+    d(d+1) is even, so the halving is exact."""
+    return t.d * (t.d + 1) // 2 - 9 * (t.pi - 1) + 6 * t.chi
 
 
 # ----- multiple point counts -----
@@ -95,92 +93,62 @@ def h_k_squared(t: ThreefoldInvariants) -> int:
 def quadruple_points(t: ThreefoldInvariants) -> Fraction:
     """Apparent quadruple points of a generic projection of a smooth
     threefold X in P^5 to P^4 (quadruple-point formula)."""
-    d, p = Fraction(t.d), Fraction(t.pi)
-    return (
-        d**4 / 24
-        - d**3 / 4
-        + d**2 / 2 * (Fraction(11, 12) - p)
-        + d * (Fraction(5, 2) * p + 2 * t.chi_section - Fraction(9, 4))
-        + p**2 / 2
-        - Fraction(7, 2) * p
-        + 6 * t.chi
-        - 9 * t.chi_section
-        + 3
+    d, p, chi_s = t.d, t.pi, t.chi_section
+    return Fraction(
+        d**4 - 6 * d**3 + d**2 * (11 - 12 * p) + d * (60 * p + 48 * chi_s - 54)
+        + 12 * p**2 - 84 * p + 144 * t.chi - 216 * chi_s + 72,
+        24,
     )
 
 
 def four_secants_through_point(d: int, pi: int, chi: int) -> Fraction:
     """4-secant lines of a smooth non-scroll surface in P^4 passing
     through a general point of the surface."""
-    dd, p = Fraction(d), Fraction(pi)
-    return (
-        dd**3 / 6
-        - Fraction(3, 2) * dd**2
-        + dd * (Fraction(16, 3) - p)
-        + 4 * p
-        + 2 * chi
-        - 10
+    return Fraction(
+        d**3 - 9 * d**2 + d * (32 - 6 * pi) + 24 * pi + 12 * chi - 60, 6
     )
 
 
 def foursecant_scroll_degree(d: int, pi: int, chi: int) -> Fraction:
     """Degree a_1 of the hypersurface of P^4 swept by the 4-secant lines
     of a smooth non-scroll surface."""
-    dd, p = Fraction(d), Fraction(pi)
-    return (
-        dd**4 / 8
-        - Fraction(5, 4) * dd**3
-        + dd**2 * (Fraction(35, 8) - p)
-        + dd * (7 * p + 2 * chi - Fraction(33, 4))
-        + p**2 / 2
-        - Fraction(25, 2) * p
-        - 9 * chi
-        + 12
+    return Fraction(
+        d**4 - 10 * d**3 + d**2 * (35 - 8 * pi) + d * (56 * pi + 16 * chi - 66)
+        + 4 * pi**2 - 100 * pi - 72 * chi + 96,
+        8,
     )
 
 
 def curve_foursecants(d: int, pi: int) -> Fraction:
     """Number a_2 of 4-secant lines of a smooth curve of degree d and
     genus pi in P^3."""
-    dd, p = Fraction(d), Fraction(pi)
-    return (
-        dd**4 / 12
-        - dd**3
-        + Fraction(53, 12) * dd**2
-        - Fraction(17, 2) * dd
-        + 6
-        - p * dd**2 / 2
-        + Fraction(7, 2) * dd * p
-        - Fraction(13, 2) * p
-        + p**2 / 2
+    return Fraction(
+        d**4 - 12 * d**3 + d**2 * (53 - 6 * pi) + d * (42 * pi - 102)
+        + 6 * pi**2 - 78 * pi + 72,
+        12,
     )
 
 
 def foursecant_constraint_residual(d: int, pi: int, chi: int) -> Fraction:
     """Residual of the constraint tying the 4-secant counts together for
     a non-scroll surface in P^4; zero exactly when the constraint holds.
+    It is affine in chi with slope 2d - 17, odd and so never zero.
 
     Identity: 4*four_secants_through_point - 1 - foursecant_scroll_degree
     equals minus this residual for every (d, pi, chi).
     """
-    dd, p = Fraction(d), Fraction(pi)
-    return (
-        dd**4 / 8
-        - Fraction(23, 12) * dd**3
-        - dd**2 * (p - Fraction(83, 8))
-        - dd * (Fraction(355, 12) - 11 * p - 2 * chi)
-        + p**2 / 2
-        - Fraction(57, 2) * p
-        - 17 * chi
-        + 53
+    return Fraction(
+        3 * d**4 - 46 * d**3 + d**2 * (249 - 24 * pi)
+        + d * (264 * pi + 48 * chi - 710)
+        + 12 * pi**2 - 684 * pi - 408 * chi + 1272,
+        24,
     )
 
 
 def _triple_point_formula(d: int, k_squared: int, c2: int, hk: int) -> Fraction:
-    dd = Fraction(d)
-    return (
-        dd * (dd**2 - 12 * dd + 44) + 4 * k_squared - 2 * c2 - 3 * hk * (dd - 8)
-    ) / 6
+    return Fraction(
+        d * (d**2 - 12 * d + 44) + 4 * k_squared - 2 * c2 - 3 * hk * (d - 8), 6
+    )
 
 
 def apparent_triple_points(s: SurfaceInvariants) -> Fraction:
@@ -209,8 +177,7 @@ def blowup_triple_points(s: SurfaceInvariants) -> Fraction:
 def k_squared_from_double_point(d: int, pi: int, chi: int) -> int:
     """K^2 forced by the double point formula for a smooth surface in
     P^4: d^2 - 10d - 5*HK - 2*K^2 + 12*chi = 0."""
-    value = Fraction(d * d - 5 * d - 10 * pi + 12 * chi + 10, 2)
-    return _require_integer(value, "K^2")
+    return _exact_quotient(d * d - 5 * d - 10 * pi + 12 * chi + 10, 2, "K^2")
 
 
 # ----- focal locus closed forms -----
@@ -226,7 +193,7 @@ def linear_focal_degree(n: int) -> int:
     """Degree of the focal locus of a general linear congruence in P^n."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return _require_integer(Fraction(n * n - 3 * n + 4, 2), "focal degree")
+    return _exact_quotient(n * n - 3 * n + 4, 2, "focal degree")
 
 
 def pfaffian_hypersurface_degree(n: int) -> int:
@@ -246,9 +213,7 @@ def determinantal_invariants(n: int) -> FocalLocusInvariants:
     if n < 3:
         raise ValueError("n must be >= 3")
     degree = comb(n, 2)
-    genus = _require_integer(
-        1 + Fraction(2 * n - 7, 3) * comb(n, 2), "sectional genus"
-    )
+    genus = 1 + _exact_quotient((2 * n - 7) * degree, 3, "sectional genus")
     return FocalLocusInvariants(degree, genus, n - 2)
 
 
@@ -259,9 +224,7 @@ def blowup_center_invariants(n: int) -> FocalLocusInvariants:
     if n < 4:
         raise ValueError("n must be >= 4")
     degree = comb(n + 1, 2)
-    genus = _require_integer(
-        Fraction(n * (2 * n - 5) * (n + 1), 6) - 1, "sectional genus"
-    )
+    genus = _exact_quotient(n * (2 * n - 5) * (n + 1), 6, "sectional genus") - 1
     return FocalLocusInvariants(degree, genus, n - 4)
 
 
@@ -271,4 +234,4 @@ def focal_degree_bound(n: int, m: int, k: int = 1) -> bool:
     the reduced focal locus."""
     if n < 2 or m < 1 or k < 1:
         raise ValueError("require n >= 2, m >= 1, k >= 1")
-    return Fraction(n - 1, k) < m < (n - 1) ** 2
+    return n - 1 < k * m and m < (n - 1) ** 2

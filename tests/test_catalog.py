@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadpoint import catalog
 from quadpoint.catalog import (
     VarietyRecord,
     classify_surfaces,
@@ -137,6 +138,84 @@ def test_scan_exclusion_survivors_verify():
         for pi, chi_s, chi_x in scan_exclusion(d, pis, chis):
             assert quadruple_points(ThreefoldInvariants(d, pi, chi_s, chi_x)) == 1
             assert foursecant_constraint_residual(d, pi, chi_s) == 0
+
+
+# Integer restatements (24 q and 24 residual) for a brute-force oracle
+# that visits every (pi, chi_S) cell.
+def _q24(d, p, chi_s, chi_x):
+    return (
+        d**4 - 6 * d**3 + 11 * d**2 - 12 * d**2 * p + 60 * d * p + 48 * d * chi_s
+        - 54 * d + 12 * p**2 - 84 * p + 144 * chi_x - 216 * chi_s + 72
+    )
+
+
+def _residual24(d, p, chi):
+    return (
+        3 * d**4 - 46 * d**3 - 24 * d**2 * p + 249 * d**2 + 264 * d * p
+        + 48 * d * chi - 710 * d + 12 * p**2 - 684 * p - 408 * chi + 1272
+    )
+
+
+def _brute_force_scan(d, pi_range, chi_range):
+    chi_lo, chi_hi = chi_range
+    out = []
+    for pi in range(max(pi_range[0], 0), pi_range[1] + 1):
+        for chi_s in range(chi_lo, chi_hi + 1):
+            chi_x, rest = divmod(24 - _q24(d, pi, chi_s, 0), 144)
+            if _residual24(d, pi, chi_s) == 0 and rest == 0 and chi_lo <= chi_x <= chi_hi:
+                out.append((pi, chi_s, chi_x))
+    return tuple(out)
+
+
+def test_scan_exclusion_matches_brute_force():
+    ranges = (
+        ((0, 40), (-10, 10)),
+        ((-7, 30), (-40, 6)),
+        ((5, 60), (-3, 25)),
+        ((0, 0), (0, 0)),
+        ((-3, -1), (-5, 5)),
+    )
+    found = 0
+    for d in range(1, 31):
+        for pi_range, chi_range in ranges:
+            want = _brute_force_scan(d, pi_range, chi_range)
+            assert scan_exclusion(d, pi_range, chi_range) == want
+            found += len(want)
+    assert found > 10
+
+
+def test_scan_exclusion_single_cells_and_edges():
+    # (10, 8, -4, 8): chi_S and chi_X sit on opposite edges of (-4, 8).
+    assert scan_exclusion(10, (8, 8), (-4, 8)) == ((8, -4, 8),)
+    assert scan_exclusion(10, (0, 8), (-4, 8)) == ((8, -4, 8),)
+    assert scan_exclusion(10, (8, 20), (-3, 8)) == ((11, 5, 1),)
+    assert scan_exclusion(10, (0, 10), (-4, 7)) == ()
+    assert scan_exclusion(9, (8, 8), (2, 2)) == ((8, 2, 2),)
+    assert scan_exclusion(7, (-4, 0), (-3, -1)) == ((0, -1, -3),)
+    assert scan_exclusion(7, (4, 4), (1, 1)) == ((4, 1, 1),)
+    assert scan_exclusion(7, (4, 4), (2, 2)) == ()
+
+
+def test_scan_work_does_not_grow_with_chi_range(monkeypatch):
+    calls = {}
+    for name in ("quadruple_points", "foursecant_constraint_residual"):
+        def counted(*args, _name=name, _original=getattr(catalog, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(catalog, name, counted)
+    counts = []
+    for d in (7, 10):
+        for chi_range in ((0, 0), (-1000, 1000)):
+            calls.clear()
+            scan_exclusion(d, (0, 40), chi_range)
+            counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[2] == counts[3]
+    for count in counts:
+        # One solve per pi, plus q and the re-verification per integral
+        # solution.
+        assert 41 <= count["foursecant_constraint_residual"] <= 2 * 41
+        assert count["quadruple_points"] <= 2 * 41
 
 
 def test_scan_excludes_degrees_13_to_15():

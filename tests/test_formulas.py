@@ -166,6 +166,111 @@ def test_blowup_identity_random():
         assert blowup_triple_points(s) == four_secants_through_point(d, pi, chi)
 
 
+# The rational expressions the integer formulas replaced, kept as
+# oracles: each is the published form of its count, term by term.
+def _k_cubed_oracle(d, p, chi_s, chi_x):
+    return (
+        Fraction(-5) * d**2 + Fraction(d) * (2 * p + 25) + 24 * (p - 1)
+        - 36 * chi_x - 24 * chi_s
+    )
+
+
+def _h_k_squared_oracle(d, p, chi_x):
+    return Fraction(d * (d + 1), 2) - 9 * (p - 1) + 6 * chi_x
+
+
+def _quadruple_points_oracle(d, p, chi_s, chi_x):
+    d, p = Fraction(d), Fraction(p)
+    return (
+        d**4 / 24 - d**3 / 4 + d**2 / 2 * (Fraction(11, 12) - p)
+        + d * (Fraction(5, 2) * p + 2 * chi_s - Fraction(9, 4))
+        + p**2 / 2 - Fraction(7, 2) * p + 6 * chi_x - 9 * chi_s + 3
+    )
+
+
+def _four_secants_oracle(d, p, chi):
+    d, p = Fraction(d), Fraction(p)
+    return (
+        d**3 / 6 - Fraction(3, 2) * d**2 + d * (Fraction(16, 3) - p)
+        + 4 * p + 2 * chi - 10
+    )
+
+
+def _scroll_degree_oracle(d, p, chi):
+    d, p = Fraction(d), Fraction(p)
+    return (
+        d**4 / 8 - Fraction(5, 4) * d**3 + d**2 * (Fraction(35, 8) - p)
+        + d * (7 * p + 2 * chi - Fraction(33, 4))
+        + p**2 / 2 - Fraction(25, 2) * p - 9 * chi + 12
+    )
+
+
+def _curve_foursecants_oracle(d, p):
+    d, p = Fraction(d), Fraction(p)
+    return (
+        d**4 / 12 - d**3 + Fraction(53, 12) * d**2 - Fraction(17, 2) * d + 6
+        - p * d**2 / 2 + Fraction(7, 2) * d * p - Fraction(13, 2) * p + p**2 / 2
+    )
+
+
+def _residual_oracle(d, p, chi):
+    d, p = Fraction(d), Fraction(p)
+    return (
+        d**4 / 8 - Fraction(23, 12) * d**3 - d**2 * (p - Fraction(83, 8))
+        - d * (Fraction(355, 12) - 11 * p - 2 * chi)
+        + p**2 / 2 - Fraction(57, 2) * p - 17 * chi + 53
+    )
+
+
+def _triple_point_oracle(d, k_squared, c2, hk):
+    d = Fraction(d)
+    return (
+        d * (d**2 - 12 * d + 44) + 4 * k_squared - 2 * c2 - 3 * hk * (d - 8)
+    ) / 6
+
+
+def _same(value, want, kind=Fraction):
+    return type(value) is kind and value == want
+
+
+def test_integer_formulas_match_rational_oracles():
+    # Zero and negative invariants included; the polynomials are
+    # identities, so they must agree outside the geometric range too.
+    for d in range(-4, 13):
+        for p in range(-4, 9):
+            assert _same(curve_foursecants(d, p), _curve_foursecants_oracle(d, p))
+            for chi in range(-5, 6):
+                args = (d, p, chi)
+                assert _same(four_secants_through_point(*args), _four_secants_oracle(*args))
+                assert _same(foursecant_scroll_degree(*args), _scroll_degree_oracle(*args))
+                assert _same(foursecant_constraint_residual(*args), _residual_oracle(*args))
+                k2 = k_squared_from_double_point(*args)
+                assert _same(k2, Fraction(d * d - 5 * d - 10 * p + 12 * chi + 10, 2), int)
+
+
+def test_threefold_formulas_match_rational_oracles():
+    for d in range(1, 13):
+        for p in range(0, 9):
+            for chi_s in range(-4, 5):
+                for chi_x in (-3, 0, 2):
+                    t = ThreefoldInvariants(d, p, chi_s, chi_x)
+                    assert _same(quadruple_points(t), _quadruple_points_oracle(d, p, chi_s, chi_x))
+                    assert _same(k_cubed(t), _k_cubed_oracle(d, p, chi_s, chi_x), int)
+                    assert _same(h_k_squared(t), _h_k_squared_oracle(d, p, chi_x), int)
+
+
+def test_triple_point_formulas_match_rational_oracle():
+    for d in range(1, 13):
+        for p in range(-2, 7):
+            for chi in range(-3, 4):
+                for k2 in (-5, 0, 9):
+                    s = SurfaceInvariants(d, p, chi, k2)
+                    want = _triple_point_oracle(d, k2, s.c2, s.hk)
+                    assert _same(apparent_triple_points(s), want)
+                    blowup = _triple_point_oracle(d - 1, k2 - 1, s.c2 + 1, 2 * p - d - 1)
+                    assert _same(blowup_triple_points(s), blowup)
+
+
 def test_threefold_validation():
     with pytest.raises(ValueError):
         ThreefoldInvariants(0, 1, 1, 1)
