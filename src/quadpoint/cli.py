@@ -62,8 +62,8 @@ from .schubert import (
 # the bit size of --bound, and `schubert lincong` already takes seconds
 # at n = 2000.  sigma_1^l vanishes on G(1,n) for l > 2(n-1).  `scan`
 # makes pi_max + 1 exact solves, one per sectional genus, whatever
-# chi_max is; the limit on both keeps the invariants, and so every
-# integer the formulas see, small.
+# chi_max is; the chi_max limit is plain input validation and bounds
+# no work.
 _MAX_CONSTRUCT_N = 64
 _MAX_SCHUBERT_N = 1000
 _MAX_SCHUBERT_L = 2 * (_MAX_SCHUBERT_N - 1)
