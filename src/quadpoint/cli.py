@@ -48,9 +48,9 @@ from .formulas import (
     quadruple_points,
 )
 from .schubert import (
-    Multidegree,
     linear_congruence_multidegree,
     plucker_degree,
+    render_class,
     sigma1_power_closed,
     sigma1_power_iterative,
 )
@@ -106,14 +106,14 @@ def _cmd_schubert_pow(args):
         result = sigma1_power_closed(args.n, args.l)
     else:
         result = sigma1_power_iterative(args.n, args.l)
-    terms = result._sorted_terms()
+    terms = sorted(result.items(), reverse=True)
     _emit(
         args,
-        [str(result)],
+        [render_class(result)],
         {
             "n": args.n,
             "l": args.l,
-            "terms": [{"a": a, "b": b, "coeff": int(c)} for (a, b), c in terms],
+            "terms": [{"a": a, "b": b, "coeff": c} for (a, b), c in terms],
         },
         ["%d\t%d\t%d" % (a, b, c) for (a, b), c in terms],
     )
@@ -122,10 +122,10 @@ def _cmd_schubert_pow(args):
 
 def _cmd_schubert_lincong(args):
     md = linear_congruence_multidegree(args.n)
-    degree = plucker_degree(md)
+    degree = plucker_degree(args.n, md)
     _emit(
         args,
-        ["%s, degree %d" % (md, degree)],
+        ["(%s), degree %d" % (",".join(map(str, md)), degree)],
         {"multidegree": list(md), "degree": degree},
         ["\t".join(str(a) for a in md) + "\t%d" % degree],
     )
@@ -139,7 +139,7 @@ def _cmd_schubert_degree(args):
             parts.append(int(tok))
         except ValueError:
             raise ValueError("--multidegree: not an integer: %r" % tok) from None
-    degree = plucker_degree(Multidegree(args.n, parts))
+    degree = plucker_degree(args.n, tuple(parts))
     _emit(args, [str(degree)], {"degree": degree})
     return 0
 

@@ -29,7 +29,7 @@ from .exact import (
     pfaffian,
     primitive_vector,
     rank_and_kernel,
-    seeded_random_matrix,
+    seeded_skew_matrix,
 )
 
 MAX_REDRAWS = 32
@@ -118,9 +118,9 @@ class LinearCongruence:
     (A_i*P)^T = -tP*A_i vanish at P by skew-symmetry.
     """
 
-    __slots__ = ("n", "matrices", "witness")
+    __slots__ = ("n", "matrices")
 
-    def __init__(self, n: int, matrices: Sequence, witness: Optional[tuple] = None):
+    def __init__(self, n: int, matrices: Sequence):
         if n < 3:
             raise ValueError("n must be >= 3")
         mats = tuple(
@@ -136,7 +136,6 @@ class LinearCongruence:
                 raise ValueError("matrix %d is not skew-symmetric" % k)
         self.n = n
         self.matrices = mats
-        self.witness = None if witness is None else normalize_point(witness)
 
     @property
     def kind(self) -> str:
@@ -159,9 +158,9 @@ class DeterminantalCongruence:
     evaluated matrix A(P).
     """
 
-    __slots__ = ("n", "rows", "witness")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Sequence, witness: Optional[tuple] = None):
+    def __init__(self, n: int, rows: Sequence):
         if n < 3:
             raise ValueError("n must be >= 3")
         norm = []
@@ -181,7 +180,6 @@ class DeterminantalCongruence:
             raise ValueError("expected %d rows, got %d" % (n, len(norm)))
         self.n = n
         self.rows = tuple(norm)
-        self.witness = None if witness is None else normalize_point(witness)
 
     @property
     def kind(self) -> str:
@@ -551,8 +549,7 @@ def foci_check(
 
 def _first_generic(n: int, bound: int, kind: str, draw, solve):
     """The first of MAX_REDRAWS candidates draw(attempt) through whose
-    fixed probe point `solve` finds a unique line; the probe point
-    becomes the candidate's witness."""
+    fixed probe point `solve` finds a unique line."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if bound < 1:
@@ -564,7 +561,6 @@ def _first_generic(n: int, bound: int, kind: str, draw, solve):
             solve(candidate, probe)
         except (FocalPointError, DegeneracyError):
             continue
-        candidate.witness = probe
         return candidate
     raise GenericityError(
         "no generic %s congruence after %d draws" % (kind, MAX_REDRAWS)
@@ -579,9 +575,7 @@ def random_linear_congruence(
 
     def draw(attempt):
         seeds = [_derived_seed(seed, attempt, i) for i in range(n - 1)]
-        return LinearCongruence(
-            n, [seeded_random_matrix(s, n + 1, n + 1, bound, skew=True) for s in seeds]
-        )
+        return LinearCongruence(n, [seeded_skew_matrix(s, n + 1, bound) for s in seeds])
 
     return _first_generic(n, bound, "linear", draw, line_through_point_linear)
 
@@ -616,7 +610,7 @@ def twisted_cubic_congruence() -> DeterminantalCongruence:
     """
     x = [tuple(1 if k == i else 0 for k in range(4)) for i in range(4)]
     rows = [(x[0], x[1]), (x[1], x[2]), (x[2], x[3])]
-    return DeterminantalCongruence(3, rows, witness=None)
+    return DeterminantalCongruence(3, rows)
 
 
 # ----- plain-text serialization -----

@@ -305,10 +305,6 @@ class MultiPoly:
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -506,30 +502,22 @@ def binary_gcd(forms: Sequence[MultiPoly]) -> MultiPoly:
     return binary_form([0] * t_val + core + [0] * s_val).monic()
 
 
-def seeded_random_matrix(
-    seed: int, rows: int, cols: int, bound: int, skew: bool = False
-) -> RationalMatrix:
-    """Integer matrix with entries uniform in [-bound, bound].
+def seeded_skew_matrix(seed: int, size: int, bound: int) -> RationalMatrix:
+    """Skew-symmetric integer size x size matrix whose entries above the
+    diagonal are uniform in [-bound, bound], drawn row by row.
 
     Draws come from a seeded Mersenne Twister (random.Random), so a
-    fixed seed reproduces the same matrix.  Skew output has zero
-    diagonal and satisfies m^T = -m.
+    fixed seed reproduces the same matrix.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if rows < 1 or cols < 1:
+    if size < 1:
         raise ValueError("matrix must be nonempty")
-    if skew and rows != cols:
-        raise ValueError("skew-symmetric matrix must be square")
     rng = random.Random(seed)
-    if skew:
-        data = [[0] * cols for _ in range(rows)]
-        for i in range(rows):
-            for j in range(i + 1, cols):
-                v = rng.randint(-bound, bound)
-                data[i][j] = v
-                data[j][i] = -v
-        return RationalMatrix(data)
-    return RationalMatrix(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    )
+    data = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            v = rng.randint(-bound, bound)
+            data[i][j] = v
+            data[j][i] = -v
+    return RationalMatrix(data)

@@ -142,7 +142,7 @@ def test_identical_columns_give_a_focal_line():
         assert rep.focal_line
         assert rep.minor_degrees == (None,) * n
         assert rep.gcd_degree is None
-        assert rep.gcd_form.is_zero
+        assert rep.gcd_form == MultiPoly.zero(2)
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM))

@@ -1,0 +1,175 @@
+"""Property tests of the exact layer and the two text formats.
+
+Hypothesis draws the inputs; every example is checked exactly.  The
+search is derandomized and keeps no example database, so a run is
+reproducible and leaves no files behind.
+"""
+
+import math
+import string
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from quadpoint.catalog import VarietyRecord, parse_catalog, save_catalog  # noqa: E402
+from quadpoint.congruence import (  # noqa: E402
+    DeterminantalCongruence,
+    LinearCongruence,
+    load_congruence,
+    save_congruence,
+)
+from quadpoint.exact import (  # noqa: E402
+    MultiPoly,
+    RationalMatrix,
+    binary_coeffs,
+    binary_form,
+    binary_gcd,
+    determinant,
+    pfaffian,
+    primitive_vector,
+)
+
+exact = settings(database=None, derandomize=True, max_examples=30, deadline=None)
+
+small_ints = st.integers(-9, 9)
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@st.composite
+def skew_rows(draw, sizes, entries):
+    size = draw(sizes)
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = draw(entries)
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+def cofactor(g, f):
+    """The binary form h with g * h == f, or None if g does not divide f.
+
+    Long division in t by g's highest nonzero t-coefficient proposes h;
+    the product g * h is the certificate, so a power of s in g that f
+    lacks is caught as well.
+    """
+    gs, fs = binary_coeffs(g), binary_coeffs(f)
+    if len(fs) < len(gs):
+        return None
+    top = max(k for k, c in enumerate(gs) if c)
+    rem, q = list(fs), [Fraction(0)] * (len(fs) - top)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + top] / gs[top]
+        for j in range(top + 1):
+            rem[k + j] -= q[k] * gs[j]
+    h = binary_form(q[: len(fs) - len(gs) + 1])
+    return h if g * h == f else None
+
+
+@exact
+@given(skew_rows(st.sampled_from((2, 4, 6, 8)), small_ints))
+def test_pfaffian_squared_is_determinant(rows):
+    assert pfaffian(rows) ** 2 == determinant(RationalMatrix(rows))
+
+
+binary_forms = st.lists(small_ints, min_size=1, max_size=5).filter(any)
+
+
+@exact
+@given(binary_forms, st.lists(binary_forms, min_size=1, max_size=3))
+def test_binary_gcd_divides_each_input(common, cofactors):
+    g = binary_form(common)
+    inputs = [g * binary_form(h) for h in cofactors]
+    gcd = binary_gcd(inputs)
+    assert gcd == gcd.monic()
+    for f in inputs:
+        assert cofactor(gcd, f) is not None
+    # the common factor divides the gcd, so the gcd is the greatest one
+    assert cofactor(g, gcd) is not None
+
+
+@exact
+@given(st.lists(rationals, min_size=1, max_size=6).filter(any), rationals.filter(bool))
+def test_primitive_vector_invariants(vec, scale):
+    p = primitive_vector(vec)
+    assert all(isinstance(x, int) for x in p)
+    assert math.gcd(*p) == 1
+    assert next(x for x in p if x) > 0
+    # proportional to the input, with the same zero pattern
+    assert all(p[i] * vec[j] == p[j] * vec[i] for i in range(len(p)) for j in range(len(p)))
+    assert [x == 0 for x in p] == [x == 0 for x in vec]
+    # canonical on the projective point
+    assert primitive_vector(p) == p
+    assert primitive_vector([scale * x for x in vec]) == p
+
+
+names = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=10)
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(3, 7))
+    optional_int = st.none() | st.integers(-50, 50)
+    values = dict(
+        name=draw(names),
+        n=n,
+        dim=n - 2,
+        d=draw(st.integers(1, 40)),
+        pi=draw(st.integers(0, 40)),
+        chi_section=draw(optional_int),
+        chi=draw(optional_int),
+        k_squared=draw(optional_int),
+        scroll=draw(st.none() | st.booleans()),
+        tags=tuple(draw(st.lists(names, max_size=3))),
+    )
+    required = {3: ("chi_section", "chi"), 2: ("chi", "k_squared")}
+    for fieldname in required.get(n - 2, ()):
+        if values[fieldname] is None:
+            values[fieldname] = draw(st.integers(-50, 50))
+    if n == 4 and values["scroll"] is None:
+        values["scroll"] = draw(st.booleans())
+    return VarietyRecord(**values)
+
+
+@exact
+@given(st.lists(records(), max_size=5))
+def test_catalog_tsv_roundtrip(recs):
+    text = save_catalog(recs)
+    assert parse_catalog(text) == tuple(recs)
+    assert save_catalog(parse_catalog(text)) == text
+
+
+@st.composite
+def congruences(draw):
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        matrices = [draw(skew_rows(st.just(n + 1), rationals)) for _ in range(n - 1)]
+        return LinearCongruence(n, matrices)
+    coefficient_vector = st.lists(rationals, min_size=n + 1, max_size=n + 1)
+    rows = [[draw(coefficient_vector) for _ in range(n - 1)] for _ in range(n)]
+    return DeterminantalCongruence(n, rows)
+
+
+@exact
+@given(congruences())
+def test_congruence_text_roundtrip(c):
+    text = save_congruence(c)
+    loaded = load_congruence(text)
+    assert type(loaded) is type(c) and loaded.n == c.n
+    if isinstance(c, LinearCongruence):
+        assert loaded.matrices == c.matrices
+    else:
+        assert loaded.rows == c.rows
+    assert save_congruence(loaded) == text
+
+
+def test_cofactor_oracle():
+    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert cofactor(s + t, s * s - t * t) == s - t
+    assert cofactor(s + t, s * s + t * t) is None
+    assert cofactor(s, t) is None
+    assert cofactor(s * t, s * s * t) == s
