@@ -44,6 +44,9 @@ TSV_FIELDS = (
 TSV_COLUMNS = tuple(column for column, _ in TSV_FIELDS)
 _INT_FIELDS = TSV_FIELDS[1:8]
 _REQUIRED_FIELDS = TSV_FIELDS[1:5]
+# Characters that would split a TSV cell or line: the tab, and every
+# line boundary of str.splitlines, which parse_catalog reads lines with.
+_CELL_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +70,18 @@ class VarietyRecord:
     tags: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        # A name or tag must read back from the TSV that save_catalog
+        # writes: no tab or line break, and a tag is nonempty with no comma.
         if not self.name:
             raise ValueError("record needs a name")
+        if not _CELL_BREAKS.isdisjoint(self.name):
+            raise ValueError("%r: name contains a tab or line break" % self.name)
+        for tag in self.tags:
+            if not tag or "," in tag or not _CELL_BREAKS.isdisjoint(tag):
+                raise ValueError(
+                    "%r: tag %r is empty or contains a comma, tab or line break"
+                    % (self.name, tag)
+                )
         if self.n < 3:
             raise ValueError("%s: n must be >= 3" % self.name)
         if self.dim != self.n - 2:

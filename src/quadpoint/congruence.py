@@ -21,9 +21,10 @@ from typing import Optional, Sequence, Union
 from .exact import (
     MultiPoly,
     RationalMatrix,
-    _as_fraction,
+    _bareiss,
     _integer_determinant,
     _integer_rows,
+    _rational,
     binary_form,
     binary_gcd,
     pfaffian,
@@ -53,7 +54,7 @@ def normalize_point(point: Sequence) -> tuple:
     Clears denominators, divides by content, makes the first nonzero
     coordinate positive.
     """
-    pt = tuple(_as_fraction(c) for c in point)
+    pt = tuple(_rational(c) for c in point)
     if len(pt) < 2 or all(c == 0 for c in pt):
         raise ValueError("point must be a nonzero homogeneous tuple")
     return primitive_vector(pt)
@@ -65,7 +66,10 @@ class ProjLine:
     The parametrization P(s,t) = s*p0 + t*p1 is fixed: restriction
     operations on a given ProjLine always use these two generators in
     this order.  Equality and hashing go through the normalized Plucker
-    coordinates, so they do not depend on the chosen spanning points.
+    coordinates, so they do not depend on the chosen spanning points;
+    those are computed on the first comparison or hash, since a line of
+    a determinantal congruence at n = 12 and bound 10^18 has a Plucker
+    vector of about 15k bits that most callers never need.
     """
 
     __slots__ = ("p0", "p1", "_plucker")
@@ -75,15 +79,13 @@ class ProjLine:
         b = normalize_point(p1)
         if len(a) != len(b):
             raise ValueError("spanning points live in different spaces")
-        wedge = [
-            a[i] * b[j] - a[j] * b[i]
-            for i, j in combinations(range(len(a)), 2)
-        ]
-        if all(w == 0 for w in wedge):
+        # Two vectors in primitive normal form are proportional only
+        # when they are equal.
+        if a == b:
             raise ValueError("spanning points are proportional")
         self.p0 = a
         self.p1 = b
-        self._plucker = primitive_vector(wedge)
+        self._plucker = None
 
     @property
     def ambient_dim(self) -> int:
@@ -93,16 +95,24 @@ class ProjLine:
         pt = normalize_point(point)
         if len(pt) != len(self.p0):
             return False
-        rank, _ = rank_and_kernel(RationalMatrix([self.p0, self.p1, pt]))
-        return rank == 2
+        pivot_cols, _ = _bareiss([list(self.p0), list(self.p1), list(pt)])
+        return len(pivot_cols) == 2
+
+    def _key(self) -> tuple:
+        if self._plucker is None:
+            a, b = self.p0, self.p1
+            self._plucker = primitive_vector(
+                [a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2)]
+            )
+        return self._plucker
 
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
             return NotImplemented
-        return self._plucker == other._plucker
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._plucker)
+        return hash(self._key())
 
     def __repr__(self):
         return "ProjLine(%r, %r)" % (self.p0, self.p1)
@@ -167,7 +177,7 @@ class DeterminantalCongruence:
         for i, row in enumerate(rows):
             entries = []
             for j, coeffs in enumerate(row):
-                ct = tuple(_as_fraction(c) for c in coeffs)
+                ct = tuple(_rational(c) for c in coeffs)
                 if len(ct) != n + 1:
                     raise ValueError(
                         "entry (%d,%d) needs %d coefficients" % (i, j, n + 1)

@@ -2,35 +2,52 @@
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
 One elimination kernel, the in-place Bareiss loop `_bareiss`, serves
-both `rank_and_kernel` (followed by back-substitution) and the integer
-determinant `_integer_determinant` (last pivot and permutation sign),
-which `determinant` divides by the row scaling and the focal slice in
+`rank_and_kernel` (followed by integer back-substitution), the rank
+test of `congruence.ProjLine.contains`, and the integer determinant
+`_integer_determinant` (last pivot and permutation sign), which
+`determinant` divides by the row scaling and the focal slice in
 `congruence` evaluates its minors with.
 
 There is one polynomial type, `MultiPoly`; a binary form in (s, t) is
 a homogeneous two-variable one, built by `binary_form` and read back
 densely by `binary_coeffs` for the gcd.
 
-Everything here stays in exact rational arithmetic (fractions.Fraction);
-no operation introduces floating point.
+Integral data and all elimination stay in Python `int`: matrix entries,
+polynomial coefficients and points that are integers are stored as
+`int`, and `fractions.Fraction` appears only for input that is not
+integral.  Every division is exact (checked, or a `Fraction`); no
+operation introduces floating point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    """An exact rational value: an `int` when it is integral, else a Fraction."""
+    if type(x) is int:
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError("expected an exact rational value, got %r" % (x,))
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError("expected an exact rational value, got %r" % (x,))
+    return x.numerator if x.denominator == 1 else x
+
+
+def _cleared(values: list) -> tuple:
+    """(integer list, multiplier): exact rationals times the lcm of their
+    denominators; an all-integer list comes back as it is, multiplier 1."""
+    mult = math.lcm(*(x.denominator for x in values))
+    if mult == 1:
+        return values, 1
+    return [x.numerator * (mult // x.denominator) for x in values], mult
 
 
 def primitive_vector(vec: Sequence) -> tuple:
@@ -38,26 +55,23 @@ def primitive_vector(vec: Sequence) -> tuple:
 
     Canonical representative for projective points and kernel vectors.
     """
-    fracs = [_as_fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive representative")
-    mult = math.lcm(*(x.denominator for x in fracs))
-    ints = [int(x * mult) for x in fracs]
+    ints, _ = _cleared([_rational(x) for x in vec])
     g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 class RationalMatrix:
-    """Immutable matrix of exact rationals, stored row-major."""
+    """Immutable matrix of exact rationals, stored row-major; integral
+    entries are stored as `int`, the others as Fraction."""
 
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = tuple(tuple(_as_fraction(x) for x in row) for row in rows_data)
+        data = tuple(tuple(map(_rational, row)) for row in rows_data)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -67,7 +81,7 @@ class RationalMatrix:
         self.rows = len(data)
         self.cols = width
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int):
         return self._rows[i][j]
 
     def row(self, i: int) -> tuple:
@@ -77,10 +91,10 @@ class RationalMatrix:
         return RationalMatrix(zip(*self._rows))
 
     def mat_vec(self, v: Sequence) -> tuple:
-        vf = [_as_fraction(x) for x in v]
+        vf = [_rational(x) for x in v]
         if len(vf) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(r[j] * vf[j] for j in range(self.cols)) for r in self._rows)
+        return tuple(sum(map(operator.mul, r, vf)) for r in self._rows)
 
     def is_skew_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -106,15 +120,15 @@ def _integer_rows(m: RationalMatrix) -> tuple:
     """Rows cleared of denominators, with the product of the row multipliers.
 
     Row scaling changes neither rank nor kernel, and it multiplies the
-    determinant by the returned product.
+    determinant by the returned product.  An integral row is copied as
+    it is.
     """
     out = []
     scale = 1
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = math.lcm(*(x.denominator for x in row))
+    for row in m._rows:
+        ints, mult = _cleared(list(row))
         scale *= mult
-        out.append([int(x * mult) for x in row])
+        out.append(ints)
     return out, scale
 
 
@@ -159,23 +173,32 @@ def _bareiss(work: list) -> tuple:
 def rank_and_kernel(m: RationalMatrix) -> tuple:
     """Rank of m together with a primitive integer basis of its right kernel.
 
-    Fraction-free elimination over the integers, then back-substitution
-    for each free column.
+    Fraction-free elimination over the integers, then integer
+    back-substitution for each free column f.  With v[f] set to the last
+    Bareiss pivot, the determinant of the pivot block, Cramer's rule
+    makes every entry of the solution a minor of the cleared matrix, so
+    each division is exact; a remainder raises ArithmeticError.
     """
     work, _ = _integer_rows(m)
     ncols = m.cols
     pivot_cols, _ = _bareiss(work)
     rank = len(pivot_cols)
+    last_pivot = work[rank - 1][pivot_cols[-1]] if rank else 1
 
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[f] = last_pivot
         for i in range(rank - 1, -1, -1):
             p = pivot_cols[i]
-            s = sum((work[i][k] * v[k] for k in range(p + 1, ncols)), Fraction(0))
-            v[p] = -s / work[i][p]
+            row = work[i]
+            s = sum(row[k] * v[k] for k in range(p + 1, ncols) if v[k])
+            q, rem = divmod(-s, row[p])
+            if rem:
+                raise ArithmeticError("inexact back-substitution")
+            v[p] = q
         basis.append(primitive_vector(v))
     return rank, tuple(basis)
 
@@ -283,7 +306,7 @@ class MultiPoly:
         self.nvars = int(nvars)
         clean = {}
         for exp, coeff in (terms or {}).items():
-            c = _as_fraction(coeff)
+            c = _rational(coeff)
             if not c:
                 continue
             e = tuple(int(k) for k in exp)
@@ -332,7 +355,7 @@ class MultiPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
     __radd__ = __add__
@@ -348,7 +371,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _as_fraction(other)
+            c = _rational(other)
             return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
@@ -356,7 +379,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -366,7 +389,7 @@ class MultiPoly:
         if not self.terms:
             return self
         lead = self.terms[max(self.terms, key=lambda e: (sum(e), e))]
-        return self if lead == 1 else self * (1 / lead)
+        return self if lead == 1 else self * Fraction(1, lead)
 
     def _sorted_terms(self):
         # graded lex, highest first
@@ -431,7 +454,7 @@ def binary_coeffs(f: MultiPoly) -> list:
     s^(d-k) * t^k, d the degree."""
     if not isinstance(f, MultiPoly) or f.nvars != 2 or not f or not f.is_homogeneous():
         raise ValueError("expected a nonzero homogeneous form in two variables")
-    out = [Fraction(0)] * (f.total_degree() + 1)
+    out = [0] * (f.total_degree() + 1)
     for (_, k), c in f.terms.items():
         out[k] = c
     return out
@@ -456,16 +479,17 @@ def _upoly_normalize(p: list) -> list:
 
 def _upoly_divmod(f: Sequence, g: Sequence) -> tuple:
     """Dense little-endian division of rational univariate polynomials."""
-    f = _upoly_normalize([_as_fraction(x) for x in f])
-    g = _upoly_normalize([_as_fraction(x) for x in g])
+    f = _upoly_normalize([_rational(x) for x in f])
+    g = _upoly_normalize([_rational(x) for x in g])
     if not g:
         raise ZeroDivisionError
     if len(f) < len(g):
         return [], f
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
+    q = [0] * (len(f) - len(g) + 1)
     rem = list(f)
+    lead = Fraction(g[-1])
     for k in range(len(f) - len(g), -1, -1):
-        coeff = rem[k + len(g) - 1] / g[-1]
+        coeff = rem[k + len(g) - 1] / lead
         q[k] = coeff
         if coeff:
             for j, gc in enumerate(g):
@@ -474,8 +498,8 @@ def _upoly_divmod(f: Sequence, g: Sequence) -> tuple:
 
 
 def _upoly_gcd(f: Sequence, g: Sequence) -> list:
-    a = _upoly_normalize([_as_fraction(x) for x in f])
-    b = _upoly_normalize([_as_fraction(x) for x in g])
+    a = _upoly_normalize([_rational(x) for x in f])
+    b = _upoly_normalize([_rational(x) for x in g])
     while b:
         _, r = _upoly_divmod(a, b)
         a, b = b, r

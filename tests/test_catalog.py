@@ -44,6 +44,13 @@ def test_record_validation():
         VarietyRecord("bad", 3, 1, 0, 0)
     with pytest.raises(ValueError, match="missing field chi"):
         VarietyRecord("bad", 5, 3, 7, 4, chi_section=1)
+    # names and tags that the TSV could not read back
+    for name in ("a\tb", "a\nb", "a\r", "a\u2028b"):
+        with pytest.raises(ValueError, match="name contains a tab or line break"):
+            VarietyRecord(name, 3, 1, 1, 0)
+    for tag in ("p,q", "", "p\tq", "p\n"):
+        with pytest.raises(ValueError, match="'bad': tag .* is empty or contains"):
+            VarietyRecord("bad", 3, 1, 1, 0, tags=("ok", tag))
 
 
 def test_parse_diagnostics():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -60,11 +61,33 @@ def test_projline_equality_is_projective():
     assert a.contains((3, 0, 0, 7))
     assert not a.contains((0, 1, 0, 0))
     assert normalize_point([x - y for x, y in zip(a.p0, a.p1)]) == (1, 0, 0, 0)
+    # Any two distinct points of a line span it; the Plucker key that
+    # equality and hashing use is the same for every such pair.
+    rng = random.Random(5)
+    for n in (3, 5, 8):
+        p, q = ([rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(2))
+        line = ProjLine(p, q)
+        for _ in range(5):
+            s0, t0, s1, t1 = (rng.randint(-20, 20) for _ in range(4))
+            if s0 * t1 == t0 * s1:
+                continue
+            other = ProjLine(
+                [s0 * x + t0 * y for x, y in zip(p, q)],
+                [Fraction(s1 * x + t1 * y, 7) for x, y in zip(p, q)],
+            )
+            assert other == line and hash(other) == hash(line)
+            assert len({line, other}) == 1
+        assert ProjLine(p, q) != ProjLine(p + [0], q + [0])
+    assert ProjLine((1, 0, 0, 0), (0, 1, 0, 0)) != ProjLine((1, 0, 0, 0), (0, 0, 1, 0))
 
 
 def test_projline_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="proportional"):
         ProjLine((1, 2, 3, 4), (2, 4, 6, 8))
+    with pytest.raises(ValueError, match="proportional"):
+        ProjLine((Fraction(1, 2), 1, 0), (-1, -2, 0))
+    with pytest.raises(ValueError, match="proportional"):
+        ProjLine((0, 3, 0), (0, "-1/5", 0))
     with pytest.raises(ValueError):
         ProjLine((0, 0, 0, 0), (1, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -192,6 +215,38 @@ def test_linear_line_membership_residuals():
             )
             assert residual == 0
         assert line.contains(tuple(range(2, n + 3)))
+
+
+def test_rational_scaling_keeps_lines_and_slices():
+    # Scaling each A_i (linear) or each row of linear forms
+    # (determinantal) by a positive rational scales rows of A(P) and of
+    # the combined forms, so the kernels, the line and the focal slice
+    # (minors up to a positive factor, monic gcd) are unchanged.
+    rng = random.Random(8)
+    for n in (3, 4, 5, 6):
+        factors = [Fraction(rng.randrange(1, p), p) for p in rng.choices((2, 3, 5, 97), k=n)]
+        lin = random_linear_congruence(n, n, 9)
+        scaled_lin = LinearCongruence(
+            n,
+            [
+                [[x * r for x in m.row(i)] for i in range(m.rows)]
+                for m, r in zip(lin.matrices, factors)
+            ],
+        )
+        det = random_determinantal_congruence(n, n, 9)
+        scaled_det = DeterminantalCongruence(
+            n, [[[x * r for x in coeffs] for coeffs in row] for row, r in zip(det.rows, factors)]
+        )
+        for c, scaled in ((lin, scaled_lin), (det, scaled_det)):
+            for _ in range(3):
+                point = [rng.randint(-9, 9) for _ in range(n + 1)]
+                line = line_through_point(c, point)
+                other = line_through_point(scaled, point)
+                assert (other.p0, other.p1) == (line.p0, line.p1)
+                assert other == line
+                report = focal_points_on_line(scaled, line)
+                assert report == focal_points_on_line(c, line)
+                assert report.gcd_degree == n - 1
 
 
 def test_two_points_determine_the_line():

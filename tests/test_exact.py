@@ -63,6 +63,20 @@ def random_rational(rng, bound=9):
 # ----- rank and kernel -----
 
 
+def test_integral_entries_are_stored_as_int():
+    from_ints = RationalMatrix([[1, -2], [0, 3]])
+    from_fractions = RationalMatrix([[Fraction(1), Fraction(-4, 2)], [Fraction(0), "3"]])
+    assert from_fractions == from_ints
+    assert hash(from_fractions) == hash(from_ints)
+    assert repr(from_fractions) == repr(from_ints) == "RationalMatrix[1 -2; 0 3]"
+    assert all(type(x) is int for i in range(2) for x in from_fractions.row(i))
+    mixed = RationalMatrix([[Fraction(1, 2), True]])
+    assert [type(x) for x in mixed.row(0)] == [Fraction, int]
+    assert mixed.mat_vec([2, Fraction(1, 3)]) == (Fraction(4, 3),)
+    with pytest.raises(TypeError):
+        RationalMatrix([[0.5]])
+
+
 def test_rank_identity():
     rank, basis = rank_and_kernel(RationalMatrix([[1, 0], [0, 1]]))
     assert rank == 2

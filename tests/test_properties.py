@@ -6,6 +6,7 @@ reproducible and leaves no files behind.
 """
 
 import math
+import re
 import string
 from fractions import Fraction
 
@@ -63,7 +64,7 @@ def cofactor(g, f):
     top = max(k for k, c in enumerate(gs) if c)
     rem, q = list(fs), [Fraction(0)] * (len(fs) - top)
     for k in range(len(q) - 1, -1, -1):
-        q[k] = rem[k + top] / gs[top]
+        q[k] = Fraction(rem[k + top], gs[top])
         for j in range(top + 1):
             rem[k + j] -= q[k] * gs[j]
     h = binary_form(q[: len(fs) - len(gs) + 1])
@@ -107,11 +108,27 @@ def test_primitive_vector_invariants(vec, scale):
     assert primitive_vector([scale * x for x in vec]) == p
 
 
-names = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=10)
+names = st.text(string.ascii_letters + string.digits + "_-. ", min_size=1, max_size=10)
+# Characters the catalog TSV cannot carry in a name or tag; a comma
+# cannot appear in a tag, and a tag cannot be empty.
+CELL_BREAKS = "\t\n\r\x0b\x85\u2028"
+FAULTS = st.sampled_from(
+    [("name", c) for c in CELL_BREAKS] + [("tag", c) for c in CELL_BREAKS + ","] + [("tag", "")]
+)
+
+
+def unreadable(values):
+    """Whether the TSV could not carry this record's name or tags."""
+    texts = (values["name"],) + values["tags"]
+    return any(c in CELL_BREAKS for t in texts for c in t) or any(
+        not t or "," in t for t in values["tags"]
+    )
 
 
 @st.composite
-def records(draw):
+def record_values(draw):
+    """Keyword arguments of a VarietyRecord; about half of them carry
+    one fault from FAULTS in the name or in an extra tag."""
     n = draw(st.integers(3, 7))
     optional_int = st.none() | st.integers(-50, 50)
     values = dict(
@@ -132,12 +149,29 @@ def records(draw):
             values[fieldname] = draw(st.integers(-50, 50))
     if n == 4 and values["scroll"] is None:
         values["scroll"] = draw(st.booleans())
-    return VarietyRecord(**values)
+    fault = draw(st.none() | FAULTS)
+    if fault is not None:
+        where, char = fault
+        text = values["name"] if where == "name" else draw(names) if char else ""
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + char + text[cut:]
+        if where == "name":
+            values["name"] = text
+        else:
+            values["tags"] += (text,)
+    return values
 
 
-@exact
-@given(st.lists(records(), max_size=5))
-def test_catalog_tsv_roundtrip(recs):
+@settings(exact, max_examples=100)
+@given(st.lists(record_values(), max_size=5))
+def test_catalog_tsv_roundtrip(drawn):
+    recs = []
+    for values in drawn:
+        if unreadable(values):
+            with pytest.raises(ValueError, match=re.escape(repr(values["name"]))):
+                VarietyRecord(**values)
+        else:
+            recs.append(VarietyRecord(**values))
     text = save_catalog(recs)
     assert parse_catalog(text) == tuple(recs)
     assert save_catalog(parse_catalog(text)) == text

@@ -17,10 +17,13 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from quadpoint.exact import (  # noqa: E402
     MultiPoly,
     RationalMatrix,
+    _bareiss,
+    _integer_rows,
     binary_form,
     binary_gcd,
     determinant,
     pfaffian,
+    primitive_vector,
     rank_and_kernel,
 )
 
@@ -40,14 +43,16 @@ def to_sympy(x):
     return sympy.Rational(x.numerator, x.denominator)
 
 
-def random_rows(rng, rows, cols, rank):
+def random_rows(rng, rows, cols, rank, bound=5, den=3):
     """A rows x cols rational matrix of rank at most `rank`: a product of
-    random rows x rank and rank x cols factors, rank 0 giving zero."""
+    random rows x rank and rank x cols factors, rank 0 giving zero.
+    Entries of the factors are at most `bound`, denominators at most
+    `den`; den=1 gives an integer matrix."""
     left = [
-        [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rank)]
+        [Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in range(rank)]
         for _ in range(rows)
     ]
-    right = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rank)]
+    right = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
     return [
         [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
         if rank
@@ -70,20 +75,41 @@ def test_determinant_matches_sympy():
             assert to_sympy(determinant(RationalMatrix(rows))) == sympy.Matrix(rows).det()
 
 
+def fraction_back_substitution(m):
+    """(rank, kernel basis) by Fraction back-substitution on the Bareiss
+    echelon form with v[f] = 1 for each free column f: the route of
+    rank_and_kernel before it went integer-only, kept as an oracle."""
+    work, _ = _integer_rows(m)
+    pivot_cols, _ = _bareiss(work)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivot_cols):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i in range(len(pivot_cols) - 1, -1, -1):
+            p = pivot_cols[i]
+            s = sum((work[i][k] * v[k] for k in range(p + 1, m.cols)), Fraction(0))
+            v[p] = -s / work[i][p]
+        basis.append(primitive_vector(v))
+    return len(pivot_cols), tuple(basis)
+
+
 def test_rank_and_kernel_match_sympy():
+    # Integer, rational and rank-deficient matrices, small and 60-bit
+    # entries.  The kernel is sympy's nullspace basis (free variable 1,
+    # the other free variables 0) in primitive form, and the integer
+    # back-substitution returns the very tuples of the Fraction one.
     rng = random.Random(12)
-    for rows, cols, rank in shapes(rng, 40):
-        data = random_rows(rng, rows, cols, rank)
-        m = sympy.Matrix(data)
-        found_rank, kernel = rank_and_kernel(RationalMatrix(data))
-        assert found_rank == m.rank()
-        assert len(kernel) == len(m.nullspace()) == cols - found_rank
-        if kernel:
-            k = sympy.Matrix(kernel).T
-            assert m * k == sympy.zeros(rows, len(kernel))
-            # same subspace: the basis is independent and adds nothing to sympy's
-            both = k.row_join(sympy.Matrix.hstack(*m.nullspace()))
-            assert k.rank() == len(kernel) == both.rank()
+    for bound, den in ((5, 3), (5, 1), (10**18, 1), (10**18, 7)):
+        for rows, cols, rank in shapes(rng, 30):
+            data = random_rows(rng, rows, cols, rank, bound, den)
+            m = sympy.Matrix(data)
+            found = rank_and_kernel(RationalMatrix(data))
+            assert found[0] == m.rank()
+            assert found[1] == tuple(
+                primitive_vector([Fraction(int(x.p), int(x.q)) for x in v])
+                for v in m.nullspace()
+            )
+            assert found == fraction_back_substitution(RationalMatrix(data))
 
 
 def test_pfaffian_squares_to_sympy_determinant():
