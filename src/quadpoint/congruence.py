@@ -16,14 +16,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact import (
     MultiPoly,
     RationalMatrix,
     _bareiss,
-    _integer_determinant,
-    _integer_rows,
+    _cleared,
+    _kernel,
+    _maximal_minors,
     _rational,
     binary_form,
     binary_gcd,
@@ -123,8 +124,8 @@ class LinearCongruence:
 
     Each matrix cuts a hyperplane section of G(1,n) in the Plucker
     embedding; together they cut a congruence of lines.  The defining
-    matrix A(P) has column i equal to A_i*P.  The line through a
-    general point P is the kernel of A(P)^T, whose rows
+    (n+1) x (n-1) matrix A(P) has column i equal to A_i*P.  The line
+    through a general point P is the kernel of A(P)^T, whose rows
     (A_i*P)^T = -tP*A_i vanish at P by skew-symmetry.
     """
 
@@ -151,12 +152,12 @@ class LinearCongruence:
     def kind(self) -> str:
         return "linear"
 
-    def matrix_at(self, point: Sequence) -> RationalMatrix:
-        """The (n+1) x (n-1) matrix A(P) whose column i is A_i * P."""
+    def columns_at(self, point: Sequence) -> tuple:
+        """The columns A_i * P of A(P), that is the rows of A(P)^T."""
         pt = normalize_point(point)
         if len(pt) != self.n + 1:
             raise ValueError("point has wrong length")
-        return RationalMatrix([m.mat_vec(pt) for m in self.matrices]).transpose()
+        return tuple(m.mat_vec(pt) for m in self.matrices)
 
 
 class DeterminantalCongruence:
@@ -165,7 +166,7 @@ class DeterminantalCongruence:
     Entry (i, j) is stored as its coefficient tuple of length n+1.  The
     line through a general point P is cut by the n-1 linear forms
     obtained from the unique (up to scale) left kernel vector of the
-    evaluated matrix A(P).
+    evaluated n x (n-1) matrix A(P).
     """
 
     __slots__ = ("n", "rows")
@@ -195,39 +196,45 @@ class DeterminantalCongruence:
     def kind(self) -> str:
         return "determinantal"
 
-    def matrix_at(self, point: Sequence) -> RationalMatrix:
-        """The n x (n-1) matrix A(P) of the linear forms evaluated at P."""
+    def columns_at(self, point: Sequence) -> tuple:
+        """The columns of A(P), the linear forms of one column of the
+        matrix evaluated at P; that is the rows of A(P)^T."""
         pt = normalize_point(point)
         if len(pt) != self.n + 1:
             raise ValueError("point has wrong length")
-        return RationalMatrix(
-            [
-                [sum(c * x for c, x in zip(coeffs, pt)) for coeffs in row]
-                for row in self.rows
-            ]
+        return tuple(
+            tuple(sum(c * x for c, x in zip(row[j], pt)) for row in self.rows)
+            for j in range(self.n - 1)
         )
 
 
-Congruence = Union[LinearCongruence, DeterminantalCongruence]
+# A types.UnionType, not typing.Union: typing caches every Union it
+# builds, and that cache would keep the classes of each re-imported
+# copy of the package alive.
+Congruence = LinearCongruence | DeterminantalCongruence
 
 
 # ----- line through a point -----
 
 
 def _left_kernel(c: Congruence, point: Sequence) -> tuple:
-    """A basis of the left kernel of A(P).
+    """A primitive integer basis of the left kernel of A(P).
 
-    P lies off the focal locus exactly when A(P) has rank n-1; the
-    kernel then has dimension 2 for the linear kind (it holds P) and 1
-    for the determinantal kind.  A lower rank raises FocalPointError.
+    The rows of A(P)^T, each cleared of denominators (a row scaling,
+    which keeps the kernel), go straight to the integer kernel of
+    `exact`.  P lies off the focal locus exactly when A(P) has rank
+    n-1; the kernel then has dimension 2 for the linear kind (it holds
+    P) and 1 for the determinantal kind.  A lower rank raises
+    FocalPointError.
     """
-    rank, kernel = rank_and_kernel(c.matrix_at(point).transpose())
+    pt = normalize_point(point)
+    rows = [_cleared(list(col))[0] for col in c.columns_at(pt)]
+    rank, _, _, _, vectors = _kernel(rows)
     if rank != c.n - 1:
         raise FocalPointError(
-            "A(P) has rank %d < %d at %s: focal point"
-            % (rank, c.n - 1, normalize_point(point))
+            "A(P) has rank %d < %d at %s: focal point" % (rank, c.n - 1, pt)
         )
-    return kernel
+    return tuple(map(primitive_vector, vectors))
 
 
 def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
@@ -338,6 +345,38 @@ def _form_from_integer_values(values: Sequence) -> MultiPoly:
     return binary_form([q for q, _ in quotients])
 
 
+def _node_minors(c: Congruence, line: ProjLine) -> list:
+    """The integer values of the maximal minors of A restricted to the
+    line, at the nodes (s, t) = (1, u), u = 0..n-1: one list per node,
+    one entry per minor in the order of `focal_points_on_line`.
+
+    Column j of the restriction is a_j*s + b_j*t with a_j, b_j the
+    columns of A(p0) and A(p1).  Each pair (a_j, b_j) is cleared of
+    denominators together, which scales every maximal minor by the same
+    positive constant.  At node u one elimination of the (n-1) x N
+    matrix (a + u*b)^T gives every minor (`exact._maximal_minors`).
+    """
+    if line.ambient_dim != c.n:
+        raise ValueError("line lives in the wrong space")
+    size = c.n - 1
+    pencil = [
+        _cleared(list(a + b))[0]
+        for a, b in zip(c.columns_at(line.p0), c.columns_at(line.p1))
+    ]
+    nrows = len(pencil[0]) // 2
+    deleted = [
+        tuple(i for i in range(nrows) if i not in kept)
+        for kept in combinations(range(nrows), size)
+    ]
+    return [
+        _maximal_minors(
+            [[a + u * b for a, b in zip(r[:nrows], r[nrows:])] for r in pencil],
+            deleted,
+        )
+        for u in range(size + 1)
+    ]
+
+
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     """Focal scheme cut on a line, as the gcd of restricted minors.
 
@@ -349,30 +388,19 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
 
     Every restricted entry is a linear form a*s + b*t, so every maximal
     minor is zero or a form of degree exactly n-1, and its values at
-    the n points (s, t) = (1, u), u = 0..n-1, determine it.  Each row
-    is cleared of denominators once, which scales each minor by a
-    positive constant and so changes neither which minors vanish, nor
-    their degrees, nor the monic gcd.  At each u the integer matrix
-    a + u*b is built once and every minor is taken from it by the
-    Bareiss kernel; exact Newton interpolation on the n nodes recovers
+    the n nodes (s, t) = (1, u), u = 0..n-1, determine it.  Each column
+    of the pencil is cleared of denominators once, which scales every
+    minor by one positive constant and so changes neither which minors
+    vanish, nor their degrees, nor the monic gcd.  At each node the
+    minors are the Plucker coordinates of one integer kernel: a single
+    Bareiss elimination of the transposed (n-1) x N integer matrix and
+    its back-substitution give all of them, with no determinant per
+    minor, and at a node of rank below n-1 every minor is 0 (see
+    `_node_minors`).  Exact Newton interpolation on the n nodes recovers
     each minor.  Nothing is probabilistic or modular, and a minor whose
     n values all vanish is the zero form.
     """
-    if line.ambient_dim != c.n:
-        raise ValueError("line lives in the wrong space")
-    size = c.n - 1
-    at_p0, at_p1 = c.matrix_at(line.p0), c.matrix_at(line.p1)
-    # Row k of `pencil`: the a of each entry a*s + b*t of row k, then each b.
-    pencil, _ = _integer_rows(
-        RationalMatrix([at_p0.row(k) + at_p1.row(k) for k in range(at_p0.rows)])
-    )
-    kept_rows = list(combinations(range(len(pencil)), size))
-    values = [[] for _ in kept_rows]
-    for u in range(size + 1):
-        at_u = [[a + u * b for a, b in zip(r[:size], r[size:])] for r in pencil]
-        for kept, minor_values in zip(kept_rows, values):
-            minor_values.append(_integer_determinant([list(at_u[r]) for r in kept]))
-    minors = [_form_from_integer_values(v) for v in values]
+    minors = [_form_from_integer_values(v) for v in zip(*_node_minors(c, line))]
     degrees = tuple(m.total_degree() for m in minors)
     if not any(minors):
         return FocalSliceReport(degrees, MultiPoly.zero(2), None, True)
@@ -642,6 +670,20 @@ def save_congruence(c: Congruence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_entry(tok: str):
+    """One entry of a congruence file, read as Fraction(tok) reads it.
+
+    A plain ASCII integer, which is every entry that save_congruence
+    writes for integral data, goes to `int`, several times cheaper than
+    Fraction; every other token goes to Fraction, so the same tokens are
+    accepted and refused.
+    """
+    digits = tok[1:] if tok[0] in "+-" else tok
+    if digits.isascii() and digits.isdigit():
+        return int(tok)
+    return Fraction(tok)
+
+
 def load_congruence(text: str) -> Congruence:
     """Parse the save_congruence format; diagnostics carry line numbers."""
     lines = text.splitlines()
@@ -695,7 +737,7 @@ def load_congruence(text: str) -> Congruence:
             # before any size check could run, so exponents are refused.
             if "e" in line.lower():
                 raise ValueError("exponent")
-            return [Fraction(tok) for tok in tokens]
+            return [_parse_entry(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError):
             fail(no, "non-rational entry in %r" % line)
 

@@ -2,11 +2,13 @@
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
 One elimination kernel, the in-place Bareiss loop `_bareiss`, serves
-`rank_and_kernel` (followed by integer back-substitution), the rank
-test of `congruence.ProjLine.contains`, and the integer determinant
-`_integer_determinant` (last pivot and permutation sign), which
-`determinant` divides by the row scaling and the focal slice in
-`congruence` evaluates its minors with.
+the rank test of `congruence.ProjLine.contains`, `determinant` (last
+pivot and permutation sign) and `_kernel`, which adds integer
+back-substitution.  `_kernel` in turn serves `rank_and_kernel`, the
+line solver's left kernel in `congruence`, and `_maximal_minors`, which
+reads every maximal minor of a matrix with one or two more columns
+than rows off its kernel by Plucker duality: the focal slice takes one
+elimination per interpolation node, whatever the number of minors.
 
 There is one polynomial type, `MultiPoly`; a binary form in (s, t) is
 a homogeneous two-variable one, built by `binary_form` and read back
@@ -170,27 +172,26 @@ def _bareiss(work: list) -> tuple:
     return pivot_cols, sign
 
 
-def rank_and_kernel(m: RationalMatrix) -> tuple:
-    """Rank of m together with a primitive integer basis of its right kernel.
+def _kernel(work: list) -> tuple:
+    """Eliminate the integer matrix `work` in place and solve for its
+    right kernel: (rank, sign, pivot, free_cols, vectors).
 
-    Fraction-free elimination over the integers, then integer
-    back-substitution for each free column f.  With v[f] set to the last
-    Bareiss pivot, the determinant of the pivot block, Cramer's rule
-    makes every entry of the solution a minor of the cleared matrix, so
-    each division is exact; a remainder raises ArithmeticError.
+    sign is that of the row permutation and pivot the last Bareiss
+    pivot D (1 at rank 0).  For each free column f, in ascending order,
+    the unscaled kernel vector has v[f] = D and 0 on the other free
+    columns; integer back-substitution fills in the rest.  Cramer's rule
+    makes every entry a minor of the matrix, so each division is exact;
+    a remainder raises ArithmeticError.
     """
-    work, _ = _integer_rows(m)
-    ncols = m.cols
-    pivot_cols, _ = _bareiss(work)
+    ncols = len(work[0])
+    pivot_cols, sign = _bareiss(work)
     rank = len(pivot_cols)
-    last_pivot = work[rank - 1][pivot_cols[-1]] if rank else 1
-
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
+    pivot = work[rank - 1][pivot_cols[-1]] if rank else 1
+    free_cols = [f for f in range(ncols) if f not in pivot_cols]
+    vectors = []
+    for f in free_cols:
         v = [0] * ncols
-        v[f] = last_pivot
+        v[f] = pivot
         for i in range(rank - 1, -1, -1):
             p = pivot_cols[i]
             row = work[i]
@@ -199,24 +200,62 @@ def rank_and_kernel(m: RationalMatrix) -> tuple:
             if rem:
                 raise ArithmeticError("inexact back-substitution")
             v[p] = q
-        basis.append(primitive_vector(v))
-    return rank, tuple(basis)
+        vectors.append(v)
+    return rank, sign, pivot, free_cols, vectors
 
 
-def _integer_determinant(work: list) -> int:
-    """Determinant of a square integer matrix, eliminating `work` in place."""
-    pivot_cols, sign = _bareiss(work)
-    if len(pivot_cols) < len(work):
-        return 0
-    return sign * work[-1][-1]
+def rank_and_kernel(m: RationalMatrix) -> tuple:
+    """Rank of m together with a primitive integer basis of its right
+    kernel, one vector per free column (see `_kernel`)."""
+    work, _ = _integer_rows(m)
+    rank, _, _, _, vectors = _kernel(work)
+    return rank, tuple(map(primitive_vector, vectors))
+
+
+def _maximal_minors(work: list, deleted: Sequence[tuple]) -> list:
+    """The maximal minors of an integer r x N matrix of N - r = 1 or 2
+    more columns than rows, from one elimination of `work` (in place).
+
+    Entry k is the determinant of the columns left after deleting the
+    ascending tuple deleted[k].  The maximal minors are the Plucker
+    coordinates of the right kernel up to one common factor (Harris,
+    Algebraic Geometry, lecture 6); with the unscaled kernel of
+    `_kernel` (sign s, pivot D, free columns f or f1 < f2) the factor
+    is known, and Cramer's rule gives
+      N - r = 1: minor without column i = s (-1)^(i+f) v[i],
+      N - r = 2: minor without i < j
+                 = s (-1)^(i+j+f1+f2) (v1[i] v2[j] - v1[j] v2[i]) / D,
+    where the division is exact (a remainder raises ArithmeticError).
+    Every minor is 0 when the rank is below r.
+    """
+    rank, sign, pivot, free_cols, vectors = _kernel(work)
+    if rank < len(work):
+        return [0] * len(deleted)
+    if len(free_cols) == 1:
+        (f,), (v,) = free_cols, vectors
+        return [-sign * v[i] if (i + f) & 1 else sign * v[i] for (i,) in deleted]
+    if len(free_cols) != 2:
+        raise ValueError("expected one or two more columns than rows")
+    (f1, f2), (v1, v2) = free_cols, vectors
+    out = []
+    for i, j in deleted:
+        q, rem = divmod(v1[i] * v2[j] - v1[j] * v2[i], pivot)
+        if rem:
+            raise ArithmeticError("inexact Plucker division")
+        out.append(-sign * q if (i + j + f1 + f2) & 1 else sign * q)
+    return out
 
 
 def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant by fraction-free elimination: the last Bareiss
+    pivot times the permutation sign, over the row scaling."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     work, scale = _integer_rows(m)
-    return Fraction(_integer_determinant(work), scale)
+    pivot_cols, sign = _bareiss(work)
+    if len(pivot_cols) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * work[-1][-1], scale)
 
 
 def ring_determinant(rows: Sequence[Sequence], zero):

@@ -20,7 +20,7 @@ from quadpoint.congruence import (
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly, binary_form, rank_and_kernel
+from quadpoint.exact import MultiPoly, RationalMatrix, binary_form, rank_and_kernel
 from quadpoint.formulas import (
     SurfaceInvariants,
     ThreefoldInvariants,
@@ -136,7 +136,7 @@ def _probe_lines(kind, n, seed):
                 )
                 assert residual == 0
         else:
-            _, left = rank_and_kernel(c.matrix_at(point).transpose())
+            _, left = rank_and_kernel(RationalMatrix(c.columns_at(point)))
             lam = left[0]
             rows = restricted(c, line)
             for j in range(n - 1):

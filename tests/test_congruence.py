@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +47,7 @@ from restriction import restricted
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
 def is_focal_point(c, point):
-    return rank_and_kernel(c.matrix_at(point))[0] < c.n - 1
+    return rank_and_kernel(RationalMatrix(c.columns_at(point)).transpose())[0] < c.n - 1
 
 
 def test_normalize_point():
@@ -103,7 +108,7 @@ def test_twisted_cubic_line_and_lambda():
     assert line == ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
     # lambda solves the transposed system by hand: rows evaluate to
     # (1,0), (0,0), (0,1), so only the middle row drops out.
-    _, left = rank_and_kernel(tc.matrix_at((1, 0, 0, 1)).transpose())
+    _, left = rank_and_kernel(RationalMatrix(tc.columns_at((1, 0, 0, 1))))
     assert left == ((0, 1, 0),)
 
 
@@ -267,7 +272,7 @@ def test_lambda_combination_vanishes_on_line():
         c = random_determinantal_congruence(n, 3, 9)
         point = tuple(range(2, n + 3))
         line = line_through_point_determinantal(c, point)
-        _, left = rank_and_kernel(c.matrix_at(point).transpose())
+        _, left = rank_and_kernel(RationalMatrix(c.columns_at(point)))
         lam = left[0]
         rows = restricted(c, line)
         for j in range(n - 1):
@@ -325,15 +330,15 @@ def test_linear_focal_point(n):
     assert is_focal_point(c, e2)
     with pytest.raises(FocalPointError):
         line_through_point(c, e2)
-    at = c.matrix_at(e2)
-    assert (at.rows, at.cols) == (n + 1, n - 1)
-    assert all(at.entry(k, 0) == 0 for k in range(n + 1))
+    cols = c.columns_at(e2)
+    assert [len(col) for col in cols] == [n + 1] * (n - 1)
+    assert all(x == 0 for x in cols[0])
     # Column i of A(P) is A_i * P, entry by entry.
     point = tuple(range(3, n + 4))
-    at = c.matrix_at(point)
+    cols = c.columns_at(point)
     for i, m in enumerate(c.matrices):
         for k in range(n + 1):
-            assert at.entry(k, i) == sum(m.entry(k, j) * point[j] for j in range(n + 1))
+            assert cols[i][k] == sum(m.entry(k, j) * point[j] for j in range(n + 1))
 
 
 def test_focal_test_agrees_with_line_solver():
@@ -465,6 +470,39 @@ def test_load_diagnostics():
         load_congruence("kind determinantal\nn 3\nrow 0\n1 0 0 0\n")
     with pytest.raises(ValueError):
         load_congruence("")
+
+
+def test_reimport_releases_the_old_package():
+    # typing caches every typing.Union it builds, so a Union alias of the
+    # congruence classes would keep each re-imported copy of the package
+    # alive; the benchmark re-imports it several times in one process.
+    script = textwrap.dedent(
+        """
+        import gc, importlib, sys, weakref
+
+        def load():
+            for name in [m for m in sys.modules if m.split(".")[0] == "quadpoint"]:
+                del sys.modules[name]
+            for m in ("exact", "schubert", "formulas", "congruence", "catalog", "cli"):
+                importlib.import_module("quadpoint." + m)
+            return sys.modules["quadpoint.congruence"].LinearCongruence
+
+        old = weakref.ref(load())
+        load()
+        gc.collect()
+        print(old() is None)
+        """
+    )
+    src = str(Path(congruence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "True"
 
 
 def test_comments_and_blank_lines_ignored():

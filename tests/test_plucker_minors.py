@@ -1,0 +1,126 @@
+"""The focal slice's node values against one determinant per minor.
+
+`congruence._node_minors` reads every maximal minor at a node off one
+integer kernel (Plucker duality, `exact._maximal_minors`).  The oracle
+`restriction.direct_node_minors` evaluates A at the node's point and
+takes each minor by its own Gaussian elimination over Fraction.  The
+congruences here have integer data, so the two agree value for value.
+"""
+
+import random
+from math import comb
+
+import pytest
+
+import quadpoint.congruence as congruence
+import quadpoint.exact as exact
+from quadpoint.congruence import (
+    FocalSliceReport,
+    LinearCongruence,
+    ProjLine,
+    _form_from_integer_values,
+    _node_minors,
+    focal_points_on_line,
+    line_through_point,
+    random_determinantal_congruence,
+    random_linear_congruence,
+    twisted_cubic_congruence,
+)
+from quadpoint.exact import MultiPoly, binary_gcd, seeded_skew_matrix
+from restriction import direct_node_minors
+
+KINDS = (random_linear_congruence, random_determinantal_congruence)
+
+
+def probe_line(make, n, seed):
+    c = make(n, seed, 9)
+    rng = random.Random("plucker %d %d" % (n, seed))
+    point = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+    return c, line_through_point(c, point)
+
+
+def oracle_report(c, line):
+    """The slice report built from the oracle's node values, through the
+    library's own interpolation and gcd."""
+    minors = [_form_from_integer_values(v) for v in zip(*direct_node_minors(c, line))]
+    degrees = tuple(m.total_degree() for m in minors)
+    if not any(minors):
+        return FocalSliceReport(degrees, MultiPoly.zero(2), None, True)
+    g = binary_gcd(minors)
+    return FocalSliceReport(degrees, g, g.total_degree(), False)
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_node_value_matches_a_direct_determinant(make, n):
+    for seed in (1, 2):
+        c, line = probe_line(make, n, seed)
+        values = _node_minors(c, line)
+        assert len(values) == n
+        assert values == direct_node_minors(c, line)
+
+
+def test_rank_deficient_nodes_of_the_twisted_cubic():
+    # At u = 0 the node is the curve point (1, 0, 0, 0), where A has
+    # rank 1, so every minor vanishes there.
+    tc = twisted_cubic_congruence()
+    line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
+    values = _node_minors(tc, line)
+    assert values[0] == [0, 0, 0]
+    assert values == direct_node_minors(tc, line)
+    report = focal_points_on_line(tc, line)
+    assert report.minor_degrees == (None, 2, None)
+    assert report == oracle_report(tc, line)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_line_where_every_minor_vanishes(n):
+    # A_1 = E01 - E10 kills every point of span(e2..en), so column 0 of
+    # A vanishes along a line there and A has rank below n-1 at every node.
+    a1 = [[0] * (n + 1) for _ in range(n + 1)]
+    a1[0][1], a1[1][0] = 1, -1
+    rest = [seeded_skew_matrix(n * 100 + i, n + 1, 9) for i in range(n - 2)]
+    c = LinearCongruence(n, [a1] + rest)
+    line = ProjLine([0, 0, 1] + [0] * (n - 2), [0, 0, 0, 1] + [0] * (n - 3))
+    values = _node_minors(c, line)
+    assert values == [[0] * comb(n + 1, 2)] * n
+    assert values == direct_node_minors(c, line)
+    report = focal_points_on_line(c, line)
+    assert report.focal_line and report.gcd_degree is None
+    assert report == oracle_report(c, line)
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+@pytest.mark.parametrize("n", (9, 10))
+def test_slice_report_matches_the_oracle_at_larger_n(make, n):
+    c, line = probe_line(make, n, 1)
+    report = focal_points_on_line(c, line)
+    assert report.gcd_degree == n - 1
+    assert report == oracle_report(c, line)
+
+
+def test_maximal_minors_refuses_other_shapes():
+    with pytest.raises(ValueError):
+        exact._maximal_minors([[1, 0, 0, 0]], [(1, 2, 3)])
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_one_elimination_per_node(make, monkeypatch):
+    # The slice eliminates once per interpolation node, n in all,
+    # however many minors there are (n+1 choose 2 or n).  Both module
+    # bindings of the elimination are counted.
+    calls = []
+    bareiss = exact._bareiss
+
+    def counted(work):
+        calls.append(len(work))
+        return bareiss(work)
+
+    for n in range(3, 9):
+        c, line = probe_line(make, n, 3)
+        monkeypatch.setattr(exact, "_bareiss", counted)
+        monkeypatch.setattr(congruence, "_bareiss", counted)
+        calls.clear()
+        focal_points_on_line(c, line)
+        monkeypatch.undo()
+        assert calls == [n - 1] * n

@@ -20,8 +20,10 @@ from quadpoint.catalog import VarietyRecord, parse_catalog, save_catalog  # noqa
 from quadpoint.congruence import (  # noqa: E402
     DeterminantalCongruence,
     LinearCongruence,
+    _parse_entry,
     load_congruence,
     save_congruence,
+    twisted_cubic_congruence,
 )
 from quadpoint.exact import (  # noqa: E402
     MultiPoly,
@@ -199,6 +201,48 @@ def test_congruence_text_roundtrip(c):
     else:
         assert loaded.rows == c.rows
     assert save_congruence(loaded) == text
+
+
+# What an entry of a congruence file could be made of: signs, ASCII,
+# Arabic-Indic, fullwidth and superscript digits, the separators that
+# Fraction reads, the exponent letter and whitespace.
+ENTRY_CHARS = "+-0123456789/._eE\u0663\u0664\uff11\uff12\u00b2 \t\u00a0"
+
+
+def fraction_parse(line):
+    """The entries of a line as every token was read before integer
+    tokens went to int: Fraction on each of four tokens, exponents
+    refused; None for a refused line."""
+    tokens = line.split()
+    if len(tokens) != 4 or "e" in line.lower():
+        return None
+    try:
+        return [Fraction(tok) for tok in tokens]
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def outcome(parse, tok):
+    try:
+        return parse(tok)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err)
+
+
+@settings(exact, max_examples=300)
+@given(st.text(ENTRY_CHARS, min_size=1, max_size=8))
+def test_entry_parse_agrees_with_fraction(tok):
+    if tok.split() == [tok] and "e" not in tok.lower():
+        assert outcome(_parse_entry, tok) == outcome(Fraction, tok)
+    # The same token as the first entry of row 0 of a whole file.
+    line = tok + " 0 0 1"
+    text = save_congruence(twisted_cubic_congruence()).replace("1 0 0 0", line, 1)
+    expected = fraction_parse(line)
+    if expected is None:
+        with pytest.raises(ValueError, match="line 4"):
+            load_congruence(text)
+    else:
+        assert load_congruence(text).rows[0][0] == tuple(expected)
 
 
 def test_cofactor_oracle():
