@@ -3,7 +3,8 @@
 Every subcommand is deterministic: identical argv and input files give
 byte-identical output.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success or all checks passed, 1 a verification or
-classification failed, 2 usage or input parse error.
+classification failed, 2 usage or input parse error, 3 an internal exact
+self-check failed.
 """
 
 from __future__ import annotations
@@ -512,6 +513,12 @@ def main(argv=None) -> int:
     except GenericityError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
+    except (ArithmeticError, RuntimeError) as err:
+        # An exact self-check failed (an inexact division, or a solved
+        # line that misses its probe): a fault of the program, not of
+        # the input or of a verified property.
+        print("error: internal check failed: %s" % err, file=sys.stderr)
+        return 3
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -299,12 +299,14 @@ class FocalSliceReport:
     """Outcome of slicing the defining matrix along one line.
 
     minor_degrees lists the degree of each restricted maximal minor in
-    a fixed order (None for identically zero minors); gcd_form is the
-    monic gcd of the nonzero minors, a binary form (a homogeneous
-    MultiPoly in the line coordinates s, t).  On a line of the
-    congruence the gcd degree equals n-1, the focal length.  If every
-    minor vanishes, the line lies inside the focal locus and focal_line
-    is set; gcd_form is then zero and the gcd degree is None.
+    a fixed order: n-1 if any of its node values is nonzero, None if
+    all vanish (an identically zero minor), so no minor is interpolated
+    to learn its degree.  gcd_form is the monic gcd of the nonzero
+    minors, a binary form (a homogeneous MultiPoly in the line
+    coordinates s, t).  On a line of the congruence the gcd degree
+    equals n-1, the focal length.  If every minor vanishes, the line
+    lies inside the focal locus and focal_line is set; gcd_form is then
+    zero and the gcd degree is None.
     """
 
     minor_degrees: tuple
@@ -387,24 +389,28 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     degree n-1; their gcd is the divisorial part of the focal scheme.
 
     Every restricted entry is a linear form a*s + b*t, so every maximal
-    minor is zero or a form of degree exactly n-1, and its values at
-    the n nodes (s, t) = (1, u), u = 0..n-1, determine it.  Each column
-    of the pencil is cleared of denominators once, which scales every
-    minor by one positive constant and so changes neither which minors
-    vanish, nor their degrees, nor the monic gcd.  At each node the
-    minors are the Plucker coordinates of one integer kernel: a single
-    Bareiss elimination of the transposed (n-1) x N integer matrix and
-    its back-substitution give all of them, with no determinant per
-    minor, and at a node of rank below n-1 every minor is 0 (see
-    `_node_minors`).  Exact Newton interpolation on the n nodes recovers
-    each minor.  Nothing is probabilistic or modular, and a minor whose
-    n values all vanish is the zero form.
+    minor is zero or a form of degree exactly n-1, and its integer
+    values at the n nodes (s, t) = (1, u), u = 0..n-1, determine it
+    (`_node_minors`: one Bareiss elimination per node gives every
+    minor, by Plucker duality).  The degrees are read off those values:
+    n-1 if any value is nonzero, None if all vanish.  Two forms of
+    degree n-1 are proportional exactly when their n values are, so the
+    nonzero minors fall into classes keyed by the primitive vector of
+    their values, and since the gcd ignores nonzero scalings, one exact
+    Newton interpolation per class, of a member's own integer values,
+    gives all the gcd needs.  On a congruence line every nonzero minor
+    is a multiple of the focal form: one class, one interpolation and
+    no Euclid step.  Nothing is probabilistic or modular.
     """
-    minors = [_form_from_integer_values(v) for v in zip(*_node_minors(c, line))]
-    degrees = tuple(m.total_degree() for m in minors)
-    if not any(minors):
+    columns = list(zip(*_node_minors(c, line)))
+    degrees = tuple(c.n - 1 if any(v) else None for v in columns)
+    classes = {}
+    for values in columns:
+        if any(values):
+            classes.setdefault(primitive_vector(values), values)
+    if not classes:
         return FocalSliceReport(degrees, MultiPoly.zero(2), None, True)
-    g = binary_gcd(minors)
+    g = binary_gcd([_form_from_integer_values(v) for v in classes.values()])
     return FocalSliceReport(degrees, g, g.total_degree(), False)
 
 

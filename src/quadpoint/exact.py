@@ -8,7 +8,9 @@ back-substitution.  `_kernel` in turn serves `rank_and_kernel`, the
 line solver's left kernel in `congruence`, and `_maximal_minors`, which
 reads every maximal minor of a matrix with one or two more columns
 than rows off its kernel by Plucker duality: the focal slice takes one
-elimination per interpolation node, whatever the number of minors.
+elimination per interpolation node, whatever the number of minors, and
+then one interpolation per class of proportional minors and
+`binary_gcd` over those classes only (one class on a congruence line).
 
 There is one polynomial type, `MultiPoly`; a binary form in (s, t) is
 a homogeneous two-variable one, built by `binary_form` and read back

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import quadpoint.congruence as congruence
 from quadpoint.catalog import load_builtin_catalog, save_catalog
 from quadpoint.cli import main
 from quadpoint.congruence import save_congruence, twisted_cubic_congruence
@@ -489,3 +494,56 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
     ]
     for argv, message in cases:
         assert run(capsys, argv) == (2, "", "error: %s\n" % message)
+
+
+def raise_plucker(*args):
+    raise ArithmeticError("inexact Plucker division")
+
+
+@pytest.mark.parametrize(
+    "owner, name, replacement, reason",
+    (
+        (congruence, "_maximal_minors", raise_plucker, "inexact Plucker division"),
+        # A solved line that misses its probe makes the line solver
+        # raise RuntimeError.
+        (congruence.ProjLine, "contains", lambda self, point: False, "solved line misses the probe point"),
+    ),
+    ids=("kernel", "line-solver"),
+)
+def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch, owner, name, replacement, reason):
+    path = tmp_path / "c.cong"
+    main(["construct", "--kind", "linear", "--n", "4", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    monkeypatch.setattr(owner, name, replacement)
+    code, out, err = run(capsys, ["verify", "foci", "--in", str(path), "--trials", "3", "--seed", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal check failed: %s" % reason)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def fresh_call(argv):
+    """(exit code, stdout) of one CLI call in a new interpreter."""
+    src = str(Path(congruence.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from quadpoint.cli import main; sys.exit(main(sys.argv[1:]))"]
+        + argv,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    return run.returncode, run.stdout
+
+
+def test_in_process_calls_match_fresh_calls(capsys):
+    # Failing calls must leave nothing behind that changes the calls
+    # after them in the same process.
+    argvs = (
+        ["formulas", "q", "--d", "7", "--no-such-flag"],
+        ["schubert", "pow", "--n", "5000", "--l", "2"],
+        ["formulas", "q", "--d", "7", "--pi", "4", "--chiS", "1", "--chiX", "1"],
+        ["scan", "--d", "7", "--pi-max", "10", "--chi-max", "5"],
+    )
+    in_process = [run(capsys, argv)[:2] for argv in argvs]
+    assert [code for code, _ in in_process] == [2, 2, 0, 0]
+    assert in_process == [fresh_call(argv) for argv in argvs]

@@ -5,6 +5,10 @@ integer kernel (Plucker duality, `exact._maximal_minors`).  The oracle
 `restriction.direct_node_minors` evaluates A at the node's point and
 takes each minor by its own Gaussian elimination over Fraction.  The
 congruences here have integer data, so the two agree value for value.
+
+`focal_points_on_line` interpolates one minor per class of proportional
+node values; `oracle_report` interpolates every minor and takes the gcd
+of all of them, so the two reports must be equal on every line.
 """
 
 import random
@@ -73,15 +77,22 @@ def test_rank_deficient_nodes_of_the_twisted_cubic():
     assert report == oracle_report(tc, line)
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
-def test_line_where_every_minor_vanishes(n):
-    # A_1 = E01 - E10 kills every point of span(e2..en), so column 0 of
-    # A vanishes along a line there and A has rank below n-1 at every node.
+def vanishing_minors_line(n):
+    """A linear congruence and a line on which every minor vanishes.
+
+    A_1 = E01 - E10 kills every point of span(e2..en), so column 0 of A
+    vanishes along a line there and A has rank below n-1 at every node.
+    """
     a1 = [[0] * (n + 1) for _ in range(n + 1)]
     a1[0][1], a1[1][0] = 1, -1
     rest = [seeded_skew_matrix(n * 100 + i, n + 1, 9) for i in range(n - 2)]
     c = LinearCongruence(n, [a1] + rest)
-    line = ProjLine([0, 0, 1] + [0] * (n - 2), [0, 0, 0, 1] + [0] * (n - 3))
+    return c, ProjLine([0, 0, 1] + [0] * (n - 2), [0, 0, 0, 1] + [0] * (n - 3))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_line_where_every_minor_vanishes(n):
+    c, line = vanishing_minors_line(n)
     values = _node_minors(c, line)
     assert values == [[0] * comb(n + 1, 2)] * n
     assert values == direct_node_minors(c, line)
@@ -124,3 +135,109 @@ def test_one_elimination_per_node(make, monkeypatch):
         focal_points_on_line(c, line)
         monkeypatch.undo()
         assert calls == [n - 1] * n
+
+
+def random_line(n, seed):
+    """A line through two seeded random points, in general not a line of
+    any congruence here."""
+    rng = random.Random("random line %d %d" % (n, seed))
+    while True:
+        try:
+            return ProjLine(
+                [rng.randint(-9, 9) for _ in range(n + 1)],
+                [rng.randint(-9, 9) for _ in range(n + 1)],
+            )
+        except ValueError:
+            continue
+
+
+def cubic_point_lines(count=12):
+    """Lines through (1, 0, 0, 0), a point of the twisted cubic, and a
+    seeded random point: A has rank 1 at the first node, so every minor
+    vanishes there, and the nonzero minors need not be proportional."""
+    rng = random.Random("twisted cubic point lines")
+    lines = []
+    while len(lines) < count:
+        try:
+            lines.append(
+                ProjLine((1, 0, 0, 0), [rng.randint(-9, 9) for _ in range(4)])
+            )
+        except ValueError:
+            continue
+    return lines
+
+
+def proportionality_classes(c, line):
+    """The number of classes of proportional nonzero minors, from the
+    oracle's node values and pairwise 2 x 2 cross products."""
+    reps = []
+    for values in zip(*direct_node_minors(c, line)):
+        if not any(values):
+            continue
+        if not any(
+            all(a * y == b * x for a, b in zip(rep, values) for x, y in zip(rep, values))
+            for rep in reps
+        ):
+            reps.append(values)
+    return len(reps)
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_class_path_matches_the_oracle(make, n):
+    for seed in (1, 2):
+        c, line = probe_line(make, n, seed)
+        report = focal_points_on_line(c, line)
+        assert report.gcd_degree == n - 1
+        assert report == oracle_report(c, line)
+        other = random_line(n, seed)
+        assert focal_points_on_line(c, other) == oracle_report(c, other)
+
+
+class InterpolationCounter:
+    """Counts calls of the slice's interpolation through its module
+    binding, the name `focal_points_on_line` looks up."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = congruence._form_from_integer_values
+
+        def counted(values):
+            self.calls += 1
+            return inner(values)
+
+        monkeypatch.setattr(congruence, "_form_from_integer_values", counted)
+
+    def slice(self, c, line):
+        self.calls = 0
+        report = focal_points_on_line(c, line)
+        return report, self.calls
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_one_interpolation_per_congruence_line(make, monkeypatch):
+    # Every nonzero minor on a congruence line is a multiple of the
+    # focal form, so there is one class whatever the number of minors.
+    counter = InterpolationCounter(monkeypatch)
+    for n in range(3, 9):
+        c, line = probe_line(make, n, 3)
+        report, calls = counter.slice(c, line)
+        assert report.gcd_degree == n - 1
+        assert calls == 1
+
+
+def test_one_interpolation_per_class(monkeypatch):
+    tc = twisted_cubic_congruence()
+    counter = InterpolationCounter(monkeypatch)
+    counts = []
+    for line in cubic_point_lines():
+        report, calls = counter.slice(tc, line)
+        assert report == oracle_report(tc, line)
+        assert calls == proportionality_classes(tc, line)
+        counts.append(calls)
+    # The multi-class path, several interpolations and Euclid steps,
+    # must be exercised.
+    assert max(counts) >= 2
+    # No class and no interpolation where every minor vanishes.
+    report, calls = counter.slice(*vanishing_minors_line(4))
+    assert report.focal_line and calls == 0
