@@ -226,30 +226,13 @@ class RecordVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    entries: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def entry(self, name: str) -> RecordVerdict:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def jsonable(self) -> list:
-        return [e.jsonable() for e in self.entries]
-
-
 def classify_threefolds(
     records: Sequence[VarietyRecord], multiplicity: int = 1
-) -> ClassificationReport:
+) -> tuple:
     """Select threefolds in P^5 whose secant-line congruence can have
     order one: one apparent quadruple point, vanishing 4-secant
-    residual, degree inside the focal window, and integral counts."""
+    residual, degree inside the focal window, and integral counts.
+    One RecordVerdict per record, in record order."""
     entries = []
     for r in records:
         if r.dim != 3 or r.n != 5:
@@ -267,7 +250,7 @@ def classify_threefolds(
         }
         computed = {"q": q, "a1": a1, "a2": a2, "residual": residual}
         entries.append(RecordVerdict(r.name, verdicts, computed))
-    return ClassificationReport(tuple(entries))
+    return tuple(entries)
 
 
 def multidegree_of_verdict(v: RecordVerdict) -> tuple:
@@ -279,9 +262,10 @@ def multidegree_of_verdict(v: RecordVerdict) -> tuple:
     return (1, int(a1), int(a2))
 
 
-def classify_surfaces(records: Sequence[VarietyRecord]) -> ClassificationReport:
+def classify_surfaces(records: Sequence[VarietyRecord]) -> tuple:
     """Select non-scroll surfaces in P^4 with exactly one apparent
-    triple point and degree in the admissible window 4..8."""
+    triple point and degree in the admissible window 4..8.  One
+    RecordVerdict per record, in record order."""
     entries = []
     for r in records:
         if r.dim != 2 or r.n != 4:
@@ -293,7 +277,7 @@ def classify_surfaces(records: Sequence[VarietyRecord]) -> ClassificationReport:
             "not_scroll": not r.scroll,
         }
         entries.append(RecordVerdict(r.name, verdicts, {"triple": triple}))
-    return ClassificationReport(tuple(entries))
+    return tuple(entries)
 
 
 # ----- exclusion scan -----

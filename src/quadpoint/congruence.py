@@ -477,8 +477,9 @@ def determinant_vanishes_identically(c: LinearCongruence) -> bool:
 class OrderCheckReport:
     """Aggregate outcome of probing the congruence at random points.
 
-    passed is true when every non-focal probe produced exactly one
-    line; focal probes are skipped and counted, never failed.
+    passed is true when at least one probe produced a line and every
+    non-focal probe produced exactly one; focal probes are skipped and
+    counted, never failed.
     """
 
     trials: int
@@ -489,7 +490,7 @@ class OrderCheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.successes + self.focal_skips == self.trials
+        return not self.failures and 0 < self.successes == self.trials - self.focal_skips
 
 
 def _derived_seed(seed: int, stage: int, index: int) -> int:

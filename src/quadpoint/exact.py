@@ -91,9 +91,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple:
         return self._rows[i]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self._rows))
-
     def mat_vec(self, v: Sequence) -> tuple:
         vf = [_rational(x) for x in v]
         if len(vf) != self.cols:
@@ -338,7 +335,8 @@ class MultiPoly:
 
     Terms map exponent tuples to nonzero coefficients.  Graded
     lexicographic order fixes printing, so equal polynomials render
-    identically.
+    identically.  +, - and == take polynomials in the same number of
+    variables; * also takes a rational scalar on the right.
     """
 
     __slots__ = ("nvars", "terms")
@@ -361,10 +359,6 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
@@ -385,30 +379,21 @@ class MultiPoly:
             return False
         return degree is None or degs == {degree}
 
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        return MultiPoly.constant(self.nvars, other)
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -423,8 +408,6 @@ class MultiPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
-    __rmul__ = __mul__
-
     def monic(self) -> "MultiPoly":
         """Divide by the leading coefficient in graded-lex order; zero stays zero."""
         if not self.terms:
@@ -437,14 +420,9 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True)
 
     def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.constant(self.nvars, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(self._sorted_terms())))
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         if names is None:

@@ -197,8 +197,8 @@ def test_criterion_11_focal_degree_closed_forms():
 
 def test_criterion_12_catalog_end_to_end():
     records = load_builtin_catalog()
-    report3 = classify_threefolds([r for r in records if r.dim == 3])
-    passing = {e.name for e in report3.entries if e.passed}
+    report3 = {e.name: e for e in classify_threefolds([r for r in records if r.dim == 3])}
+    passing = {name for name, e in report3.items() if e.passed}
     assert passing == {"palatini_scroll", "k3_scroll", "degree_ten_determinantal"}
     expected_md = {
         "palatini_scroll": (1, 3, 2),
@@ -206,15 +206,15 @@ def test_criterion_12_catalog_end_to_end():
         "degree_ten_determinantal": (1, 15, 20),
     }
     for name, md in expected_md.items():
-        assert multidegree_of_verdict(report3.entry(name)) == md
-    ci = report3.entry("ci_2_3_threefold")
+        assert multidegree_of_verdict(report3[name]) == md
+    ci = report3["ci_2_3_threefold"]
     assert not ci.passed
     assert [k for k, v in ci.verdicts.items() if not v]
 
-    report2 = classify_surfaces([r for r in records if r.dim == 2])
-    passing2 = {e.name for e in report2.entries if e.passed}
+    report2 = {e.name: e for e in classify_surfaces([r for r in records if r.dim == 2])}
+    passing2 = {name for name, e in report2.items() if e.passed}
     assert passing2 == {"veronese_projected", "bordiga"}
-    ci2 = report2.entry("ci_2_2_surface")
+    ci2 = report2["ci_2_2_surface"]
     assert not ci2.passed
     assert not ci2.verdicts["triple_point_one"]
 

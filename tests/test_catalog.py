@@ -81,20 +81,21 @@ def test_save_load_roundtrip():
 def test_classify_threefolds_builtin():
     records = [r for r in load_builtin_catalog() if r.dim == 3]
     report = classify_threefolds(records)
-    passing = {e.name for e in report.entries if e.passed}
+    entry = {e.name: e for e in report}
+    passing = {e.name for e in report if e.passed}
     assert passing == {"palatini_scroll", "k3_scroll", "degree_ten_determinantal"}
-    assert multidegree_of_verdict(report.entry("palatini_scroll")) == (1, 3, 2)
-    assert multidegree_of_verdict(report.entry("k3_scroll")) == (1, 7, 13)
-    assert multidegree_of_verdict(report.entry("degree_ten_determinantal")) == (
+    assert multidegree_of_verdict(entry["palatini_scroll"]) == (1, 3, 2)
+    assert multidegree_of_verdict(entry["k3_scroll"]) == (1, 7, 13)
+    assert multidegree_of_verdict(entry["degree_ten_determinantal"]) == (
         1,
         15,
         20,
     )
-    ci = report.entry("ci_2_3_threefold")
+    ci = entry["ci_2_3_threefold"]
     assert not ci.passed
     assert ci.computed["q"] == 0
     assert not ci.verdicts["quadruple_point_one"]
-    assert not report.all_pass
+    assert not all(e.passed for e in report)
 
 
 def test_classify_threefolds_rejects_wrong_shape():
@@ -108,9 +109,9 @@ def test_classify_threefolds_rejects_wrong_shape():
 def test_classify_surfaces_builtin():
     records = [r for r in load_builtin_catalog() if r.dim == 2]
     report = classify_surfaces(records)
-    passing = {e.name for e in report.entries if e.passed}
+    passing = {e.name for e in report if e.passed}
     assert passing == {"veronese_projected", "bordiga"}
-    ci = report.entry("ci_2_2_surface")
+    (ci,) = [e for e in report if e.name == "ci_2_2_surface"]
     assert ci.computed["triple"] == 0
     assert not ci.verdicts["triple_point_one"]
 
@@ -119,8 +120,7 @@ def test_scroll_flag_blocks_surface():
     scroll = VarietyRecord(
         "scrolly", 4, 2, 6, 3, chi=1, k_squared=-1, scroll=True
     )
-    report = classify_surfaces([scroll])
-    entry = report.entries[0]
+    (entry,) = classify_surfaces([scroll])
     assert entry.verdicts["triple_point_one"]
     assert not entry.verdicts["not_scroll"]
     assert not entry.passed
@@ -128,10 +128,8 @@ def test_scroll_flag_blocks_surface():
 
 def test_multiplicity_widens_degree_bound():
     low = VarietyRecord("low", 5, 3, 4, 0, chi_section=1, chi=1)
-    assert not classify_threefolds([low]).entries[0].verdicts["degree_bound"]
-    assert classify_threefolds([low], multiplicity=2).entries[0].verdicts[
-        "degree_bound"
-    ]
+    assert not classify_threefolds([low])[0].verdicts["degree_bound"]
+    assert classify_threefolds([low], multiplicity=2)[0].verdicts["degree_bound"]
 
 
 def test_scan_exclusion_frozen_lists():
@@ -242,7 +240,7 @@ def test_scan_validation():
 def test_report_json_schema():
     records = [r for r in load_builtin_catalog() if r.dim == 3]
     report = classify_threefolds(records)
-    payload = report.jsonable()
+    payload = [e.jsonable() for e in report]
     text = json.dumps(payload)
     parsed = json.loads(text)
     assert isinstance(parsed, list)
@@ -252,5 +250,3 @@ def test_report_json_schema():
         for value in item["computed"].values():
             assert set(value) == {"num", "den"}
             int(value["num"]), int(value["den"])
-    with pytest.raises(KeyError):
-        report.entry("missing")

@@ -10,7 +10,12 @@ import pytest
 import quadpoint.congruence as congruence
 from quadpoint.catalog import load_builtin_catalog, save_catalog
 from quadpoint.cli import main
-from quadpoint.congruence import save_congruence, twisted_cubic_congruence
+from quadpoint.congruence import (
+    DeterminantalCongruence,
+    LinearCongruence,
+    save_congruence,
+    twisted_cubic_congruence,
+)
 
 
 def run(capsys, argv):
@@ -79,6 +84,56 @@ def test_verify_foci_degenerate_probe_fails(capsys, tmp_path):
     }
     others = payload["trials"][:3] + payload["trials"][4:]
     assert all(set(t) == {"point", "focal_probe", "gcd_degree", "ok"} for t in others)
+
+
+# All-zero data of each kind: A(P) is zero, so every probe is focal.
+ALL_FOCAL = {
+    "linear": LinearCongruence(3, [[[0] * 4] * 4] * 2),
+    "determinantal": DeterminantalCongruence(3, [[(0,) * 4] * 2] * 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_FOCAL))
+def test_all_focal_probes_fail_verification(capsys, tmp_path, kind):
+    # Focal probes are skipped, so a run of them alone finds no line and
+    # certifies nothing: both commands fail in every format.
+    path = tmp_path / "zero.cong"
+    path.write_text(save_congruence(ALL_FOCAL[kind]))
+    probe = ["--in", str(path), "--trials", "3"]
+    counts = ["trials", 3], ["successes", 0], ["focal_skips", 3], ["unique_lines", 0]
+    assert run(capsys, ["verify", "order"] + probe) == (
+        1,
+        "".join("%s = %d\n" % (k.replace("_", " "), v) for k, v in counts)
+        + "result = fail\n",
+        "",
+    )
+    assert run(capsys, ["verify", "order"] + probe + ["--format", "tsv"]) == (
+        1,
+        "".join("%s\t%d\n" % (k, v) for k, v in counts) + "pass\tfail\n",
+        "",
+    )
+    code, out, _ = run(capsys, ["verify", "order"] + probe + ["--format", "json"])
+    assert (code, json.loads(out)) == (
+        1,
+        {**dict(counts), "failures": [], "pass": False},
+    )
+    assert run(capsys, ["verify", "foci"] + probe) == (
+        1,
+        "".join("trial %d: focal probe skipped\n" % i for i in range(3))
+        + "result = fail\n",
+        "",
+    )
+    assert run(capsys, ["verify", "foci"] + probe + ["--format", "tsv"]) == (
+        1,
+        "".join("%d\tfocal\t\n" % i for i in range(3)),
+        "",
+    )
+    code, out, _ = run(capsys, ["verify", "foci"] + probe + ["--format", "json"])
+    payload = json.loads(out)
+    assert (code, payload["pass"], payload["expected"]) == (1, False, 2)
+    assert [
+        (t["focal_probe"], t["gcd_degree"], t["ok"]) for t in payload["trials"]
+    ] == [(True, None, True)] * 3
 
 
 def test_output_is_deterministic(capsys, tmp_path):
@@ -154,6 +209,17 @@ def test_classify_builtin_fails_on_non_examples(capsys):
     assert "ci_2_3_threefold: fail [quadruple_point_one, residual_zero]" in out
     assert "ci_2_2_surface: fail [triple_point_one]" in out
     assert out.endswith("result = fail\n")
+    assert run(capsys, ["classify", "--catalog", "builtin", "--format", "tsv"]) == (
+        1,
+        "palatini_scroll\tpass\t\n"
+        "k3_scroll\tpass\t\n"
+        "degree_ten_determinantal\tpass\t\n"
+        "ci_2_3_threefold\tfail\tquadruple_point_one,residual_zero\n"
+        "veronese_projected\tpass\t\n"
+        "bordiga\tpass\t\n"
+        "ci_2_2_surface\tfail\ttriple_point_one\n",
+        "",
+    )
 
 
 def test_classify_passing_subset_exits_zero(capsys, tmp_path):
@@ -473,6 +539,8 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
     # Each value would run for hours; the limit check must come first.
     path = tmp_path / "c.cong"
     path.write_text(save_congruence(twisted_cubic_congruence()))
+    odd13 = tmp_path / "odd13.cong"
+    main(["construct", "--kind", "linear", "--n", "13", "--seed", "1", "--out", str(odd13)])
     huge, over_bound = str(10**9), str(10**19)
     trials = "trials must be <= 10000"
     bound = "bound must be <= 1000000000000000000"
@@ -491,6 +559,7 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
         (["schubert", "lincong", "--n", huge], "n must be <= 1000"),
         (["scan", "--d", "7", "--pi-max", huge, "--chi-max", "5"], "pi_max must be <= 1000"),
         (["scan", "--d", "7", "--pi-max", "10", "--chi-max", huge], "chi_max must be <= 1000"),
+        (["pfaffian", "--in", str(odd13)], "n must be <= 11"),
     ]
     for argv, message in cases:
         assert run(capsys, argv) == (2, "", "error: %s\n" % message)

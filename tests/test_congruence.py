@@ -47,7 +47,7 @@ from restriction import restricted
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
 def is_focal_point(c, point):
-    return rank_and_kernel(RationalMatrix(c.columns_at(point)).transpose())[0] < c.n - 1
+    return rank_and_kernel(RationalMatrix(zip(*c.columns_at(point))))[0] < c.n - 1
 
 
 def test_normalize_point():

@@ -103,10 +103,9 @@ def test_rank_equals_rank_of_transpose():
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = RationalMatrix(
-            [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
-        )
-        assert rank_and_kernel(m)[0] == rank_and_kernel(m.transpose())[0]
+        data = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
+        transpose = RationalMatrix(zip(*data))
+        assert rank_and_kernel(RationalMatrix(data))[0] == rank_and_kernel(transpose)[0]
 
 
 def test_rank_nullity_and_annihilation():

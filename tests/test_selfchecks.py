@@ -7,6 +7,7 @@ only tests call belongs in the tests.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import quadpoint
@@ -61,23 +62,54 @@ def test_no_bare_assert_in_package():
     assert offenders == []
 
 
+def attributes(tree):
+    """Counter of the attribute names the code refers to."""
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    )
+
+
 def test_every_public_name_is_used_outside_tests():
-    # A name is used when the package or the benchmark refers to it as
-    # an identifier; words in docstrings and comments do not count.  The
-    # benchmark also looks names up by string ("exact.ring_determinant").
+    # A function or class is used when the package or the benchmark
+    # refers to it as an identifier; words in docstrings and comments do
+    # not count.  The benchmark also looks names up by string
+    # ("exact.ring_determinant").  A method is used only when that code
+    # refers to it as an attribute outside its own class body, so a
+    # local variable or a call from a sibling method of the same name
+    # does not keep it alive.
     sources = {name: ast.parse(text) for name, text in package_sources().items()}
-    used = {i for tree in sources.values() for i in identifiers(tree)}
     benchmark = sorted(BENCHMARK.glob("*.py"))
     assert benchmark
-    for path in benchmark:
-        used.update(identifiers(ast.parse(path.read_text(encoding="utf-8")), True))
-    offenders = [
-        "%s:%d %s" % (name, node.lineno, node.name)
-        for name, tree in sources.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in ACCEPTANCE_ONLY
-        and node.name not in used
-    ]
+    benchmark = [ast.parse(path.read_text(encoding="utf-8")) for path in benchmark]
+    used = {i for tree in sources.values() for i in identifiers(tree)}
+    for tree in benchmark:
+        used.update(identifiers(tree, True))
+    attribute_uses = sum(map(attributes, [*sources.values(), *benchmark]), Counter())
+    offenders = []
+    for name, tree in sources.items():
+        methods = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            inside = attributes(cls)
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                methods.add(node)
+                if (
+                    not node.name.startswith("_")
+                    and attribute_uses[node.name] == inside[node.name]
+                ):
+                    offenders.append(
+                        "%s:%d %s.%s" % (name, node.lineno, cls.name, node.name)
+                    )
+        offenders += [
+            "%s:%d %s" % (name, node.lineno, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node not in methods
+            and not node.name.startswith("_")
+            and node.name not in ACCEPTANCE_ONLY
+            and node.name not in used
+        ]
     assert offenders == []
