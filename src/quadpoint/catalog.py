@@ -97,16 +97,6 @@ class VarietyRecord:
             if getattr(self, fieldname) is None:
                 raise ValueError("%s: missing field %s" % (self.name, fieldname))
 
-    def threefold_invariants(self) -> ThreefoldInvariants:
-        if self.dim != 3:
-            raise ValueError("%s is not a threefold" % self.name)
-        return ThreefoldInvariants(self.d, self.pi, self.chi_section, self.chi)
-
-    def surface_invariants(self) -> SurfaceInvariants:
-        if self.dim != 2:
-            raise ValueError("%s is not a surface" % self.name)
-        return SurfaceInvariants(self.d, self.pi, self.chi, self.k_squared)
-
 
 # ----- TSV parsing -----
 
@@ -237,8 +227,7 @@ def classify_threefolds(
     for r in records:
         if r.dim != 3 or r.n != 5:
             raise ValueError("%s: classify_threefolds needs dim 3, n 5" % r.name)
-        inv = r.threefold_invariants()
-        q = quadruple_points(inv)
+        q = quadruple_points(ThreefoldInvariants(r.d, r.pi, r.chi_section, r.chi))
         a1 = foursecant_scroll_degree(r.d, r.pi, r.chi_section)
         a2 = curve_foursecants(r.d, r.pi)
         residual = foursecant_constraint_residual(r.d, r.pi, r.chi_section)
@@ -270,7 +259,9 @@ def classify_surfaces(records: Sequence[VarietyRecord]) -> tuple:
     for r in records:
         if r.dim != 2 or r.n != 4:
             raise ValueError("%s: classify_surfaces needs dim 2, n 4" % r.name)
-        triple = apparent_triple_points(r.surface_invariants())
+        triple = apparent_triple_points(
+            SurfaceInvariants(r.d, r.pi, r.chi, r.k_squared)
+        )
         verdicts = {
             "triple_point_one": triple == 1,
             "degree_window": 4 <= r.d <= 8,

@@ -317,26 +317,28 @@ def _cmd_pfaffian(args):
 
 
 def _cmd_classify(args):
+    if args.multiplicity < 1:
+        raise ValueError("multiplicity must be >= 1")
     if args.catalog == "builtin":
         records = load_builtin_catalog()
     else:
         records = load_catalog(args.catalog)
-    entries = []
-    threefold_names = set()
+    threefolds = surfaces = ()
     if args.dim in (None, 3):
         selected = [r for r in records if r.dim == 3 and r.n == 5]
-        entries.extend(classify_threefolds(selected, args.multiplicity))
-        threefold_names = {e.name for e in entries}
+        threefolds = classify_threefolds(selected, args.multiplicity)
     if args.dim in (None, 2):
         selected = [r for r in records if r.dim == 2 and r.n == 4]
-        entries.extend(classify_surfaces(selected))
-    all_pass = all(e.passed for e in entries)
+        surfaces = classify_surfaces(selected)
+    entries = threefolds + surfaces
+    # A run that classifies no record checks nothing.
+    all_pass = bool(entries) and all(e.passed for e in entries)
 
     def text():
-        for e in entries:
+        for i, e in enumerate(entries):
             if not e.passed:
                 yield "%s: fail [%s]" % (e.name, ", ".join(_failed(e)))
-            elif e.name in threefold_names:
+            elif i < len(threefolds):
                 md = multidegree_of_verdict(e)
                 yield "%s: pass multidegree (%s)" % (e.name, ",".join(map(str, md)))
             else:

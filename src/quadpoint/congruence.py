@@ -418,22 +418,16 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
 
 
 def _lambda_family(c: LinearCongruence) -> list:
-    """The matrix sum(lambda_i * A_i) with entries in lambda_1..lambda_{n-1}."""
+    """The matrix sum(lambda_i * A_i) with entries in lambda_1..lambda_{n-1}:
+    entry (j, k) is the linear form with coefficient A_i[j][k] on lambda_i."""
     nvars = c.n - 1
-    size = c.n + 1
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     return [
         [
-            sum(
-                (
-                    MultiPoly.variable(nvars, i) * c.matrices[i].entry(j, k)
-                    for i in range(nvars)
-                    if c.matrices[i].entry(j, k) != 0
-                ),
-                MultiPoly.zero(nvars),
-            )
-            for k in range(size)
+            MultiPoly(nvars, {e: m.entry(j, k) for e, m in zip(units, c.matrices)})
+            for k in range(c.n + 1)
         ]
-        for j in range(size)
+        for j in range(c.n + 1)
     ]
 
 

@@ -358,11 +358,6 @@ class MultiPoly:
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars)
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exp: 1})
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -7,13 +7,20 @@ independently, straight from the skew matrices or the linear forms:
 `restricted` as a matrix of degree-1 binary forms a*s + b*t in the
 parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
 the node values of its maximal minors, one determinant per minor.
+`variable` is the coordinate polynomial the tests build other
+polynomials from.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from quadpoint.congruence import LinearCongruence
-from quadpoint.exact import binary_form
+from quadpoint.exact import MultiPoly, binary_form
+
+
+def variable(nvars, i):
+    """The polynomial x_i in nvars variables."""
+    return MultiPoly(nvars, {tuple(int(j == i) for j in range(nvars)): 1})
 
 
 def restricted(c, line):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quadpoint.congruence as congruence
-from quadpoint.catalog import load_builtin_catalog, save_catalog
+from quadpoint.catalog import TSV_COLUMNS, load_builtin_catalog, save_catalog
 from quadpoint.cli import main
 from quadpoint.congruence import (
     DeterminantalCongruence,
@@ -238,6 +238,50 @@ def test_classify_passing_subset_exits_zero(capsys, tmp_path):
     payload = json.loads(out)
     assert [item["name"] for item in payload] == ["veronese_projected", "bordiga"]
     assert all(item["pass"] for item in payload)
+
+
+def test_classify_shared_name_renders_each_kind(capsys, tmp_path):
+    # A threefold and a surface may share a name: the multidegree goes
+    # with the threefold entry only.
+    path = tmp_path / "shared.tsv"
+    path.write_text(
+        "\t".join(TSV_COLUMNS) + "\n"
+        "a1\t5\t3\t7\t4\t1\t1\t\t\t\n"
+        "a1\t4\t2\t6\t3\t\t1\t-1\t0\t\n"
+    )
+    argv = ["classify", "--catalog", str(path)]
+    assert run(capsys, argv) == (
+        0, "a1: pass multidegree (1,3,2)\na1: pass\nresult = pass\n", ""
+    )
+    assert run(capsys, argv + ["--format", "tsv"]) == (0, "a1\tpass\t\na1\tpass\t\n", "")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [(item["name"], item["pass"]) for item in payload] == [("a1", True)] * 2
+    assert set(payload[0]["computed"]) == {"q", "a1", "a2", "residual"}
+    assert set(payload[1]["computed"]) == {"triple"}
+
+
+@pytest.mark.parametrize("dims", [(), (1,)], ids=["header-only", "curves-only"])
+def test_classify_without_records_fails(capsys, tmp_path, dims):
+    # A run that classifies no record checks nothing, so it cannot pass.
+    path = tmp_path / "empty.tsv"
+    path.write_text(save_catalog([r for r in load_builtin_catalog() if r.dim in dims]))
+    argv = ["classify", "--catalog", str(path)]
+    assert run(capsys, argv) == (1, "result = fail\n", "")
+    assert run(capsys, argv + ["--format", "json"]) == (1, "[]\n", "")
+    assert run(capsys, argv + ["--format", "tsv"]) == (1, "", "")
+
+
+def test_classify_refuses_multiplicity_below_one(capsys, tmp_path):
+    # Refused for every --dim, before the catalog is read: a missing
+    # file gives the same error.
+    missing = str(tmp_path / "missing.tsv")
+    for value in ("0", "-3"):
+        for dim in ([], ["--dim", "2"], ["--dim", "3"]):
+            for catalog in ("builtin", missing):
+                argv = ["classify", "--catalog", catalog, "--multiplicity", value] + dim
+                assert run(capsys, argv) == (2, "", "error: multiplicity must be >= 1\n")
 
 
 def test_scan_text_and_tsv(capsys):

@@ -42,7 +42,7 @@ from quadpoint.exact import (
     ring_determinant,
     seeded_skew_matrix,
 )
-from restriction import restricted
+from restriction import restricted, variable
 
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
@@ -520,13 +520,32 @@ def lambda_family_rows(c):
     return [
         [
             sum(
-                (MultiPoly.variable(nvars, i) * c.matrices[i].entry(j, k) for i in range(nvars)),
+                (variable(nvars, i) * c.matrices[i].entry(j, k) for i in range(nvars)),
                 MultiPoly.zero(nvars),
             )
             for k in range(size)
         ]
         for j in range(size)
     ]
+
+
+def test_lambda_family_matches_arithmetic_oracle():
+    # The library writes each entry as one linear form; the oracle sums
+    # lambda_i * A_i[j][k] with polynomial arithmetic.  Fraction-scaled
+    # matrices as in test_rational_scaling_keeps_lines_and_slices.
+    rng = random.Random(8)
+    for n in range(3, 8):
+        c = random_linear_congruence(n, n, 9)
+        factors = [Fraction(rng.randrange(1, p), p) for p in rng.choices((2, 3, 5, 97), k=n - 1)]
+        scaled = LinearCongruence(
+            n,
+            [
+                [[x * r for x in m.row(i)] for i in range(m.rows)]
+                for m, r in zip(c.matrices, factors)
+            ],
+        )
+        for cong in (c, scaled):
+            assert congruence._lambda_family(cong) == lambda_family_rows(cong)
 
 
 def test_lambda_family_determinant_oracle():

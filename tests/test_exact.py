@@ -25,6 +25,7 @@ from quadpoint.exact import (
     ring_determinant,
     seeded_skew_matrix,
 )
+from restriction import variable
 
 
 def perm_det(rows, zero):
@@ -178,14 +179,14 @@ def test_ring_determinant_matches_permutation_oracle():
 
 
 def test_pfaffian_2x2_variable():
-    a = MultiPoly.variable(1, 0)
+    a = variable(1, 0)
     assert pfaffian([[MultiPoly.zero(1), a], [-a, MultiPoly.zero(1)]]) == a
 
 
 def test_pfaffian_4x4_generic():
     # six independent variables above the diagonal
     nv = 6
-    v = [MultiPoly.variable(nv, i) for i in range(nv)]
+    v = [variable(nv, i) for i in range(nv)]
     z = MultiPoly.zero(nv)
     a01, a02, a03, a12, a13, a23 = v
     m = [
@@ -370,8 +371,8 @@ def test_binary_coeffs_round_trip():
 
 
 def test_binary_functions_reject_non_binary_forms():
-    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    three_vars = MultiPoly.variable(3, 0)
+    s, t = variable(2, 0), variable(2, 1)
+    three_vars = variable(3, 0)
     inhomogeneous = s * s + t
     for bad in (three_vars, inhomogeneous, MultiPoly.zero(2)):
         with pytest.raises(ValueError):
@@ -385,8 +386,8 @@ def test_binary_functions_reject_non_binary_forms():
 
 
 def test_multipoly_arithmetic_and_evaluation():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
+    x = variable(2, 0)
+    y = variable(2, 1)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert value_at(p, 3, 2) == 5
@@ -396,16 +397,16 @@ def test_multipoly_arithmetic_and_evaluation():
 
 
 def test_multipoly_render_is_graded_lex():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
+    x = variable(2, 0)
+    y = variable(2, 1)
     p = y + x * x * 2 - x * y
     assert str(p) == "2*x0^2 - x0*x1 + x1"
     assert p.render(["s", "t"]) == "2*s^2 - s*t + t"
 
 
 def test_multipoly_monic():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
+    x = variable(2, 0)
+    y = variable(2, 1)
     assert MultiPoly.zero(2).monic() == MultiPoly.zero(2)
     p = y * y * 3 - x * y * Fraction(2, 5) + y * 7
     # graded lex: x0*x1 leads among the degree-2 terms
@@ -418,7 +419,7 @@ def test_multipoly_monic():
 
 def test_multipoly_rejects_mixed_variable_counts():
     with pytest.raises(ValueError):
-        MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
+        variable(2, 0) + variable(3, 0)
 
 
 # ----- random matrices and vectors -----

@@ -35,6 +35,7 @@ from quadpoint.exact import (  # noqa: E402
     pfaffian,
     primitive_vector,
 )
+from restriction import variable  # noqa: E402
 
 exact = settings(database=None, derandomize=True, max_examples=30, deadline=None)
 
@@ -246,7 +247,7 @@ def test_entry_parse_agrees_with_fraction(tok):
 
 
 def test_cofactor_oracle():
-    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    s, t = variable(2, 0), variable(2, 1)
     assert cofactor(s + t, s * s - t * t) == s - t
     assert cofactor(s + t, s * s + t * t) is None
     assert cofactor(s, t) is None
