@@ -1,7 +1,7 @@
 """quadpoint: exact-arithmetic engine for first-order line congruences.
 
 Submodules:
-    exact       rational linear algebra, Pfaffians, polynomials (binary forms too)
+    exact       rational linear algebra, Pfaffians, polynomials, binary-form gcd
     schubert    Schubert calculus for lines in P^n: Pieri products, multidegrees
     formulas    multiple-point formulas and focal-locus degree closed forms
     congruence  explicit linear and determinantal congruence constructions

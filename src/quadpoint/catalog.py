@@ -129,7 +129,7 @@ def parse_catalog(text: str) -> tuple:
         )
     records = []
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if "\t" not in line and not line.strip():
             continue
         cells = line.split("\t")
         if len(cells) != len(TSV_COLUMNS):

@@ -178,6 +178,10 @@ RATIONAL_FORMULAS = (
 
 
 def _cmd_formulas_rational(args):
+    if args.d < 1:
+        raise ValueError("degree must be >= 1")
+    if args.pi < 0:
+        raise ValueError("sectional genus must be >= 0")
     value = args.formula(*(getattr(args, flag[2:]) for flag in args.flags))
     _emit(args, [str(value)], rational_json(value))
     return 0

@@ -26,7 +26,6 @@ from .exact import (
     _kernel,
     _maximal_minors,
     _rational,
-    binary_form,
     binary_gcd,
     pfaffian,
     primitive_vector,
@@ -301,23 +300,25 @@ class FocalSliceReport:
     minor_degrees lists the degree of each restricted maximal minor in
     a fixed order: n-1 if any of its node values is nonzero, None if
     all vanish (an identically zero minor), so no minor is interpolated
-    to learn its degree.  gcd_form is the monic gcd of the nonzero
-    minors, a binary form (a homogeneous MultiPoly in the line
-    coordinates s, t).  On a line of the congruence the gcd degree
-    equals n-1, the focal length.  If every minor vanishes, the line
-    lies inside the focal locus and focal_line is set; gcd_form is then
-    zero and the gcd degree is None.
+    to learn its degree.  gcd_form is the gcd of the nonzero minors as
+    a binary form in the line coordinates (s, t): its coefficient
+    tuple, entry k that of s^(d-k) * t^k, scaled so that the first
+    nonzero entry is 1 (see `exact.binary_gcd`).  On a line of the
+    congruence the gcd degree equals n-1, the focal length.  If every
+    minor vanishes, the line lies inside the focal locus and focal_line
+    is set; gcd_form is then () and the gcd degree is None.
     """
 
     minor_degrees: tuple
-    gcd_form: MultiPoly
+    gcd_form: tuple
     gcd_degree: Optional[int]
     focal_line: bool
 
 
-def _form_from_integer_values(values: Sequence) -> MultiPoly:
-    """The integer binary form of degree d = len(values) - 1 that takes
-    the value values[u] at (s, t) = (1, u) for u = 0..d.
+def _form_from_integer_values(values: Sequence) -> list:
+    """The coefficients of the integer binary form of degree
+    d = len(values) - 1 that takes the value values[u] at (s, t) = (1, u)
+    for u = 0..d; entry k is that of s^(d-k) * t^k.
 
     Newton interpolation on the unit nodes 0..d, where the k-th divided
     difference is the k-th forward difference divided by k!.  Scaled by
@@ -344,7 +345,7 @@ def _form_from_integer_values(values: Sequence) -> MultiPoly:
     quotients = [divmod(x, d_factorial) for x in coeffs]
     if any(r for _, r in quotients):
         raise ArithmeticError("interpolated minor has non-integer coefficients")
-    return binary_form([q for q, _ in quotients])
+    return [q for q, _ in quotients]
 
 
 def _node_minors(c: Congruence, line: ProjLine) -> list:
@@ -398,9 +399,10 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     nonzero minors fall into classes keyed by the primitive vector of
     their values, and since the gcd ignores nonzero scalings, one exact
     Newton interpolation per class, of a member's own integer values,
-    gives all the gcd needs.  On a congruence line every nonzero minor
-    is a multiple of the focal form: one class, one interpolation and
-    no Euclid step.  Nothing is probabilistic or modular.
+    gives all the coefficient lists the gcd needs.  On a congruence
+    line every nonzero minor is a multiple of the focal form: one
+    class, one interpolation and no Euclid step.  Nothing is
+    probabilistic or modular.
     """
     columns = list(zip(*_node_minors(c, line)))
     degrees = tuple(c.n - 1 if any(v) else None for v in columns)
@@ -409,9 +411,9 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
         if any(values):
             classes.setdefault(primitive_vector(values), values)
     if not classes:
-        return FocalSliceReport(degrees, MultiPoly.zero(2), None, True)
+        return FocalSliceReport(degrees, (), None, True)
     g = binary_gcd([_form_from_integer_values(v) for v in classes.values()])
-    return FocalSliceReport(degrees, g, g.total_degree(), False)
+    return FocalSliceReport(degrees, g, len(g) - 1, False)
 
 
 # ----- Pfaffian of the linear family -----

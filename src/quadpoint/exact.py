@@ -12,9 +12,10 @@ elimination per interpolation node, whatever the number of minors, and
 then one interpolation per class of proportional minors and
 `binary_gcd` over those classes only (one class on a congruence line).
 
-There is one polynomial type, `MultiPoly`; a binary form in (s, t) is
-a homogeneous two-variable one, built by `binary_form` and read back
-densely by `binary_coeffs` for the gcd.
+`MultiPoly`, a sparse multivariate polynomial, is the type of the
+Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
+that of s^(d-k) * t^k, and `binary_gcd` takes and returns such
+sequences.
 
 Integral data and all elimination stay in Python `int`: matrix entries,
 polynomial coefficients and points that are integers are stored as
@@ -335,8 +336,8 @@ class MultiPoly:
 
     Terms map exponent tuples to nonzero coefficients.  Graded
     lexicographic order fixes printing, so equal polynomials render
-    identically.  +, - and == take polynomials in the same number of
-    variables; * also takes a rational scalar on the right.
+    identically.  +, -, * and == take polynomials in the same number of
+    variables.
     """
 
     __slots__ = ("nvars", "terms")
@@ -353,10 +354,6 @@ class MultiPoly:
                 raise ValueError("bad exponent tuple %r" % (exp,))
             clean[e] = clean[e] + c if e in clean else c
         self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
 
     def __bool__(self):
         return bool(self.terms)
@@ -392,8 +389,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _rational(other)
-            return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
         out = {}
@@ -402,13 +398,6 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
-
-    def monic(self) -> "MultiPoly":
-        """Divide by the leading coefficient in graded-lex order; zero stays zero."""
-        if not self.terms:
-            return self
-        lead = self.terms[max(self.terms, key=lambda e: (sum(e), e))]
-        return self if lead == 1 else self * Fraction(1, lead)
 
     def _sorted_terms(self):
         # graded lex, highest first
@@ -454,90 +443,52 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.render()
 
 
-def binary_form(coeffs: Sequence) -> MultiPoly:
-    """The binary form sum_k coeffs[k] * s^(d-k) * t^k, d = len(coeffs) - 1,
-    as a homogeneous MultiPoly in (s, t)."""
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    d = len(coeffs) - 1
-    return MultiPoly(2, {(d - k, k): c for k, c in enumerate(coeffs)})
-
-
-def binary_coeffs(f: MultiPoly) -> list:
-    """Dense coefficients of a nonzero binary form: entry k belongs to
-    s^(d-k) * t^k, d the degree."""
-    if not isinstance(f, MultiPoly) or f.nvars != 2 or not f or not f.is_homogeneous():
-        raise ValueError("expected a nonzero homogeneous form in two variables")
-    out = [0] * (f.total_degree() + 1)
-    for (_, k), c in f.terms.items():
-        out[k] = c
-    return out
-
-
-def _binary_core(f: MultiPoly) -> tuple:
-    """(t-valuation, s-valuation, dense u-polynomial coeffs) with u = t/s.
-
-    The u-polynomial has nonzero constant and leading terms.
-    """
-    cs = binary_coeffs(f)
-    nonzero = [k for k, c in enumerate(cs) if c]
-    first, last = nonzero[0], nonzero[-1]
-    return first, len(cs) - 1 - last, cs[first : last + 1]
-
-
 def _upoly_normalize(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _upoly_divmod(f: Sequence, g: Sequence) -> tuple:
-    """Dense little-endian division of rational univariate polynomials."""
-    f = _upoly_normalize([_rational(x) for x in f])
-    g = _upoly_normalize([_rational(x) for x in g])
-    if not g:
-        raise ZeroDivisionError
-    if len(f) < len(g):
-        return [], f
-    q = [0] * (len(f) - len(g) + 1)
+def _upoly_rem(f: list, g: list) -> list:
+    """Remainder of dense little-endian rational polynomials f by g,
+    where g has a nonzero leading coefficient."""
     rem = list(f)
     lead = Fraction(g[-1])
     for k in range(len(f) - len(g), -1, -1):
         coeff = rem[k + len(g) - 1] / lead
-        q[k] = coeff
         if coeff:
             for j, gc in enumerate(g):
                 rem[k + j] -= coeff * gc
-    return q, _upoly_normalize(rem)
+    return _upoly_normalize(rem)
 
 
-def _upoly_gcd(f: Sequence, g: Sequence) -> list:
-    a = _upoly_normalize([_rational(x) for x in f])
-    b = _upoly_normalize([_rational(x) for x in g])
-    while b:
-        _, r = _upoly_divmod(a, b)
-        a, b = b, r
-    return a
+def binary_gcd(forms: Sequence[Sequence]) -> tuple:
+    """Gcd of binary forms given by their coefficients, entry k that of
+    s^(d-k) * t^k; zero forms are ignored.
 
-
-def binary_gcd(forms: Sequence[MultiPoly]) -> MultiPoly:
-    """Monic gcd of the nonzero binary forms; zero forms are ignored.
-
-    Powers of t and s are tracked separately so the Euclid step runs on
-    dehomogenizations with nonzero constant and leading coefficients.
+    The result is a coefficient tuple whose first nonzero entry is 1,
+    or () when every form is zero.  Euclid runs on the dehomogenizations
+    in u = t/s, where a power of t is a power of u; only the trailing
+    zero coefficients, the power of s (roots at infinity), are tracked
+    apart.
     """
-    forms = list(forms)
+    forms = [[_rational(x) for x in f] for f in forms]
     if not forms:
         raise ValueError("empty input")
-    cores = [_binary_core(f) for f in forms if f]
-    if not cores:
-        return MultiPoly.zero(2)
-    core = cores[0][2]
-    for _, _, other in cores[1:]:
-        core = _upoly_gcd(core, other)
-    t_val = min(a for a, _, _ in cores)
-    s_val = min(b for _, b, _ in cores)
-    return binary_form([0] * t_val + core + [0] * s_val).monic()
+    core, s_vals = [], []
+    for f in forms:
+        d = len(f)
+        a = _upoly_normalize(f)
+        if a:
+            s_vals.append(d - len(a))
+            b = core
+            while b:
+                a, b = b, _upoly_rem(a, b)
+            core = a
+    if not s_vals:
+        return ()
+    lead = next(c for c in core if c)
+    return tuple(_rational(Fraction(c, lead)) for c in core) + (0,) * min(s_vals)
 
 
 def seeded_skew_matrix(seed: int, size: int, bound: int) -> RationalMatrix:

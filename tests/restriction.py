@@ -9,18 +9,61 @@ parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
 the node values of its maximal minors, one determinant per minor.
 `variable` is the coordinate polynomial the tests build other
 polynomials from.
+
+The library keeps a binary form as its coefficient tuple, entry k that
+of s^(d-k) * t^k.  The oracles build binary forms as homogeneous
+`MultiPoly`s in (s, t) instead, with `binary_form`, and read them back
+with `binary_coeffs`; `normalized` scales coefficients the way
+`exact.binary_gcd` does, and `scaled` multiplies a polynomial by a
+rational number.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from quadpoint.congruence import LinearCongruence
-from quadpoint.exact import MultiPoly, binary_form
+from quadpoint.exact import MultiPoly
 
 
 def variable(nvars, i):
     """The polynomial x_i in nvars variables."""
     return MultiPoly(nvars, {tuple(int(j == i) for j in range(nvars)): 1})
+
+
+def scaled(f, c):
+    """The polynomial c * f for a rational number c."""
+    return MultiPoly(f.nvars, {e: k * c for e, k in f.terms.items()})
+
+
+def binary_form(coeffs):
+    """The binary form sum_k coeffs[k] * s^(d-k) * t^k, d = len(coeffs) - 1,
+    as a homogeneous MultiPoly in (s, t)."""
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    d = len(coeffs) - 1
+    return MultiPoly(2, {(d - k, k): c for k, c in enumerate(coeffs)})
+
+
+def binary_coeffs(f):
+    """Dense coefficients of a nonzero binary form: entry k belongs to
+    s^(d-k) * t^k, d the degree."""
+    if not isinstance(f, MultiPoly) or f.nvars != 2 or not f or not f.is_homogeneous():
+        raise ValueError("expected a nonzero homogeneous form in two variables")
+    out = [0] * (f.total_degree() + 1)
+    for (_, k), c in f.terms.items():
+        out[k] = c
+    return out
+
+
+def normalized(f):
+    """The coefficient tuple of a binary form (a MultiPoly or a coefficient
+    sequence) divided by its first nonzero entry; () for the zero form."""
+    if isinstance(f, MultiPoly):
+        f = binary_coeffs(f) if f else ()
+    nonzero = [c for c in f if c]
+    if not nonzero:
+        return ()
+    return tuple(Fraction(c) / nonzero[0] for c in f)
 
 
 def restricted(c, line):

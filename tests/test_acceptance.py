@@ -20,7 +20,7 @@ from quadpoint.congruence import (
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly, RationalMatrix, binary_form, rank_and_kernel
+from quadpoint.exact import MultiPoly, RationalMatrix, rank_and_kernel
 from quadpoint.formulas import (
     SurfaceInvariants,
     ThreefoldInvariants,
@@ -43,7 +43,7 @@ from quadpoint.schubert import (
     sigma1_power_closed,
     sigma1_power_iterative,
 )
-from restriction import restricted
+from restriction import restricted, scaled
 
 THREEFOLDS = (
     ThreefoldInvariants(7, 4, 1, 1),
@@ -140,10 +140,10 @@ def _probe_lines(kind, n, seed):
             lam = left[0]
             rows = restricted(c, line)
             for j in range(n - 1):
-                combo = MultiPoly.zero(2)
+                combo = MultiPoly(2)
                 for i in range(n):
-                    combo = combo + rows[i][j] * lam[i]
-                assert combo == MultiPoly.zero(2)
+                    combo = combo + scaled(rows[i][j], lam[i])
+                assert combo == MultiPoly(2)
         lines.append((c, line))
     return lines
 
@@ -170,7 +170,7 @@ def test_criterion_09_focal_length_on_probe_lines():
     line = line_through_point(tc, (1, 0, 0, 1))
     report = focal_points_on_line(tc, line)
     assert report.minor_degrees == (None, 2, None)
-    assert report.gcd_form == binary_form([0, 1, 0])
+    assert report.gcd_form == (0, 1, 0)
     assert report.gcd_degree == 2
 
 

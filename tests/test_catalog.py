@@ -67,6 +67,12 @@ def test_parse_diagnostics():
         parse_catalog(HEADER + "\n" + "x\t5\t3\t7\t\t1\t1\t\t\t\n")
     with pytest.raises(ValueError, match="line 2: .*dim"):
         parse_catalog(HEADER + "\n" + "x\t5\t2\t7\t4\t1\t1\t\t\t\n")
+    # str.strip removes tabs, but a line with a tab is a record, not a
+    # blank line; blank lines without one are skipped.
+    for blank, message in (("\t" * 9, "line 3, column n: required"), (" \t ", "line 3: expected 10")):
+        with pytest.raises(ValueError, match=message):
+            parse_catalog(HEADER + "\n" + row + "\n" + blank + "\n" + row + "\n")
+    assert len(parse_catalog(HEADER + "\n" + row + "\n\n   \n" + row + "\n")) == 2
 
 
 def test_header_only_catalog_is_empty():

@@ -13,6 +13,7 @@ from quadpoint.cli import main
 from quadpoint.congruence import (
     DeterminantalCongruence,
     LinearCongruence,
+    random_linear_congruence,
     save_congruence,
     twisted_cubic_congruence,
 )
@@ -365,8 +366,7 @@ def test_order_failure_exit_code(capsys, tmp_path):
 
 
 FORMULAS_HELP = """\
-usage: quadpoint formulas [-h]
-                          {q,h,a1,a2,residual,triple,double,focal-degree} ...
+usage: quadpoint formulas [-h] {q,h,a1,a2,residual,triple,double,focal-degree} ...
 
 positional arguments:
   {q,h,a1,a2,residual,triple,double,focal-degree}
@@ -394,24 +394,24 @@ options:
 FORMULAS_GOLDEN = (
     (
         "q",
-        "usage: quadpoint formulas q [-h] [--format {text,json,tsv}] --d D --pi PI\n"
-        "                            --chiS CHIS --chiX CHIX\n",
+        "usage: quadpoint formulas q [-h] [--format {text,json,tsv}] --d D --pi PI"
+        " --chiS CHIS --chiX CHIX\n",
         "  --d D\n  --pi PI\n  --chiS CHIS\n  --chiX CHIX\n",
         ["--d", "9", "--pi", "6", "--chiS", "3", "--chiX", "2"],
         "39",
     ),
     (
         "h",
-        "usage: quadpoint formulas h [-h] [--format {text,json,tsv}] --d D --pi PI\n"
-        "                            --chi CHI\n",
+        "usage: quadpoint formulas h [-h] [--format {text,json,tsv}] --d D --pi PI"
+        " --chi CHI\n",
         "  --d D\n  --pi PI\n  --chi CHI\n",
         ["--d", "9", "--pi", "7", "--chi", "1"],
         "5",
     ),
     (
         "a1",
-        "usage: quadpoint formulas a1 [-h] [--format {text,json,tsv}] --d D --pi PI\n"
-        "                             --chi CHI\n",
+        "usage: quadpoint formulas a1 [-h] [--format {text,json,tsv}] --d D --pi PI"
+        " --chi CHI\n",
         "  --d D\n  --pi PI\n  --chi CHI\n",
         ["--d", "9", "--pi", "7", "--chi", "1"],
         "21",
@@ -425,16 +425,16 @@ FORMULAS_GOLDEN = (
     ),
     (
         "residual",
-        "usage: quadpoint formulas residual [-h] [--format {text,json,tsv}] --d D --pi\n"
-        "                                   PI --chi CHI\n",
+        "usage: quadpoint formulas residual [-h] [--format {text,json,tsv}] --d D --pi PI"
+        " --chi CHI\n",
         "  --d D\n  --pi PI\n  --chi CHI\n",
         ["--d", "6", "--pi", "2", "--chi", "1"],
         "-3",
     ),
     (
         "triple",
-        "usage: quadpoint formulas triple [-h] [--format {text,json,tsv}] --d D --pi PI\n"
-        "                                 --chi CHI --K2 K2\n",
+        "usage: quadpoint formulas triple [-h] [--format {text,json,tsv}] --d D --pi PI"
+        " --chi CHI --K2 K2\n",
         "  --d D\n  --pi PI\n  --chi CHI\n  --K2 K2\n",
         ["--d", "9", "--pi", "7", "--chi", "1", "--K2", "2"],
         "22",
@@ -443,8 +443,11 @@ FORMULAS_GOLDEN = (
 
 
 def test_formulas_golden_output(capsys, monkeypatch):
-    # argparse wraps help text to the terminal width it reads from COLUMNS.
-    monkeypatch.setenv("COLUMNS", "80")
+    # argparse wraps help text to the terminal width it reads from COLUMNS,
+    # and where it breaks a long usage line differs between Python
+    # versions.  At 200 columns no usage line wraps, and the help text is
+    # the same from Python 3.10 to 3.13.
+    monkeypatch.setenv("COLUMNS", "200")
     assert run(capsys, ["formulas", "-h"]) == (0, FORMULAS_HELP, "")
     for name, usage, flags, argv, value in FORMULAS_GOLDEN:
         expected_help = usage + "\n" + FORMAT_HELP + flags
@@ -457,6 +460,23 @@ def test_formulas_golden_output(capsys, monkeypatch):
         for fmt, out in outputs.items():
             assert run(capsys, ["formulas", name] + argv + ["--format", fmt]) == (0, out, "")
         assert run(capsys, ["formulas", name] + argv) == (0, value + "\n", "")
+
+
+def test_formulas_refuse_impossible_invariants(capsys):
+    # Every formula takes --d and --pi first; a degree below 1 or a
+    # negative sectional genus describes no variety.
+    rows = [(name, argv) for name, _, _, argv, _ in FORMULAS_GOLDEN]
+    rows.append(("double", ["--d", "9", "--pi", "6", "--chiS", "3", "--chiX", "2"]))
+    for name, argv in rows:
+        for flag, value, message in (
+            ("--d", "0", "degree must be >= 1"),
+            ("--pi", "-1", "sectional genus must be >= 0"),
+        ):
+            bad = list(argv)
+            bad[bad.index(flag) + 1] = value
+            for fmt in ("text", "json", "tsv"):
+                argv_fmt = ["formulas", name] + bad + ["--format", fmt]
+                assert run(capsys, argv_fmt) == (2, "", "error: %s\n" % message)
 
 
 # (argv, exit code, stdout per format); {path} names a congruence file.
@@ -561,18 +581,45 @@ def test_save_catalog_reproduces_builtin_tsv():
 
 def test_bad_n_line_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.cong"
-    for token in ("--5", "²"):
+    for token, message in (
+        ("--5", "expected 'n <integer>'"),
+        ("²", "expected 'n <integer>'"),
+        ("2", "n must be >= 3"),
+    ):
         path.write_text("kind linear\nn %s\n" % token, encoding="utf-8")
         code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
-        assert (code, out, err) == (2, "", "error: line 2: expected 'n <integer>'\n")
+        assert (code, out, err) == (2, "", "error: line 2: %s\n" % message)
+
+
+def test_malformed_catalog_exits_two(capsys, tmp_path):
+    header = "\t".join(TSV_COLUMNS)
+    valid = "palatini_scroll\t5\t3\t7\t4\t1\t1\t\t\tscroll"
+    path = tmp_path / "bad.tsv"
+    for text, message in (
+        ("", "line 1: missing header"),
+        ("\t5\t3\t7\t4\t1\t1\t\t\t", "line 2: record needs a name"),
+        ("x\t2\t0\t7\t4\t1\t1\t\t\t", "line 2: x: n must be >= 3"),
+        ("x\t5\t3\t7\t-1\t1\t1\t\t\t", "line 2: x: sectional genus must be >= 0"),
+        # a row of ten empty cells is a record, not a blank line
+        (valid + "\n" + "\t" * 9 + "\n" + valid, "line 3, column n: required"),
+    ):
+        path.write_text(header + "\n" + text + "\n" if text else "")
+        for dim in ([], ["--dim", "3"]):
+            code, out, err = run(capsys, ["classify", "--catalog", str(path)] + dim)
+            assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_truncated_file_names_its_last_line(capsys, tmp_path):
     path = tmp_path / "short.cong"
-    head = "".join(save_congruence(twisted_cubic_congruence()).splitlines(True)[:4])
+    cubic = save_congruence(twisted_cubic_congruence())
+    head = "".join(cubic.splitlines(True)[:4])
+    linear = save_congruence(random_linear_congruence(3, 1, 9))
     for text, message in (
         ("kind linear\n", "line 1: truncated congruence file"),
         (head + "\n# end\n", "line 6: unexpected end of file: expected 4 entries"),
+        # blocks out of order
+        (linear.replace("matrix 0", "matrix 1"), "line 3: expected 'matrix 0', got 'matrix 1'"),
+        (cubic.replace("row 1", "row 2"), "line 6: expected 'row 1', got 'row 2'"),
     ):
         path.write_text(text)
         code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
@@ -604,6 +651,15 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
         (["scan", "--d", "7", "--pi-max", huge, "--chi-max", "5"], "pi_max must be <= 1000"),
         (["scan", "--d", "7", "--pi-max", "10", "--chi-max", huge], "chi_max must be <= 1000"),
         (["pfaffian", "--in", str(odd13)], "n must be <= 11"),
+    ]
+    # below the range, refused the same way
+    cases += [
+        (["construct", "--kind", kind, "--n", "3", "--seed", "1", "--bound", "0"], "bound must be >= 1")
+        for kind in ("linear", "determinantal")
+    ]
+    cases += [
+        (["verify", sub, "--in", str(path), "--bound", "0"], "bound must be >= 1")
+        for sub in ("order", "foci")
     ]
     for argv, message in cases:
         assert run(capsys, argv) == (2, "", "error: %s\n" % message)

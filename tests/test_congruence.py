@@ -36,13 +36,11 @@ from quadpoint.congruence import (
 from quadpoint.exact import (
     MultiPoly,
     RationalMatrix,
-    binary_coeffs,
-    binary_form,
     rank_and_kernel,
     ring_determinant,
     seeded_skew_matrix,
 )
-from restriction import restricted, variable
+from restriction import normalized, restricted, scaled, variable
 
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
@@ -97,6 +95,11 @@ def test_projline_validation():
         ProjLine((0, 0, 0, 0), (1, 0, 0, 0))
     with pytest.raises(ValueError):
         ProjLine((1, 0, 0), (0, 1, 0, 0))
+    # a point of another dimension is not on the line
+    line = ProjLine((1, 0, 0, 0), (0, 1, 0, 0))
+    assert line.contains((1, 1, 0, 0))
+    assert not line.contains((1, 0, 0))
+    assert not line.contains((1, 0, 0, 0, 0))
 
 
 # ----- twisted cubic fixtures -----
@@ -117,7 +120,7 @@ def test_twisted_cubic_focal_slice():
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
     rep = focal_points_on_line(tc, line)
     assert rep.minor_degrees == (None, 2, None)
-    assert rep.gcd_form == binary_form([0, 1, 0])
+    assert rep.gcd_form == (0, 1, 0)
     assert rep.gcd_degree == 2
     assert not rep.focal_line
     # s*t vanishes at (s, t) = (1, 0) and (0, 1): the points p0 and p1.
@@ -143,7 +146,7 @@ def test_secant_line_gcd_roots_are_curve_points():
     assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 1, 1, 1))
     assert rep.gcd_degree == 2
     # s*t - t^2 vanishes at (s, t) = (1, 0) and (1, 1): p0 and p0 + p1.
-    assert rep.gcd_form == binary_form([0, 1, -1])
+    assert rep.gcd_form == (0, 1, -1)
     assert is_focal_point(tc, line.p0)
     assert is_focal_point(tc, [x + y for x, y in zip(line.p0, line.p1)])
 
@@ -226,7 +229,7 @@ def test_rational_scaling_keeps_lines_and_slices():
     # Scaling each A_i (linear) or each row of linear forms
     # (determinantal) by a positive rational scales rows of A(P) and of
     # the combined forms, so the kernels, the line and the focal slice
-    # (minors up to a positive factor, monic gcd) are unchanged.
+    # (minors up to a positive factor, normalised gcd) are unchanged.
     rng = random.Random(8)
     for n in (3, 4, 5, 6):
         factors = [Fraction(rng.randrange(1, p), p) for p in rng.choices((2, 3, 5, 97), k=n)]
@@ -276,10 +279,10 @@ def test_lambda_combination_vanishes_on_line():
         lam = left[0]
         rows = restricted(c, line)
         for j in range(n - 1):
-            combo = MultiPoly.zero(2)
+            combo = MultiPoly(2)
             for i in range(n):
-                combo = combo + rows[i][j] * lam[i]
-            assert combo == MultiPoly.zero(2)
+                combo = combo + scaled(rows[i][j], lam[i])
+            assert combo == MultiPoly(2)
 
 
 def test_focal_gcd_degree_on_congruence_lines():
@@ -305,7 +308,7 @@ def test_gcd_invariant_under_reparametrization():
         rep = focal_points_on_line(c, line)
         swapped = focal_points_on_line(c, ProjLine(line.p1, line.p0))
         assert rep.gcd_degree == swapped.gcd_degree == n - 1
-        reversed_gcd = binary_form(binary_coeffs(rep.gcd_form)[::-1]).monic()
+        reversed_gcd = normalized(rep.gcd_form[::-1])
         assert swapped.gcd_form == reversed_gcd
 
 
@@ -520,8 +523,8 @@ def lambda_family_rows(c):
     return [
         [
             sum(
-                (variable(nvars, i) * c.matrices[i].entry(j, k) for i in range(nvars)),
-                MultiPoly.zero(nvars),
+                (scaled(variable(nvars, i), c.matrices[i].entry(j, k)) for i in range(nvars)),
+                MultiPoly(nvars),
             )
             for k in range(size)
         ]
@@ -553,11 +556,11 @@ def test_lambda_family_determinant_oracle():
     # relies on, checked against a full symbolic expansion.
     for seed in (1, 2, 3):
         even = random_linear_congruence(4, seed, 9)
-        det = ring_determinant(lambda_family_rows(even), MultiPoly.zero(3))
-        assert det == MultiPoly.zero(3)
+        det = ring_determinant(lambda_family_rows(even), MultiPoly(3))
+        assert det == MultiPoly(3)
         assert determinant_vanishes_identically(even)
         odd = random_linear_congruence(3, seed, 9)
-        det = ring_determinant(lambda_family_rows(odd), MultiPoly.zero(2))
+        det = ring_determinant(lambda_family_rows(odd), MultiPoly(2))
         pf = pfaffian_polynomial(odd)
         assert det == pf * pf
         assert not determinant_vanishes_identically(odd)

@@ -15,8 +15,6 @@ import pytest
 from quadpoint.exact import (
     MultiPoly,
     RationalMatrix,
-    binary_coeffs,
-    binary_form,
     binary_gcd,
     determinant,
     pfaffian,
@@ -25,7 +23,7 @@ from quadpoint.exact import (
     ring_determinant,
     seeded_skew_matrix,
 )
-from restriction import variable
+from restriction import binary_coeffs, binary_form, normalized, variable
 
 
 def perm_det(rows, zero):
@@ -44,16 +42,21 @@ def perm_det(rows, zero):
 
 
 def form_from_roots(roots):
-    """Product of the linear forms t0*s - s0*t over the given roots."""
+    """Coefficients of the product of the linear forms t0*s - s0*t over
+    the given roots."""
     out = binary_form([1])
     for s0, t0 in roots:
         out = out * binary_form([t0, -s0])
-    return out
+    return binary_coeffs(out)
 
 
-def value_at(f, s, t):
-    """f(s, t) from the dense coefficients of the binary form f."""
-    cs = binary_coeffs(f)
+def form_product(f, g):
+    """Coefficients of the product of two binary forms."""
+    return binary_coeffs(binary_form(f) * binary_form(g))
+
+
+def value_at(cs, s, t):
+    """The value at (s, t) of the binary form with coefficients cs."""
     return sum(c * s ** (len(cs) - 1 - k) * t**k for k, c in enumerate(cs))
 
 
@@ -171,7 +174,7 @@ def test_ring_determinant_matches_permutation_oracle():
             ]
             for _ in range(n)
         ]
-        zero = MultiPoly.zero(2)
+        zero = MultiPoly(2)
         assert ring_determinant(rows, zero) == perm_det(rows, zero)
 
 
@@ -180,14 +183,14 @@ def test_ring_determinant_matches_permutation_oracle():
 
 def test_pfaffian_2x2_variable():
     a = variable(1, 0)
-    assert pfaffian([[MultiPoly.zero(1), a], [-a, MultiPoly.zero(1)]]) == a
+    assert pfaffian([[MultiPoly(1), a], [-a, MultiPoly(1)]]) == a
 
 
 def test_pfaffian_4x4_generic():
     # six independent variables above the diagonal
     nv = 6
     v = [variable(nv, i) for i in range(nv)]
-    z = MultiPoly.zero(nv)
+    z = MultiPoly(nv)
     a01, a02, a03, a12, a13, a23 = v
     m = [
         [z, a01, a02, a03],
@@ -211,7 +214,7 @@ def test_pfaffian_squared_is_determinant_integers():
 def test_pfaffian_squared_is_determinant_polynomials():
     rng = random.Random(17)
     for size in (2, 4, 6):
-        rows = [[MultiPoly.zero(2) for _ in range(size)] for _ in range(size)]
+        rows = [[MultiPoly(2) for _ in range(size)] for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
                 p = MultiPoly(
@@ -219,7 +222,7 @@ def test_pfaffian_squared_is_determinant_polynomials():
                 )
                 rows[i][j] = p
                 rows[j][i] = -p
-        assert pfaffian(rows) * pfaffian(rows) == perm_det(rows, MultiPoly.zero(2))
+        assert pfaffian(rows) * pfaffian(rows) == perm_det(rows, MultiPoly(2))
 
 
 def expansion_pfaffian(rows, idx=None):
@@ -248,7 +251,7 @@ def test_pfaffian_matches_expansion_oracle():
             assert pfaffian(rows) ** 2 == determinant(m)
     rng = random.Random(23)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    rows = [[MultiPoly.zero(3) for _ in range(8)] for _ in range(8)]
+    rows = [[MultiPoly(3) for _ in range(8)] for _ in range(8)]
     for i in range(8):
         for j in range(i + 1, 8):
             p = MultiPoly(3, {e: rng.randint(-3, 3) for e in units})
@@ -272,7 +275,7 @@ def test_pfaffian_frees_its_memo_on_return():
 
 
 def test_pfaffian_zero_matrix():
-    z = MultiPoly.zero(1)
+    z = MultiPoly(1)
     assert pfaffian([[z, z], [z, z]]) == z
 
 
@@ -297,14 +300,13 @@ def test_odd_skew_determinant_is_zero():
 
 
 def test_binary_gcd_ignores_zero_forms():
-    st = binary_form([0, 1, 0])
-    zero = MultiPoly.zero(2)
-    g = binary_gcd([st, zero, zero])
+    st = (0, 1, 0)
+    g = binary_gcd([st, [0, 0], [0]])
     assert g == st
 
 
 def test_binary_gcd_all_zero():
-    assert binary_gcd([MultiPoly.zero(2), MultiPoly.zero(2)]) == MultiPoly.zero(2)
+    assert binary_gcd([[0, 0], [0], ()]) == ()
 
 
 def test_binary_gcd_empty_input_rejected():
@@ -316,14 +318,14 @@ def test_binary_gcd_shared_factor():
     f1 = form_from_roots([(1, 1), (1, 1), (0, 1)])  # (s-t)^2 * s
     f2 = form_from_roots([(1, 1), (0, 1), (0, 1)])  # (s-t) * s^2
     g = binary_gcd([f1, f2])
-    assert g == form_from_roots([(1, 1), (0, 1)]).monic()
-    assert g.total_degree() == 2
+    assert g == normalized(form_from_roots([(1, 1), (0, 1)]))
+    assert len(g) - 1 == 2
 
 
 def test_binary_gcd_coprime_forms():
-    g = binary_gcd([binary_form([1, 0, 0]), binary_form([0, 0, 1])])
-    assert g.total_degree() == 0
-    assert g == binary_form([1])
+    g = binary_gcd([[1, 0, 0], [0, 0, 1]])
+    assert len(g) - 1 == 0
+    assert g == (1,)
 
 
 def test_binary_gcd_scaling_invariance():
@@ -335,9 +337,9 @@ def test_binary_gcd_scaling_invariance():
         base = binary_gcd([f1, f2])
         c1 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         c2 = Fraction(-rng.randint(1, 9), rng.randint(1, 9))
-        scaled = binary_gcd([f1 * c1, f2 * c2])
-        assert scaled.total_degree() == base.total_degree()
-        assert scaled == base  # monic output is scale-free entirely
+        scaled = binary_gcd([[c1 * x for x in f1], [c2 * x for x in f2]])
+        assert len(scaled) == len(base)
+        assert scaled == base  # normalised output is scale-free entirely
 
 
 def test_binary_gcd_divides_inputs_and_quotients_coprime():
@@ -346,11 +348,35 @@ def test_binary_gcd_divides_inputs_and_quotients_coprime():
         shared = [(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
         # distinct extra roots keep the quotients coprime
         quots = [form_from_roots([(5 + 3 * k, 1)]) for k in range(3)]
-        forms = [form_from_roots(shared) * q for q in quots]
+        forms = [form_product(form_from_roots(shared), q) for q in quots]
         g = binary_gcd(forms)
         for f, q in zip(forms, quots):
-            assert (g * q).monic() == f.monic()
-        assert binary_gcd(quots).total_degree() == 0
+            assert normalized(form_product(g, q)) == normalized(f)
+        assert len(binary_gcd(quots)) - 1 == 0
+
+
+def test_binary_gcd_normalises_first_coefficient_to_one():
+    # The first nonzero entry, that of the highest power of s, becomes 1;
+    # integral entries come back as int.
+    assert binary_gcd([[0, -4, 2]]) == (0, 1, Fraction(-1, 2))
+    assert binary_gcd([[6, 4, 0]]) == (1, Fraction(2, 3), 0)
+    g = binary_gcd([[Fraction(-3, 7), Fraction(6, 7)], [2, -4]])
+    assert g == (1, -2)
+    assert [type(c) for c in g] == [int, int]
+    rng = random.Random(13)
+    for _ in range(20):
+        f = [random_rational(rng) for _ in range(rng.randint(1, 6))]
+        if any(f):
+            g = binary_gcd([f])
+            assert g == normalized(f)
+            assert next(c for c in g if c) == 1
+
+
+def test_binary_gcd_rejects_float_entries():
+    with pytest.raises(TypeError):
+        binary_gcd([[1, 0.5]])
+    with pytest.raises(TypeError):
+        binary_gcd([[1, 1], [0.0, 1]])
 
 
 def test_binary_form_reparametrized_evaluation():
@@ -374,12 +400,9 @@ def test_binary_functions_reject_non_binary_forms():
     s, t = variable(2, 0), variable(2, 1)
     three_vars = variable(3, 0)
     inhomogeneous = s * s + t
-    for bad in (three_vars, inhomogeneous, MultiPoly.zero(2)):
+    for bad in (three_vars, inhomogeneous, MultiPoly(2)):
         with pytest.raises(ValueError):
             binary_coeffs(bad)
-    for bad in (three_vars, inhomogeneous):
-        with pytest.raises(ValueError):
-            binary_gcd([binary_form([1, 1]), bad])
 
 
 # ----- multivariate polynomials -----
@@ -390,8 +413,8 @@ def test_multipoly_arithmetic_and_evaluation():
     y = variable(2, 1)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert value_at(p, 3, 2) == 5
-    assert p - p == MultiPoly.zero(2)
+    assert value_at(binary_coeffs(p), 3, 2) == 5
+    assert p - p == MultiPoly(2)
     assert p.is_homogeneous(2)
     assert not (p + x).is_homogeneous()
 
@@ -399,22 +422,9 @@ def test_multipoly_arithmetic_and_evaluation():
 def test_multipoly_render_is_graded_lex():
     x = variable(2, 0)
     y = variable(2, 1)
-    p = y + x * x * 2 - x * y
+    p = y + x * x + x * x - x * y
     assert str(p) == "2*x0^2 - x0*x1 + x1"
     assert p.render(["s", "t"]) == "2*s^2 - s*t + t"
-
-
-def test_multipoly_monic():
-    x = variable(2, 0)
-    y = variable(2, 1)
-    assert MultiPoly.zero(2).monic() == MultiPoly.zero(2)
-    p = y * y * 3 - x * y * Fraction(2, 5) + y * 7
-    # graded lex: x0*x1 leads among the degree-2 terms
-    assert p.monic() == p * Fraction(-5, 2)
-    assert p.monic().terms[(1, 1)] == 1
-    for c in (Fraction(3, 7), -2, Fraction(-1, 9)):
-        assert (p * c).monic() == p.monic()
-    assert binary_form([0, -4, 2]).monic() == binary_form([0, 1, Fraction(-1, 2)])
 
 
 def test_multipoly_rejects_mixed_variable_counts():

@@ -47,11 +47,11 @@ def oracle_report(c, line):
     """The slice report built from the oracle's node values, through the
     library's own interpolation and gcd."""
     minors = [_form_from_integer_values(v) for v in zip(*direct_node_minors(c, line))]
-    degrees = tuple(m.total_degree() for m in minors)
-    if not any(minors):
-        return FocalSliceReport(degrees, MultiPoly.zero(2), None, True)
+    degrees = tuple(len(m) - 1 if any(m) else None for m in minors)
+    if not any(map(any, minors)):
+        return FocalSliceReport(degrees, (), None, True)
     g = binary_gcd(minors)
-    return FocalSliceReport(degrees, g, g.total_degree(), False)
+    return FocalSliceReport(degrees, g, len(g) - 1, False)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
@@ -224,6 +224,32 @@ def test_one_interpolation_per_congruence_line(make, monkeypatch):
         report, calls = counter.slice(c, line)
         assert report.gcd_degree == n - 1
         assert calls == 1
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_slice_builds_no_multipoly(make, monkeypatch):
+    # A binary form is a coefficient tuple from the node values to the
+    # gcd; the slice never builds a polynomial object.
+    calls = []
+    inner = MultiPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    reports = []
+    for n in range(3, 9):
+        c, line = probe_line(make, n, 2)
+        reports.append((n, focal_points_on_line(c, line)))
+        reports.append((None, focal_points_on_line(c, random_line(n, 2))))
+    assert calls == []
+    assert MultiPoly(2, {(1, 0): 1}) and len(calls) == 1
+    for n, report in reports:
+        assert type(report.gcd_form) is tuple
+        assert next(x for x in report.gcd_form if x) == 1
+        if n is not None:
+            assert report.gcd_degree == n - 1
 
 
 def test_one_interpolation_per_class(monkeypatch):

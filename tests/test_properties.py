@@ -28,14 +28,12 @@ from quadpoint.congruence import (  # noqa: E402
 from quadpoint.exact import (  # noqa: E402
     MultiPoly,
     RationalMatrix,
-    binary_coeffs,
-    binary_form,
     binary_gcd,
     determinant,
     pfaffian,
     primitive_vector,
 )
-from restriction import variable  # noqa: E402
+from restriction import binary_coeffs, binary_form, normalized, variable  # noqa: E402
 
 exact = settings(database=None, derandomize=True, max_examples=30, deadline=None)
 
@@ -88,8 +86,9 @@ binary_forms = st.lists(small_ints, min_size=1, max_size=5).filter(any)
 def test_binary_gcd_divides_each_input(common, cofactors):
     g = binary_form(common)
     inputs = [g * binary_form(h) for h in cofactors]
-    gcd = binary_gcd(inputs)
-    assert gcd == gcd.monic()
+    gcd = binary_gcd([binary_coeffs(f) for f in inputs])
+    assert gcd == normalized(gcd)
+    gcd = binary_form(gcd)
     for f in inputs:
         assert cofactor(gcd, f) is not None
     # the common factor divides the gcd, so the gcd is the greatest one

@@ -19,13 +19,13 @@ from quadpoint.exact import (  # noqa: E402
     RationalMatrix,
     _bareiss,
     _integer_rows,
-    binary_form,
     binary_gcd,
     determinant,
     pfaffian,
     primitive_vector,
     rank_and_kernel,
 )
+from restriction import binary_coeffs, binary_form  # noqa: E402
 
 S, T, U = sympy.symbols("s t u")
 
@@ -117,7 +117,7 @@ def test_pfaffian_squares_to_sympy_determinant():
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for size in (2, 4, 6):
         for _ in range(3):
-            rows = [[MultiPoly.zero(3) for _ in range(size)] for _ in range(size)]
+            rows = [[MultiPoly(3) for _ in range(size)] for _ in range(size)]
             for i in range(size):
                 for j in range(i + 1, size):
                     p = MultiPoly(3, {e: rng.randint(-3, 3) for e in units})
@@ -140,7 +140,7 @@ def test_binary_gcd_matches_sympy():
         forms = [f for f in forms if f]
         if not forms:
             continue
-        ours = binary_gcd(forms)
+        ours = binary_form(binary_gcd([binary_coeffs(f) for f in forms]))
         theirs = sympy.Integer(0)
         for f in forms:
             theirs = sympy.gcd(theirs, to_sympy(f))
