@@ -11,6 +11,7 @@ linear algebra and binary-form gcds, never numerically.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from dataclasses import dataclass
@@ -304,9 +305,11 @@ class FocalSliceReport:
     a binary form in the line coordinates (s, t): its coefficient
     tuple, entry k that of s^(d-k) * t^k, scaled so that the first
     nonzero entry is 1 (see `exact.binary_gcd`).  On a line of the
-    congruence the gcd degree equals n-1, the focal length.  If every
-    minor vanishes, the line lies inside the focal locus and focal_line
-    is set; gcd_form is then () and the gcd degree is None.
+    congruence every nonzero minor is a constant multiple of one form
+    of degree n-1, so the gcd degree equals n-1, the focal length.  If
+    every minor vanishes, the line lies inside the focal locus and
+    focal_line is set; gcd_form is then () and the gcd degree is None.
+    The report is the same whichever path `focal_points_on_line` takes.
     """
 
     minor_degrees: tuple
@@ -348,36 +351,94 @@ def _form_from_integer_values(values: Sequence) -> list:
     return [q for q, _ in quotients]
 
 
-def _node_minors(c: Congruence, line: ProjLine) -> list:
-    """The integer values of the maximal minors of A restricted to the
-    line, at the nodes (s, t) = (1, u), u = 0..n-1: one list per node,
-    one entry per minor in the order of `focal_points_on_line`.
+def _pencil(c: Congruence, line: ProjLine) -> tuple:
+    """(pencil, deleted): the transposed pencil of A on the line and the
+    row tuples that the maximal minors delete.
 
     Column j of the restriction is a_j*s + b_j*t with a_j, b_j the
-    columns of A(p0) and A(p1).  Each pair (a_j, b_j) is cleared of
-    denominators together, which scales every maximal minor by the same
-    positive constant.  At node u one elimination of the (n-1) x N
-    matrix (a + u*b)^T gives every minor (`exact._maximal_minors`).
+    columns of A(p0) and A(p1); pencil row j is a_j followed by b_j,
+    the pair cleared of denominators together, which scales every maximal minor
+    by the same positive constant and keeps the left kernel of each
+    half.  deleted[k] is the ascending tuple of the rows of A that
+    minor k leaves out, in the order of `focal_points_on_line`.
     """
     if line.ambient_dim != c.n:
         raise ValueError("line lives in the wrong space")
-    size = c.n - 1
     pencil = [
         _cleared(list(a + b))[0]
         for a, b in zip(c.columns_at(line.p0), c.columns_at(line.p1))
     ]
-    nrows = len(pencil[0]) // 2
+    rows = range(len(pencil[0]) // 2)
     deleted = [
-        tuple(i for i in range(nrows) if i not in kept)
-        for kept in combinations(range(nrows), size)
+        tuple(i for i in rows if i not in kept) for kept in combinations(rows, c.n - 1)
     ]
-    return [
-        _maximal_minors(
-            [[a + u * b for a, b in zip(r[:nrows], r[nrows:])] for r in pencil],
-            deleted,
-        )
-        for u in range(size + 1)
-    ]
+    return pencil, deleted
+
+
+def _at_node(pencil: list, u: int, cols: Sequence) -> list:
+    """The columns cols of the pencil (a + u*b)^T at the node (1, u)."""
+    half = len(pencil[0]) // 2
+    return [[r[i] + u * r[half + i] for i in cols] for r in pencil]
+
+
+def _slice_by_classes(n: int, node_values: Sequence) -> FocalSliceReport:
+    """The report from the integer values of every maximal minor at the
+    n nodes (s, t) = (1, u), u = 0..n-1, one list per node.
+
+    Degrees are read off the values: n-1 if any value is nonzero, None
+    if all vanish.  Two forms of degree n-1 are proportional exactly
+    when their n values are, so the nonzero minors fall into classes
+    keyed by the primitive vector of their values; since the gcd ignores
+    nonzero scalings, one exact Newton interpolation per class, of a
+    member's own integer values, gives all the coefficient lists
+    `binary_gcd` needs.
+    """
+    columns = list(zip(*node_values))
+    degrees = tuple(n - 1 if any(v) else None for v in columns)
+    classes = {}
+    for values in columns:
+        if any(values):
+            classes.setdefault(primitive_vector(values), values)
+    if not classes:
+        return FocalSliceReport(degrees, (), None, True)
+    g = binary_gcd([_form_from_integer_values(v) for v in classes.values()])
+    return FocalSliceReport(degrees, g, len(g) - 1, False)
+
+
+def _kernel_is_constant(pencil: list, kernel: Sequence) -> bool:
+    """Whether every kernel vector annihilates the t-half of the pencil,
+    the rows of A(p1)^T: an exact integer check."""
+    half = len(pencil[0]) // 2
+    return not any(
+        sum(map(operator.mul, r[half:], v)) for r in pencil for v in kernel
+    )
+
+
+def _slice_on_constant_kernel(
+    pencil: list, deleted: Sequence, node: int, minors: Sequence
+) -> FocalSliceReport:
+    """The report on a line whose left kernel K, taken at the first node
+    of full rank, is certified constant (`_kernel_is_constant`).
+
+    minors holds every maximal minor m_I at that node.  Every minor is
+    the multiple (m_I / m_J) * F of the J-th one, F, J the first index
+    with m_J != 0.  F vanishes at the earlier nodes, where the rank is
+    below n-1; at each later node it is one square determinant of the
+    kept columns, the permutation sign times the last Bareiss pivot, or
+    0 below full rank.  One interpolation of F and `binary_gcd` of F
+    alone give the gcd.
+    """
+    size = len(pencil)
+    j = next(k for k, m in enumerate(minors) if m)
+    kept = [i for i in range(len(pencil[0]) // 2) if i not in deleted[j]]
+    values = [0] * node + [minors[j]]
+    for u in range(node + 1, size + 1):
+        work = _at_node(pencil, u, kept)
+        pivot_cols, sign = _bareiss(work)
+        values.append(sign * work[-1][-1] if len(pivot_cols) == size else 0)
+    g = binary_gcd([_form_from_integer_values(values)])
+    degrees = tuple(size if m else None for m in minors)
+    return FocalSliceReport(degrees, g, len(g) - 1, False)
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
@@ -387,33 +448,38 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     s*A(p0) + t*A(p1) since A(P) is linear in P, and takes all maximal
     minors (choices of n-1 rows, in ascending lexicographic order of
     the kept row indices).  Each nonzero minor is a binary form of
-    degree n-1; their gcd is the divisorial part of the focal scheme.
+    degree n-1, fixed by its integer values at the n nodes
+    (s, t) = (1, u), u = 0..n-1; their gcd is the divisorial part of
+    the focal scheme.
 
-    Every restricted entry is a linear form a*s + b*t, so every maximal
-    minor is zero or a form of degree exactly n-1, and its integer
-    values at the n nodes (s, t) = (1, u), u = 0..n-1, determine it
-    (`_node_minors`: one Bareiss elimination per node gives every
-    minor, by Plucker duality).  The degrees are read off those values:
-    n-1 if any value is nonzero, None if all vanish.  Two forms of
-    degree n-1 are proportional exactly when their n values are, so the
-    nonzero minors fall into classes keyed by the primitive vector of
-    their values, and since the gcd ignores nonzero scalings, one exact
-    Newton interpolation per class, of a member's own integer values,
-    gives all the coefficient lists the gcd needs.  On a congruence
-    line every nonzero minor is a multiple of the focal form: one
-    class, one interpolation and no Euclid step.  Nothing is
-    probabilistic or modular.
+    Nodes are eliminated in full, in turn, up to the first of rank
+    n-1: one Bareiss elimination of (a + u*b)^T gives every minor and
+    the left kernel K of A at the node (`exact._maximal_minors`,
+    Plucker duality).  At that node every vector of K is tested, in
+    integers, against A(p1)^T.  If all of them annihilate it, they
+    annihilate A(p0)^T too, so K lies in the left kernel of A at every
+    point of the line and is that kernel wherever A has rank n-1; the
+    maximal minors, the Plucker coordinates of the annihilator of K,
+    are then fixed multiples of one form.  That holds on every
+    congruence line: it is the line of points whose left kernel is K
+    (linear kind: K is the line itself, isotropic for every A_i;
+    determinantal kind: K is the lambda that cuts it).  The report
+    then needs one square determinant per remaining node
+    (`_slice_on_constant_kernel`).  Any other line, a random one, or
+    one on which every node has rank below n-1 (a focal line), goes on
+    eliminating every node and takes the class path
+    (`_slice_by_classes`).  Nothing is probabilistic or modular.
     """
-    columns = list(zip(*_node_minors(c, line)))
-    degrees = tuple(c.n - 1 if any(v) else None for v in columns)
-    classes = {}
-    for values in columns:
-        if any(values):
-            classes.setdefault(primitive_vector(values), values)
-    if not classes:
-        return FocalSliceReport(degrees, (), None, True)
-    g = binary_gcd([_form_from_integer_values(v) for v in classes.values()])
-    return FocalSliceReport(degrees, g, len(g) - 1, False)
+    pencil, deleted = _pencil(c, line)
+    every = range(len(pencil[0]) // 2)
+    node_values = []
+    for u in range(c.n):
+        minors, kernel = _maximal_minors(_at_node(pencil, u, every), deleted)
+        first_full_rank = any(minors) and not any(map(any, node_values))
+        if first_full_rank and _kernel_is_constant(pencil, kernel):
+            return _slice_on_constant_kernel(pencil, deleted, u, minors)
+        node_values.append(minors)
+    return _slice_by_classes(c.n, node_values)
 
 
 # ----- Pfaffian of the linear family -----

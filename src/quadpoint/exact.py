@@ -7,10 +7,16 @@ pivot and permutation sign) and `_kernel`, which adds integer
 back-substitution.  `_kernel` in turn serves `rank_and_kernel`, the
 line solver's left kernel in `congruence`, and `_maximal_minors`, which
 reads every maximal minor of a matrix with one or two more columns
-than rows off its kernel by Plucker duality: the focal slice takes one
-elimination per interpolation node, whatever the number of minors, and
-then one interpolation per class of proportional minors and
-`binary_gcd` over those classes only (one class on a congruence line).
+than rows off its kernel by Plucker duality and hands that kernel
+back.  The focal slice eliminates one node of its pencil in full this
+way.  When every kernel vector also annihilates the t-half of the
+pencil, an exact integer check, it is the kernel at every point of
+the line where the pencil has full rank (every congruence line
+passes), so each maximal minor is a fixed multiple of one; each other node then takes one
+square `_bareiss` (determinant = permutation sign times last pivot)
+and `binary_gcd` gets one form.  On any other line every node is
+eliminated in full, and the slice interpolates one minor per class of
+proportional minors and takes `binary_gcd` over those classes only.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
@@ -212,14 +218,16 @@ def rank_and_kernel(m: RationalMatrix) -> tuple:
     return rank, tuple(map(primitive_vector, vectors))
 
 
-def _maximal_minors(work: list, deleted: Sequence[tuple]) -> list:
-    """The maximal minors of an integer r x N matrix of N - r = 1 or 2
-    more columns than rows, from one elimination of `work` (in place).
+def _maximal_minors(work: list, deleted: Sequence[tuple]) -> tuple:
+    """(minors, kernel) of an integer r x N matrix of N - r = 1 or 2
+    more columns than rows, from one elimination of `work` (in place);
+    kernel is the unscaled right kernel basis of `_kernel`.
 
-    Entry k is the determinant of the columns left after deleting the
-    ascending tuple deleted[k].  The maximal minors are the Plucker
-    coordinates of the right kernel up to one common factor (Harris,
-    Algebraic Geometry, lecture 6); with the unscaled kernel of
+    Entry k of minors is the determinant of the columns left after
+    deleting the ascending tuple deleted[k].  The maximal minors are
+    the Plucker coordinates of the right kernel up to one common
+    factor (Harris, Algebraic Geometry, lecture 6); with the unscaled
+    kernel of
     `_kernel` (sign s, pivot D, free columns f or f1 < f2) the factor
     is known, and Cramer's rule gives
       N - r = 1: minor without column i = s (-1)^(i+f) v[i],
@@ -230,10 +238,11 @@ def _maximal_minors(work: list, deleted: Sequence[tuple]) -> list:
     """
     rank, sign, pivot, free_cols, vectors = _kernel(work)
     if rank < len(work):
-        return [0] * len(deleted)
+        return [0] * len(deleted), vectors
     if len(free_cols) == 1:
         (f,), (v,) = free_cols, vectors
-        return [-sign * v[i] if (i + f) & 1 else sign * v[i] for (i,) in deleted]
+        minors = [-sign * v[i] if (i + f) & 1 else sign * v[i] for (i,) in deleted]
+        return minors, vectors
     if len(free_cols) != 2:
         raise ValueError("expected one or two more columns than rows")
     (f1, f2), (v1, v2) = free_cols, vectors
@@ -243,7 +252,7 @@ def _maximal_minors(work: list, deleted: Sequence[tuple]) -> list:
         if rem:
             raise ArithmeticError("inexact Plucker division")
         out.append(-sign * q if (i + j + f1 + f2) & 1 else sign * q)
-    return out
+    return out, vectors
 
 
 def determinant(m: RationalMatrix) -> Fraction:

@@ -8,7 +8,9 @@ independently, straight from the skew matrices or the linear forms:
 parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
 the node values of its maximal minors, one determinant per minor.
 `variable` is the coordinate polynomial the tests build other
-polynomials from.
+polynomials from, and `fractional_linear` and
+`fractional_determinantal` build congruences whose entries are
+Fractions, not all integral.
 
 The library keeps a binary form as its coefficient tuple, entry k that
 of s^(d-k) * t^k.  The oracles build binary forms as homogeneous
@@ -21,7 +23,7 @@ rational number.
 from fractions import Fraction
 from itertools import combinations
 
-from quadpoint.congruence import LinearCongruence
+from quadpoint.congruence import DeterminantalCongruence, LinearCongruence
 from quadpoint.exact import MultiPoly
 
 
@@ -140,3 +142,26 @@ def direct_node_minors(c, line):
             ]
         )
     return out
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def fractional_linear(n, rng):
+    mats = []
+    for _ in range(n - 1):
+        m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for i, j in combinations(range(n + 1), 2):
+            m[i][j] = random_fraction(rng)
+            m[j][i] = -m[i][j]
+        mats.append(m)
+    return LinearCongruence(n, mats)
+
+
+def fractional_determinantal(n, rng):
+    rows = [
+        [[random_fraction(rng) for _ in range(n + 1)] for _ in range(n - 1)]
+        for _ in range(n)
+    ]
+    return DeterminantalCongruence(n, rows)

@@ -47,6 +47,24 @@ def test_verify_foci_twisted_cubic(capsys, tmp_path):
     assert all("gcd degree 2 (expected 2) ok" in l for l in lines[:-1])
 
 
+@pytest.mark.parametrize(
+    "kind, n", (("linear", 8), ("linear", 9), ("determinantal", 8)), ids=str
+)
+def test_verify_foci_beyond_the_golden_sizes(capsys, tmp_path, kind, n):
+    # The line-path golden file stops at n = 6; every probe line of a
+    # larger congruence must still carry focal length n-1.
+    path = tmp_path / "c.cong"
+    argv = ["construct", "--kind", kind, "--n", str(n), "--seed", "1", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["verify", "foci", "--in", str(path), "--trials", "3"])
+    expected = "gcd degree %d (expected %d) ok" % (n - 1, n - 1)
+    assert code == 0
+    assert out.splitlines() == [
+        "trial %d: %s" % (i, expected) for i in range(3)
+    ] + ["result = pass"]
+
+
 def test_verify_foci_degenerate_probe_fails(capsys, tmp_path):
     # Trial 3 probes (-1, 0, 0, 2), where the lambda-combined forms drop
     # rank; verify order reports it as a failure, and so must verify foci.

@@ -8,14 +8,12 @@ be compared exactly.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from quadpoint.congruence import (
     DeterminantalCongruence,
-    LinearCongruence,
     ProjLine,
     focal_points_on_line,
     line_through_point,
@@ -23,7 +21,12 @@ from quadpoint.congruence import (
     random_linear_congruence,
 )
 from quadpoint.exact import MultiPoly, binary_gcd, ring_determinant
-from restriction import binary_coeffs, restricted
+from restriction import (
+    binary_coeffs,
+    fractional_determinantal,
+    fractional_linear,
+    restricted,
+)
 
 RANDOM = {
     "linear": random_linear_congruence,
@@ -77,29 +80,6 @@ def congruence_line(c, rng):
             return line_through_point(c, random_point(rng, c.n))
         except ValueError:
             continue
-
-
-def random_fraction(rng):
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-
-
-def fractional_linear(n, rng):
-    mats = []
-    for _ in range(n - 1):
-        m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-        for i, j in combinations(range(n + 1), 2):
-            m[i][j] = random_fraction(rng)
-            m[j][i] = -m[i][j]
-        mats.append(m)
-    return LinearCongruence(n, mats)
-
-
-def fractional_determinantal(n, rng):
-    rows = [
-        [[random_fraction(rng) for _ in range(n + 1)] for _ in range(n - 1)]
-        for _ in range(n)
-    ]
-    return DeterminantalCongruence(n, rows)
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM))

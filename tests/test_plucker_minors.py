@@ -1,14 +1,21 @@
-"""The focal slice's node values against one determinant per minor.
+"""The focal slice's node values against one determinant per minor,
+and its two paths against each other.
 
-`congruence._node_minors` reads every maximal minor at a node off one
-integer kernel (Plucker duality, `exact._maximal_minors`).  The oracle
+`exact._maximal_minors` reads every maximal minor at a node off one
+integer kernel (Plucker duality); `node_minors` below applies it at all
+n nodes of `congruence._pencil`.  The oracle
 `restriction.direct_node_minors` evaluates A at the node's point and
 takes each minor by its own Gaussian elimination over Fraction.  The
 congruences here have integer data, so the two agree value for value.
 
-`focal_points_on_line` interpolates one minor per class of proportional
-node values; `oracle_report` interpolates every minor and takes the gcd
-of all of them, so the two reports must be equal on every line.
+`focal_points_on_line` takes one of two paths.  On a line whose left
+kernel is certified constant (every congruence line) it eliminates
+the first full-rank node in full and then one square minor per node;
+anywhere else it interpolates one minor per class of proportional
+node values (`congruence._slice_by_classes`).  `oracle_report`
+interpolates every minor and takes the gcd of all of them, so every
+report must equal it, and the certified report must equal the class
+path's on the same line.
 """
 
 import random
@@ -22,16 +29,18 @@ from quadpoint.congruence import (
     FocalSliceReport,
     LinearCongruence,
     ProjLine,
+    _at_node,
     _form_from_integer_values,
-    _node_minors,
+    _pencil,
+    _slice_by_classes,
     focal_points_on_line,
     line_through_point,
     random_determinantal_congruence,
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly, binary_gcd, seeded_skew_matrix
-from restriction import direct_node_minors
+from quadpoint.exact import MultiPoly, _maximal_minors, binary_gcd, seeded_skew_matrix
+from restriction import direct_node_minors, fractional_determinantal, fractional_linear
 
 KINDS = (random_linear_congruence, random_determinantal_congruence)
 
@@ -41,6 +50,14 @@ def probe_line(make, n, seed):
     rng = random.Random("plucker %d %d" % (n, seed))
     point = tuple(rng.randint(-9, 9) for _ in range(n + 1))
     return c, line_through_point(c, point)
+
+
+def node_minors(c, line):
+    """The values of every maximal minor at the nodes u = 0..n-1, one
+    full elimination of the pencil per node: the class path's input."""
+    pencil, deleted = _pencil(c, line)
+    cols = range(len(pencil[0]) // 2)
+    return [_maximal_minors(_at_node(pencil, u, cols), deleted)[0] for u in range(c.n)]
 
 
 def oracle_report(c, line):
@@ -59,7 +76,7 @@ def oracle_report(c, line):
 def test_every_node_value_matches_a_direct_determinant(make, n):
     for seed in (1, 2):
         c, line = probe_line(make, n, seed)
-        values = _node_minors(c, line)
+        values = node_minors(c, line)
         assert len(values) == n
         assert values == direct_node_minors(c, line)
 
@@ -69,7 +86,7 @@ def test_rank_deficient_nodes_of_the_twisted_cubic():
     # rank 1, so every minor vanishes there.
     tc = twisted_cubic_congruence()
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
-    values = _node_minors(tc, line)
+    values = node_minors(tc, line)
     assert values[0] == [0, 0, 0]
     assert values == direct_node_minors(tc, line)
     report = focal_points_on_line(tc, line)
@@ -93,7 +110,7 @@ def vanishing_minors_line(n):
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_line_where_every_minor_vanishes(n):
     c, line = vanishing_minors_line(n)
-    values = _node_minors(c, line)
+    values = node_minors(c, line)
     assert values == [[0] * comb(n + 1, 2)] * n
     assert values == direct_node_minors(c, line)
     report = focal_points_on_line(c, line)
@@ -115,26 +132,39 @@ def test_maximal_minors_refuses_other_shapes():
         exact._maximal_minors([[1, 0, 0, 0]], [(1, 2, 3)])
 
 
+def elimination_shapes(monkeypatch, c, line):
+    """The slice report and the (rows, columns) of every `_bareiss`
+    call it made, through both module bindings of the elimination."""
+    shapes = []
+    inner = exact._bareiss
+
+    def recorded(work):
+        shapes.append((len(work), len(work[0])))
+        return inner(work)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_bareiss", recorded)
+        patch.setattr(congruence, "_bareiss", recorded)
+        report = focal_points_on_line(c, line)
+    return report, shapes
+
+
+def width(c):
+    """N, the number of rows of A: the columns of the transposed pencil."""
+    return c.n + 1 if isinstance(c, LinearCongruence) else c.n
+
+
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_one_elimination_per_node(make, monkeypatch):
     # The slice eliminates once per interpolation node, n in all,
-    # however many minors there are (n+1 choose 2 or n).  Both module
-    # bindings of the elimination are counted.
-    calls = []
-    bareiss = exact._bareiss
-
-    def counted(work):
-        calls.append(len(work))
-        return bareiss(work)
-
-    for n in range(3, 9):
+    # however many minors there are (n+1 choose 2 or n).  On a
+    # congruence line only node 0 is eliminated in full, (n-1) x N,
+    # which gives every minor and the kernel; the kernel is certified
+    # constant, so each later node needs one square minor.
+    for n in range(3, 11):
         c, line = probe_line(make, n, 3)
-        monkeypatch.setattr(exact, "_bareiss", counted)
-        monkeypatch.setattr(congruence, "_bareiss", counted)
-        calls.clear()
-        focal_points_on_line(c, line)
-        monkeypatch.undo()
-        assert calls == [n - 1] * n
+        _, shapes = elimination_shapes(monkeypatch, c, line)
+        assert shapes == [(n - 1, width(c))] + [(n - 1, n - 1)] * (n - 1)
 
 
 def random_line(n, seed):
@@ -165,6 +195,76 @@ def cubic_point_lines(count=12):
         except ValueError:
             continue
     return lines
+
+
+def test_lines_off_the_congruence_take_the_class_path(monkeypatch):
+    # Random lines, a line on which every minor vanishes, and lines
+    # through a point of the twisted cubic: the kernel check fails or
+    # never runs, every node is eliminated in full, and the report is
+    # the class path's.
+    cases = [
+        (make(n, seed, 9), random_line(n, seed))
+        for make in KINDS
+        for n in range(3, 9)
+        for seed in (1, 2)
+    ]
+    cases += [vanishing_minors_line(n) for n in (3, 4, 5)]
+    cases += [(twisted_cubic_congruence(), line) for line in cubic_point_lines()]
+    for c, line in cases:
+        report, shapes = elimination_shapes(monkeypatch, c, line)
+        assert shapes == [(c.n - 1, width(c))] * c.n
+        assert report == _slice_by_classes(c.n, node_minors(c, line))
+
+
+def test_twisted_cubic_secants_with_a_focal_first_node(monkeypatch):
+    # Both lines start at the curve point (1, 0, 0, 0), where A has rank
+    # 1, so node 0 is eliminated in full and gives no kernel to check.
+    tc = twisted_cubic_congruence()
+    # Node 1 is (1, 0, 0, 1), off the curve: the certificate holds
+    # there, and node 2 needs one square minor.
+    line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
+    report, shapes = elimination_shapes(monkeypatch, tc, line)
+    assert shapes == [(2, 3), (2, 3), (2, 2)]
+    assert report == oracle_report(tc, line)
+    # Node 1 is (1, 1, 1, 1), a second curve point: every node is
+    # eliminated in full, as on the class path, and the report is the
+    # class path's.
+    line = ProjLine((1, 0, 0, 0), (0, 1, 1, 1))
+    report, shapes = elimination_shapes(monkeypatch, tc, line)
+    assert shapes == [(2, 3)] * 3
+    assert report == _slice_by_classes(3, node_minors(tc, line))
+    assert report == oracle_report(tc, line)
+    assert report.minor_degrees == (2, 2, None) and report.gcd_degree == 2
+
+
+def congruence_line(c, rng):
+    """The congruence line through a seeded random non-focal point."""
+    while True:
+        try:
+            return line_through_point(c, [rng.randint(-9, 9) for _ in range(c.n + 1)])
+        except ValueError:
+            continue
+
+
+CONGRUENCES = {
+    "linear": lambda n, rng: random_linear_congruence(n, 1, 9),
+    "determinantal": lambda n, rng: random_determinantal_congruence(n, 1, 9),
+    "linear-fractions": fractional_linear,
+    "determinantal-fractions": fractional_determinantal,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONGRUENCES))
+@pytest.mark.parametrize("n", range(3, 11))
+def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
+    rng = random.Random("certified %s %d" % (kind, n))
+    c = CONGRUENCES[kind](n, rng)
+    for _ in range(2):
+        line = congruence_line(c, rng)
+        report, shapes = elimination_shapes(monkeypatch, c, line)
+        assert shapes[-1] == (n - 1, n - 1)
+        assert report.gcd_degree == n - 1
+        assert report == _slice_by_classes(n, node_minors(c, line))
 
 
 def proportionality_classes(c, line):
