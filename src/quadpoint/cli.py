@@ -3,8 +3,8 @@
 Every subcommand is deterministic: identical argv and input files give
 byte-identical output.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success or all checks passed, 1 a verification or
-classification failed, 2 usage or input parse error, 3 an internal exact
-self-check failed.
+classification failed or the data is degenerate, 2 usage or input parse
+error, 3 an internal exact self-check failed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .catalog import (
     scan_exclusion,
 )
 from .congruence import (
+    DegeneracyError,
     GenericityError,
     LinearCongruence,
     determinant_vanishes_identically,
@@ -298,17 +299,13 @@ def _cmd_pfaffian(args):
     if not isinstance(c, LinearCongruence):
         raise ValueError("pfaffian needs a linear congruence file")
     if c.n % 2 == 0:
-        vanishes = determinant_vanishes_identically(c)
         _emit(
             args,
-            [
-                "n even: no pfaffian; determinant vanishes identically = %s"
-                % ("true" if vanishes else "false")
-            ],
-            {"even_n": True, "determinant_vanishes": vanishes},
-            ["determinant_vanishes\t%s" % ("true" if vanishes else "false")],
+            ["n even: no pfaffian; determinant vanishes identically = true"],
+            {"even_n": True, "determinant_vanishes": determinant_vanishes_identically(c)},
+            ["determinant_vanishes\ttrue"],
         )
-        return 0 if vanishes else 1
+        return 0
     if c.n > _MAX_PFAFFIAN_N:
         raise ValueError("n must be <= %d" % _MAX_PFAFFIAN_N)
     pf = pfaffian_polynomial(c)
@@ -521,13 +518,16 @@ def main(argv=None) -> int:
             if getattr(args, name) > limit:
                 raise ValueError("%s must be <= %d" % (name, limit))
         return args.handler(args)
-    except GenericityError as err:
+    except (GenericityError, DegeneracyError) as err:
+        # Valid input whose data is degenerate: no generic draw within
+        # the redraw limit, or a Pfaffian that vanishes identically.
         print("error: %s" % err, file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as err:
-        # An exact self-check failed (an inexact division, or a solved
-        # line that misses its probe): a fault of the program, not of
-        # the input or of a verified property.
+        # An exact self-check failed (an inexact division, a solved line
+        # that misses its probe, or a Pfaffian of the wrong degree): a
+        # fault of the program, not of the input or of a verified
+        # property.
         print("error: internal check failed: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

@@ -296,20 +296,18 @@ def line_through_point(c: Congruence, point: Sequence) -> ProjLine:
 
 @dataclass(slots=True)
 class FocalSliceReport:
-    """Outcome of slicing the defining matrix along one line.
+    """Outcome of slicing the defining matrix along a congruence line.
 
     minor_degrees lists the degree of each restricted maximal minor in
-    a fixed order: n-1 if any of its node values is nonzero, None if
-    all vanish (an identically zero minor), so no minor is interpolated
-    to learn its degree.  gcd_form is the gcd of the nonzero minors as
-    a binary form in the line coordinates (s, t): its coefficient
-    tuple, entry k that of s^(d-k) * t^k, scaled so that the first
-    nonzero entry is 1 (see `exact.binary_gcd`).  On a line of the
-    congruence every nonzero minor is a constant multiple of one form
-    of degree n-1, so the gcd degree equals n-1, the focal length.  If
-    every minor vanishes, the line lies inside the focal locus and
-    focal_line is set; gcd_form is then () and the gcd degree is None.
-    The report is the same whichever path `focal_points_on_line` takes.
+    a fixed order: n-1 for a nonzero minor, None for an identically
+    zero one.  gcd_form is the gcd of the nonzero minors as a binary
+    form in the line coordinates (s, t): its coefficient tuple, entry k
+    that of s^(d-k) * t^k, scaled so that the first nonzero entry is 1
+    (see `exact.binary_gcd`).  Every nonzero minor is a constant
+    multiple of one form of degree n-1, so the gcd degree equals n-1,
+    the focal length.  If every minor vanishes, the line lies inside
+    the focal locus and focal_line is set; gcd_form is then () and the
+    gcd degree is None.
     """
 
     minor_degrees: tuple
@@ -381,30 +379,6 @@ def _at_node(pencil: list, u: int, cols: Sequence) -> list:
     return [[r[i] + u * r[half + i] for i in cols] for r in pencil]
 
 
-def _slice_by_classes(n: int, node_values: Sequence) -> FocalSliceReport:
-    """The report from the integer values of every maximal minor at the
-    n nodes (s, t) = (1, u), u = 0..n-1, one list per node.
-
-    Degrees are read off the values: n-1 if any value is nonzero, None
-    if all vanish.  Two forms of degree n-1 are proportional exactly
-    when their n values are, so the nonzero minors fall into classes
-    keyed by the primitive vector of their values; since the gcd ignores
-    nonzero scalings, one exact Newton interpolation per class, of a
-    member's own integer values, gives all the coefficient lists
-    `binary_gcd` needs.
-    """
-    columns = list(zip(*node_values))
-    degrees = tuple(n - 1 if any(v) else None for v in columns)
-    classes = {}
-    for values in columns:
-        if any(values):
-            classes.setdefault(primitive_vector(values), values)
-    if not classes:
-        return FocalSliceReport(degrees, (), None, True)
-    g = binary_gcd([_form_from_integer_values(v) for v in classes.values()])
-    return FocalSliceReport(degrees, g, len(g) - 1, False)
-
-
 def _kernel_is_constant(pencil: list, kernel: Sequence) -> bool:
     """Whether every kernel vector annihilates the t-half of the pencil,
     the rows of A(p1)^T: an exact integer check."""
@@ -442,7 +416,8 @@ def _slice_on_constant_kernel(
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
-    """Focal scheme cut on a line, as the gcd of restricted minors.
+    """Focal scheme cut on a congruence line, as the gcd of restricted
+    minors.
 
     Restricts the defining matrix to s*p0 + t*p1, where it is the pencil
     s*A(p0) + t*A(p1) since A(P) is linear in P, and takes all maximal
@@ -465,21 +440,26 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     (linear kind: K is the line itself, isotropic for every A_i;
     determinantal kind: K is the lambda that cuts it).  The report
     then needs one square determinant per remaining node
-    (`_slice_on_constant_kernel`).  Any other line, a random one, or
-    one on which every node has rank below n-1 (a focal line), goes on
-    eliminating every node and takes the class path
-    (`_slice_by_classes`).  Nothing is probabilistic or modular.
+    (`_slice_on_constant_kernel`).  A line whose kernel fails the check
+    is not a line of the congruence, and ValueError names the line and
+    the node.  On a line where every node has rank below n-1, every
+    minor vanishes at n nodes and so identically: the line lies in the
+    focal locus, and the report says so.  Nothing is probabilistic or
+    modular.
     """
     pencil, deleted = _pencil(c, line)
     every = range(len(pencil[0]) // 2)
-    node_values = []
     for u in range(c.n):
         minors, kernel = _maximal_minors(_at_node(pencil, u, every), deleted)
-        first_full_rank = any(minors) and not any(map(any, node_values))
-        if first_full_rank and _kernel_is_constant(pencil, kernel):
-            return _slice_on_constant_kernel(pencil, deleted, u, minors)
-        node_values.append(minors)
-    return _slice_by_classes(c.n, node_values)
+        if not any(minors):
+            continue
+        if not _kernel_is_constant(pencil, kernel):
+            raise ValueError(
+                "%r is not a line of the congruence: the left kernel of A at "
+                "node (1, %d) does not annihilate A(p1)" % (line, u)
+            )
+        return _slice_on_constant_kernel(pencil, deleted, u, minors)
+    return FocalSliceReport((None,) * len(deleted), (), None, True)
 
 
 # ----- Pfaffian of the linear family -----
@@ -515,21 +495,24 @@ def pfaffian_polynomial(c: LinearCongruence) -> MultiPoly:
     if not pf:
         raise DegeneracyError("pfaffian vanishes identically")
     expected = (c.n + 1) // 2
+    # A nonzero Pfaffian of linear forms is homogeneous of that degree.
     if not pf.is_homogeneous(expected):
-        raise DegeneracyError("pfaffian is not homogeneous of degree %d" % expected)
+        raise RuntimeError("pfaffian is not homogeneous of degree %d" % expected)
     return pf
 
 
 def determinant_vanishes_identically(c: LinearCongruence) -> bool:
-    """Whether det(sum(lambda_i * A_i)) is the zero polynomial.
+    """Whether det(sum(lambda_i * A_i)) is the zero polynomial, for even n.
 
     LinearCongruence.__init__ checks that every A_i is skew-symmetric,
     so M = sum(lambda_i * A_i) satisfies M^T = -M.  For even n, M has
     odd size n+1, and det M = det(M^T) = det(-M) = -det M forces
-    det M = 0 with no expansion.  For odd n, det M = Pf(M)^2, which is
-    zero exactly when the Pfaffian is.
+    det M = 0 with no expansion: the answer is True.  For odd n,
+    det M = Pf(M)^2, and `pfaffian_polynomial` is the function to call.
     """
-    return c.n % 2 == 0 or not pfaffian(_lambda_family(c))
+    if c.n % 2:
+        raise ValueError("n odd: use pfaffian_polynomial, whose square is the determinant")
+    return True
 
 
 # ----- order-one verification -----

@@ -12,11 +12,10 @@ back.  The focal slice eliminates one node of its pencil in full this
 way.  When every kernel vector also annihilates the t-half of the
 pencil, an exact integer check, it is the kernel at every point of
 the line where the pencil has full rank (every congruence line
-passes), so each maximal minor is a fixed multiple of one; each other node then takes one
+passes, and the slice refuses any line that fails), so each maximal
+minor is a fixed multiple of one; each other node then takes one
 square `_bareiss` (determinant = permutation sign times last pivot)
-and `binary_gcd` gets one form.  On any other line every node is
-eliminated in full, and the slice interpolates one minor per class of
-proportional minors and takes `binary_gcd` over those classes only.
+and `binary_gcd` gets one form.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k

@@ -7,6 +7,8 @@ independently, straight from the skew matrices or the linear forms:
 `restricted` as a matrix of degree-1 binary forms a*s + b*t in the
 parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
 the node values of its maximal minors, one determinant per minor.
+`oracle_report` builds the slice report from those node values,
+interpolating every minor and taking the gcd of all of them.
 `variable` is the coordinate polynomial the tests build other
 polynomials from, and `fractional_linear` and
 `fractional_determinantal` build congruences whose entries are
@@ -20,11 +22,17 @@ with `binary_coeffs`; `normalized` scales coefficients the way
 rational number.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
-from quadpoint.congruence import DeterminantalCongruence, LinearCongruence
-from quadpoint.exact import MultiPoly
+from quadpoint.congruence import (
+    DeterminantalCongruence,
+    FocalSliceReport,
+    LinearCongruence,
+    _form_from_integer_values,
+)
+from quadpoint.exact import MultiPoly, binary_gcd
 
 
 def variable(nvars, i):
@@ -91,25 +99,32 @@ def restricted(c, line):
     ]
 
 
-def _fraction_determinant(rows):
-    """Determinant by Gaussian elimination over Fraction, row pivoting only."""
-    work = [[Fraction(x) for x in row] for row in rows]
+def _determinant(rows):
+    """Determinant by fraction-free (Bareiss) elimination, row pivoting
+    only, of the rows cleared of denominators; the clearing factors are
+    divided out at the end."""
+    work, scale = [], Fraction(1)
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        k = math.lcm(*(x.denominator for x in row))
+        work.append([int(x * k) for x in row])
+        scale /= k
     size = len(work)
-    det = Fraction(1)
+    sign, previous = 1, 1
     for c in range(size):
         piv = next((i for i in range(c, size) if work[i][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             work[c], work[piv] = work[piv], work[c]
-            det = -det
-        det *= work[c][c]
+            sign = -sign
         for i in range(c + 1, size):
-            factor = work[i][c] / work[c][c]
-            if factor:
-                for k in range(c, size):
-                    work[i][k] -= factor * work[c][k]
-    return det
+            for k in range(c + 1, size):
+                q, r = divmod(work[i][k] * work[c][c] - work[i][c] * work[c][k], previous)
+                assert r == 0
+                work[i][k] = q
+        previous = work[c][c]
+    return sign * previous * scale
 
 
 def direct_node_minors(c, line):
@@ -119,9 +134,9 @@ def direct_node_minors(c, line):
     A(s*p0 + t*p1) at (1, u) is A evaluated at the point p0 + u*p1,
     built here from the skew matrices or the linear forms.  Minors keep
     n-1 rows, in ascending lexicographic order of the kept rows, and a
-    list is returned per node, as `congruence._node_minors` does.  For
-    integral congruence data no scaling is involved and the two agree
-    value for value.
+    list is returned per node, as `exact._maximal_minors` returns them
+    at one node of `congruence._pencil`.  For integral congruence data
+    no scaling is involved and the two agree value for value.
     """
     size = c.n - 1
     out = []
@@ -137,11 +152,31 @@ def direct_node_minors(c, line):
             ]
         out.append(
             [
-                _fraction_determinant([at[r] for r in kept])
+                _determinant([at[r] for r in kept])
                 for kept in combinations(range(len(at)), size)
             ]
         )
     return out
+
+
+def oracle_report(c, line):
+    """The slice report built from `direct_node_minors`, through the
+    library's own interpolation and gcd.
+
+    Every minor is interpolated and the gcd taken over all nonzero
+    ones.  The node values are first scaled by one common factor, the
+    lcm of their denominators times (n-1)!, so that every form has
+    integer coefficients even for Fraction data; the degrees and the
+    normalised gcd do not see that factor.
+    """
+    nodes = direct_node_minors(c, line)
+    scale = math.factorial(c.n - 1) * math.lcm(*(v.denominator for vs in nodes for v in vs))
+    minors = [_form_from_integer_values([int(v * scale) for v in vs]) for vs in zip(*nodes)]
+    degrees = tuple(len(m) - 1 if any(m) else None for m in minors)
+    if not any(map(any, minors)):
+        return FocalSliceReport(degrees, (), None, True)
+    g = binary_gcd(minors)
+    return FocalSliceReport(degrees, g, len(g) - 1, False)
 
 
 def random_fraction(rng):

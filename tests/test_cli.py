@@ -17,6 +17,7 @@ from quadpoint.congruence import (
     save_congruence,
     twisted_cubic_congruence,
 )
+from quadpoint.exact import MultiPoly
 
 
 def run(capsys, argv):
@@ -217,6 +218,28 @@ def test_pfaffian_rejects_determinantal(capsys, tmp_path):
     code, _, err = run(capsys, ["pfaffian", "--in", str(path)])
     assert code == 2
     assert "linear" in err
+
+
+def test_pfaffian_vanishing_identically_exits_one(capsys, tmp_path):
+    # A valid file with degenerate data: A_1 = E01 - E10 and A_2 = 0, so
+    # sum(lambda_i * A_i) has rank 2 and its 4 x 4 Pfaffian is zero.
+    a1 = [[0] * 4 for _ in range(4)]
+    a1[0][1], a1[1][0] = 1, -1
+    path = tmp_path / "degenerate.cong"
+    path.write_text(save_congruence(LinearCongruence(3, [a1, [[0] * 4 for _ in range(4)]])))
+    code, out, err = run(capsys, ["pfaffian", "--in", str(path)])
+    assert (code, out, err) == (1, "", "error: pfaffian vanishes identically\n")
+
+
+def test_pfaffian_of_the_wrong_degree_exits_three(capsys, tmp_path, monkeypatch):
+    # A nonzero Pfaffian of linear forms is homogeneous of degree
+    # (n+1)/2, so any other result is a fault of the program.
+    path = tmp_path / "lin3.cong"
+    path.write_text(save_congruence(random_linear_congruence(3, 1, 9)))
+    monkeypatch.setattr(congruence, "pfaffian", lambda rows: MultiPoly(2, {(0, 0): 1, (1, 0): 1}))
+    code, out, err = run(capsys, ["pfaffian", "--in", str(path)])
+    message = "error: internal check failed: pfaffian is not homogeneous of degree 2\n"
+    assert (code, out, err) == (3, "", message)
 
 
 def test_classify_builtin_fails_on_non_examples(capsys):

@@ -40,7 +40,7 @@ from quadpoint.exact import (
     ring_determinant,
     seeded_skew_matrix,
 )
-from restriction import normalized, restricted, scaled, variable
+from restriction import normalized, oracle_report, restricted, scaled, variable
 
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
@@ -152,10 +152,17 @@ def test_secant_line_gcd_roots_are_curve_points():
 
 
 def test_line_outside_congruence_has_trivial_gcd():
+    # A general line misses the twisted cubic: the oracle's minors on it
+    # share no factor.  It is not a secant, so the slice refuses it at
+    # its first node, where A has full rank.
     tc = twisted_cubic_congruence()
-    rep = focal_points_on_line(tc, ProjLine((1, 2, 0, 1), (0, 1, 1, 3)))
+    line = ProjLine((1, 2, 0, 1), (0, 1, 1, 3))
+    rep = oracle_report(tc, line)
     assert rep.gcd_degree == 0
     assert not rep.focal_line
+    message = r"^ProjLine\(.*\) is not a line of the congruence: .* at node \(1, 0\) "
+    with pytest.raises(ValueError, match=message):
+        focal_points_on_line(tc, line)
 
 
 # ----- random constructions -----
@@ -563,4 +570,5 @@ def test_lambda_family_determinant_oracle():
         det = ring_determinant(lambda_family_rows(odd), MultiPoly(2))
         pf = pfaffian_polynomial(odd)
         assert det == pf * pf
-        assert not determinant_vanishes_identically(odd)
+        with pytest.raises(ValueError, match="n odd: use pfaffian_polynomial"):
+            determinant_vanishes_identically(odd)

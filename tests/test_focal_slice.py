@@ -1,10 +1,13 @@
 """The focal slice against a cofactor-expansion oracle.
 
-`focal_points_on_line` evaluates each restricted maximal minor at n
-points and interpolates.  The oracle here rebuilds every minor
-symbolically with `ring_determinant` over the restricted binary forms
-and takes `binary_gcd` of their coefficients, so each report field can
-be compared exactly.
+`focal_points_on_line` evaluates the restricted maximal minors of a
+congruence line at n points and interpolates.  The oracle here rebuilds
+every minor symbolically with `ring_determinant` over the restricted
+binary forms and takes `binary_gcd` of their coefficients, so each
+report field can be compared exactly.  A random line is not a line of
+the congruence: the slice refuses it, and the oracle shows that its
+minors share no factor, since a general line misses the focal locus,
+which has codimension 2.
 """
 
 import random
@@ -58,6 +61,15 @@ def assert_matches_oracle(c, line):
     return rep
 
 
+def assert_refused(c, line):
+    """The slice refuses a random line at its first node, where A has
+    full rank, and the oracle's minors on it have a constant gcd."""
+    message = r"is not a line of the congruence: .* at node \(1, 0\) "
+    with pytest.raises(ValueError, match=message):
+        focal_points_on_line(c, line)
+    assert cofactor_slice(c, line)[2] == 0
+
+
 def random_point(rng, n, bound=9):
     while True:
         point = tuple(rng.randint(-bound, bound) for _ in range(n + 1))
@@ -91,7 +103,7 @@ def test_slice_matches_cofactor_oracle(kind, n):
         rng = random.Random(seed * 100 + n)
         rep = assert_matches_oracle(c, congruence_line(c, rng))
         assert rep.gcd_degree == n - 1
-        assert_matches_oracle(c, random_line(rng, n))
+        assert_refused(c, random_line(rng, n))
 
 
 @pytest.mark.parametrize(
@@ -106,7 +118,7 @@ def test_slice_matches_oracle_with_fraction_entries(build):
         assert any(x.denominator != 1 for row in rows for f in row for x in f.terms.values())
         rep = assert_matches_oracle(c, line)
         assert rep.gcd_degree == n - 1
-        assert_matches_oracle(c, random_line(rng, n))
+        assert_refused(c, random_line(rng, n))
 
 
 def test_identical_columns_give_a_focal_line():

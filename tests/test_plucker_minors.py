@@ -1,21 +1,21 @@
 """The focal slice's node values against one determinant per minor,
-and its two paths against each other.
+and its reports against an oracle.
 
 `exact._maximal_minors` reads every maximal minor at a node off one
 integer kernel (Plucker duality); `node_minors` below applies it at all
 n nodes of `congruence._pencil`.  The oracle
 `restriction.direct_node_minors` evaluates A at the node's point and
-takes each minor by its own Gaussian elimination over Fraction.  The
+takes each minor by its own fraction-free elimination.  The
 congruences here have integer data, so the two agree value for value.
 
-`focal_points_on_line` takes one of two paths.  On a line whose left
-kernel is certified constant (every congruence line) it eliminates
-the first full-rank node in full and then one square minor per node;
-anywhere else it interpolates one minor per class of proportional
-node values (`congruence._slice_by_classes`).  `oracle_report`
-interpolates every minor and takes the gcd of all of them, so every
-report must equal it, and the certified report must equal the class
-path's on the same line.
+`focal_points_on_line` serves the lines of the congruence.  It
+eliminates the first node of rank n-1 in full, certifies that the left
+kernel there is the kernel along the whole line, and then takes one
+square minor per later node.  A line that fails the certificate is not
+a congruence line and is refused with a ValueError naming the node; a
+line on which every minor vanishes is reported as a focal line.
+`restriction.oracle_report` interpolates every minor and takes the gcd
+of all of them, so every report must equal it.
 """
 
 import random
@@ -26,21 +26,23 @@ import pytest
 import quadpoint.congruence as congruence
 import quadpoint.exact as exact
 from quadpoint.congruence import (
-    FocalSliceReport,
     LinearCongruence,
     ProjLine,
     _at_node,
-    _form_from_integer_values,
     _pencil,
-    _slice_by_classes,
     focal_points_on_line,
     line_through_point,
     random_determinantal_congruence,
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly, _maximal_minors, binary_gcd, seeded_skew_matrix
-from restriction import direct_node_minors, fractional_determinantal, fractional_linear
+from quadpoint.exact import MultiPoly, _maximal_minors, seeded_skew_matrix
+from restriction import (
+    direct_node_minors,
+    fractional_determinantal,
+    fractional_linear,
+    oracle_report,
+)
 
 KINDS = (random_linear_congruence, random_determinantal_congruence)
 
@@ -54,21 +56,19 @@ def probe_line(make, n, seed):
 
 def node_minors(c, line):
     """The values of every maximal minor at the nodes u = 0..n-1, one
-    full elimination of the pencil per node: the class path's input."""
+    full elimination of the pencil per node."""
     pencil, deleted = _pencil(c, line)
     cols = range(len(pencil[0]) // 2)
     return [_maximal_minors(_at_node(pencil, u, cols), deleted)[0] for u in range(c.n)]
 
 
-def oracle_report(c, line):
-    """The slice report built from the oracle's node values, through the
-    library's own interpolation and gcd."""
-    minors = [_form_from_integer_values(v) for v in zip(*direct_node_minors(c, line))]
-    degrees = tuple(len(m) - 1 if any(m) else None for m in minors)
-    if not any(map(any, minors)):
-        return FocalSliceReport(degrees, (), None, True)
-    g = binary_gcd(minors)
-    return FocalSliceReport(degrees, g, len(g) - 1, False)
+def refusal(line, node):
+    """The message with which the slice refuses a line that fails the
+    kernel certificate at the node (1, node)."""
+    return (
+        "%r is not a line of the congruence: the left kernel of A at node "
+        "(1, %d) does not annihilate A(p1)" % (line, node)
+    )
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
@@ -184,7 +184,7 @@ def random_line(n, seed):
 def cubic_point_lines(count=12):
     """Lines through (1, 0, 0, 0), a point of the twisted cubic, and a
     seeded random point: A has rank 1 at the first node, so every minor
-    vanishes there, and the nonzero minors need not be proportional."""
+    vanishes there, and the lines are not secants of the curve."""
     rng = random.Random("twisted cubic point lines")
     lines = []
     while len(lines) < count:
@@ -197,23 +197,30 @@ def cubic_point_lines(count=12):
     return lines
 
 
-def test_lines_off_the_congruence_take_the_class_path(monkeypatch):
-    # Random lines, a line on which every minor vanishes, and lines
-    # through a point of the twisted cubic: the kernel check fails or
-    # never runs, every node is eliminated in full, and the report is
-    # the class path's.
+def test_lines_off_the_congruence_are_refused(monkeypatch):
+    # Random lines, and lines through a point of the twisted cubic: the
+    # left kernel at the first node of rank n-1, which the oracle's node
+    # values locate, fails the certificate, and the slice refuses the
+    # line there.
     cases = [
         (make(n, seed, 9), random_line(n, seed))
         for make in KINDS
         for n in range(3, 9)
         for seed in (1, 2)
     ]
-    cases += [vanishing_minors_line(n) for n in (3, 4, 5)]
     cases += [(twisted_cubic_congruence(), line) for line in cubic_point_lines()]
     for c, line in cases:
+        node = next(u for u, values in enumerate(direct_node_minors(c, line)) if any(values))
+        with pytest.raises(ValueError) as excinfo:
+            focal_points_on_line(c, line)
+        assert str(excinfo.value) == refusal(line, node)
+    # A line on which every minor vanishes lies in the focal locus: it
+    # has no kernel to certify, and every node is eliminated in full.
+    for n in (3, 4, 5):
+        c, line = vanishing_minors_line(n)
         report, shapes = elimination_shapes(monkeypatch, c, line)
-        assert shapes == [(c.n - 1, width(c))] * c.n
-        assert report == _slice_by_classes(c.n, node_minors(c, line))
+        assert shapes == [(n - 1, width(c))] * n
+        assert report.focal_line and report == oracle_report(c, line)
 
 
 def test_twisted_cubic_secants_with_a_focal_first_node(monkeypatch):
@@ -226,13 +233,12 @@ def test_twisted_cubic_secants_with_a_focal_first_node(monkeypatch):
     report, shapes = elimination_shapes(monkeypatch, tc, line)
     assert shapes == [(2, 3), (2, 3), (2, 2)]
     assert report == oracle_report(tc, line)
-    # Node 1 is (1, 1, 1, 1), a second curve point: every node is
-    # eliminated in full, as on the class path, and the report is the
-    # class path's.
+    # Node 1 is (1, 1, 1, 1), a second curve point: node 2 is the first
+    # of rank 2, eliminated in full, and the certificate holds there;
+    # no node is left for a square minor.
     line = ProjLine((1, 0, 0, 0), (0, 1, 1, 1))
     report, shapes = elimination_shapes(monkeypatch, tc, line)
     assert shapes == [(2, 3)] * 3
-    assert report == _slice_by_classes(3, node_minors(tc, line))
     assert report == oracle_report(tc, line)
     assert report.minor_degrees == (2, 2, None) and report.gcd_degree == 2
 
@@ -264,34 +270,23 @@ def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
         report, shapes = elimination_shapes(monkeypatch, c, line)
         assert shapes[-1] == (n - 1, n - 1)
         assert report.gcd_degree == n - 1
-        assert report == _slice_by_classes(n, node_minors(c, line))
-
-
-def proportionality_classes(c, line):
-    """The number of classes of proportional nonzero minors, from the
-    oracle's node values and pairwise 2 x 2 cross products."""
-    reps = []
-    for values in zip(*direct_node_minors(c, line)):
-        if not any(values):
-            continue
-        if not any(
-            all(a * y == b * x for a, b in zip(rep, values) for x, y in zip(rep, values))
-            for rep in reps
-        ):
-            reps.append(values)
-    return len(reps)
+        assert report == oracle_report(c, line)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 @pytest.mark.parametrize("n", range(3, 9))
 def test_class_path_matches_the_oracle(make, n):
+    # A congruence line matches the oracle; a random line is refused at
+    # its first node.
     for seed in (1, 2):
         c, line = probe_line(make, n, seed)
         report = focal_points_on_line(c, line)
         assert report.gcd_degree == n - 1
         assert report == oracle_report(c, line)
         other = random_line(n, seed)
-        assert focal_points_on_line(c, other) == oracle_report(c, other)
+        with pytest.raises(ValueError) as excinfo:
+            focal_points_on_line(c, other)
+        assert str(excinfo.value) == refusal(other, 0)
 
 
 class InterpolationCounter:
@@ -324,12 +319,16 @@ def test_one_interpolation_per_congruence_line(make, monkeypatch):
         report, calls = counter.slice(c, line)
         assert report.gcd_degree == n - 1
         assert calls == 1
+    # No interpolation where every minor vanishes.
+    report, calls = counter.slice(*vanishing_minors_line(4))
+    assert report.focal_line and calls == 0
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_slice_builds_no_multipoly(make, monkeypatch):
     # A binary form is a coefficient tuple from the node values to the
-    # gcd; the slice never builds a polynomial object.
+    # gcd; the slice never builds a polynomial object, not even on the
+    # way to refusing a random line.
     calls = []
     inner = MultiPoly.__init__
 
@@ -342,28 +341,13 @@ def test_slice_builds_no_multipoly(make, monkeypatch):
     for n in range(3, 9):
         c, line = probe_line(make, n, 2)
         reports.append((n, focal_points_on_line(c, line)))
-        reports.append((None, focal_points_on_line(c, random_line(n, 2))))
+        other = random_line(n, 2)
+        with pytest.raises(ValueError) as excinfo:
+            focal_points_on_line(c, other)
+        assert str(excinfo.value) == refusal(other, 0)
     assert calls == []
     assert MultiPoly(2, {(1, 0): 1}) and len(calls) == 1
     for n, report in reports:
         assert type(report.gcd_form) is tuple
         assert next(x for x in report.gcd_form if x) == 1
-        if n is not None:
-            assert report.gcd_degree == n - 1
-
-
-def test_one_interpolation_per_class(monkeypatch):
-    tc = twisted_cubic_congruence()
-    counter = InterpolationCounter(monkeypatch)
-    counts = []
-    for line in cubic_point_lines():
-        report, calls = counter.slice(tc, line)
-        assert report == oracle_report(tc, line)
-        assert calls == proportionality_classes(tc, line)
-        counts.append(calls)
-    # The multi-class path, several interpolations and Euclid steps,
-    # must be exercised.
-    assert max(counts) >= 2
-    # No class and no interpolation where every minor vanishes.
-    report, calls = counter.slice(*vanishing_minors_line(4))
-    assert report.focal_line and calls == 0
+        assert report.gcd_degree == n - 1
