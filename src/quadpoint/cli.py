@@ -525,9 +525,9 @@ def main(argv=None) -> int:
         return 1
     except (ArithmeticError, RuntimeError) as err:
         # An exact self-check failed (an inexact division, a solved line
-        # that misses its probe, or a Pfaffian of the wrong degree): a
-        # fault of the program, not of the input or of a verified
-        # property.
+        # that misses its probe or that the focal slice refuses, or a
+        # Pfaffian of the wrong degree): a fault of the program, not of
+        # the input or of a verified property.
         print("error: internal check failed: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

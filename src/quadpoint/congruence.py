@@ -5,7 +5,8 @@ Grassmannian G(1,n) by n-1 skew-symmetric matrices, and determinantal
 congruences given by an n x (n-1) matrix of linear forms whose minors
 vanish on the focal locus.  Everything runs over the rationals; the
 order-one property and the focal length on lines are checked by exact
-linear algebra and binary-form gcds, never numerically.
+linear algebra, never numerically; the focal form itself, a binary-form
+gcd, is built only when it is read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import operator
 import random
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -308,12 +309,33 @@ class FocalSliceReport:
     the focal length.  If every minor vanishes, the line lies inside
     the focal locus and focal_line is set; gcd_form is then () and the
     gcd degree is None.
+
+    `focal_points_on_line` certifies the degree without the form: its
+    report carries, in _node, the data that fix the form, and leaves the
+    gcd_form slot unset.  The first read of gcd_form fills the slot
+    (`_focal_form`) and drops _node; later reads find the slot set.
     """
 
     minor_degrees: tuple
     gcd_form: tuple
     gcd_degree: Optional[int]
     focal_line: bool
+    _node: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._node is not None:
+            del self.gcd_form
+
+    def __getattr__(self, name):
+        # Python calls this only for an attribute it did not find: here
+        # the gcd_form slot of a report that still holds its node data.
+        if name != "gcd_form" or self._node is None:
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        self.gcd_form = _focal_form(*self._node)
+        self._node = None
+        return self.gcd_form
 
 
 def _form_from_integer_values(values: Sequence) -> list:
@@ -396,23 +418,36 @@ def _slice_on_constant_kernel(
 
     minors holds every maximal minor m_I at that node.  Every minor is
     the multiple (m_I / m_J) * F of the J-th one, F, J the first index
-    with m_J != 0.  F vanishes at the earlier nodes, where the rank is
-    below n-1; at each later node it is one square determinant of the
-    kept columns, the permutation sign times the last Bareiss pivot, or
-    0 below full rank.  One interpolation of F and `binary_gcd` of F
-    alone give the gcd.
+    with m_J != 0, and F is a nonzero form of degree n-1: the minor
+    degrees and the gcd degree n-1 follow with no further work.  The
+    report keeps what fixes F, the pencil, the columns J keeps, the
+    node and m_J there, for `_focal_form` to build gcd_form when it is
+    read.
     """
     size = len(pencil)
     j = next(k for k, m in enumerate(minors) if m)
     kept = [i for i in range(len(pencil[0]) // 2) if i not in deleted[j]]
-    values = [0] * node + [minors[j]]
+    degrees = tuple(size if m else None for m in minors)
+    return FocalSliceReport(degrees, None, size, False, (pencil, kept, node, minors[j]))
+
+
+def _focal_form(pencil: list, kept: Sequence, node: int, value) -> tuple:
+    """gcd_form of a certified slice: F, the minor of the kept columns,
+    scaled so that its first nonzero entry is 1.
+
+    F vanishes at the nodes before `node`, where the rank is below n-1,
+    and takes `value` there; at each later node it is one square
+    determinant of the kept columns, the permutation sign times the
+    last Bareiss pivot, or 0 below full rank.  One interpolation of F
+    and `binary_gcd` of F alone give the gcd.
+    """
+    size = len(pencil)
+    values = [0] * node + [value]
     for u in range(node + 1, size + 1):
         work = _at_node(pencil, u, kept)
         pivot_cols, sign = _bareiss(work)
         values.append(sign * work[-1][-1] if len(pivot_cols) == size else 0)
-    g = binary_gcd([_form_from_integer_values(values)])
-    degrees = tuple(size if m else None for m in minors)
-    return FocalSliceReport(degrees, g, len(g) - 1, False)
+    return binary_gcd([_form_from_integer_values(values)])
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
@@ -435,17 +470,19 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     annihilate A(p0)^T too, so K lies in the left kernel of A at every
     point of the line and is that kernel wherever A has rank n-1; the
     maximal minors, the Plucker coordinates of the annihilator of K,
-    are then fixed multiples of one form.  That holds on every
-    congruence line: it is the line of points whose left kernel is K
-    (linear kind: K is the line itself, isotropic for every A_i;
-    determinantal kind: K is the lambda that cuts it).  The report
-    then needs one square determinant per remaining node
-    (`_slice_on_constant_kernel`).  A line whose kernel fails the check
-    is not a line of the congruence, and ValueError names the line and
-    the node.  On a line where every node has rank below n-1, every
-    minor vanishes at n nodes and so identically: the line lies in the
-    focal locus, and the report says so.  Nothing is probabilistic or
-    modular.
+    are then fixed multiples of one nonzero form F of degree n-1, and
+    the gcd has degree n-1.  That holds on every congruence line: it
+    is the line of points whose left kernel is K (linear kind: K is
+    the line itself, isotropic for every A_i; determinantal kind: K is
+    the lambda that cuts it).  The slice stops there, after one
+    elimination and one integer check; F itself, one square
+    determinant per later node and an interpolation, is built only
+    when the report's gcd_form is read (`_slice_on_constant_kernel`).
+    A line whose kernel fails the check is not a line of the
+    congruence, and ValueError names the line and the node.  On a line
+    where every node has rank below n-1, every minor vanishes at n
+    nodes and so identically: the line lies in the focal locus, and
+    the report says so.  Nothing is probabilistic or modular.
     """
     pencil, deleted = _pencil(c, line)
     every = range(len(pencil[0]) // 2)
@@ -621,16 +658,23 @@ def foci_check(
     the focal locus are marked and skipped, and a probe whose line hits
     a rank defect is a failed trial carrying the reason, as in
     order_check.  Both draw their probes from `_probes`, so the two
-    reports probe the same points.
+    reports probe the same points.  Every line sliced here was solved
+    by `line_through_point`, so a line the slice refuses is a fault of
+    the program, and RuntimeError says so.
     """
     expected = c.n - 1
     out = []
     for point, line, reason in _probes(c, trials, seed, bound):
         if line is None:
             out.append(FociTrial(point, reason is None, None, expected, reason))
-        else:
+            continue
+        try:
             report = focal_points_on_line(c, line)
-            out.append(FociTrial(point, False, report.gcd_degree, expected))
+        except ValueError as err:
+            raise RuntimeError(
+                "solved line through %s refused: %s" % (point, err)
+            ) from err
+        out.append(FociTrial(point, False, report.gcd_degree, expected))
     return tuple(out)
 
 

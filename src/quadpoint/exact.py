@@ -13,9 +13,10 @@ way.  When every kernel vector also annihilates the t-half of the
 pencil, an exact integer check, it is the kernel at every point of
 the line where the pencil has full rank (every congruence line
 passes, and the slice refuses any line that fails), so each maximal
-minor is a fixed multiple of one; each other node then takes one
-square `_bareiss` (determinant = permutation sign times last pivot)
-and `binary_gcd` gets one form.
+minor is a fixed multiple of one form of degree n-1, and the slice
+ends there.  Only a read of that form, the report's gcd_form, takes
+one square `_bareiss` per other node (determinant = permutation sign
+times last pivot) and gives `binary_gcd` the one form.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k

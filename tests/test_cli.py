@@ -717,8 +717,16 @@ def raise_plucker(*args):
         # A solved line that misses its probe makes the line solver
         # raise RuntimeError.
         (congruence.ProjLine, "contains", lambda self, point: False, "solved line misses the probe point"),
+        # A solved line that the focal slice refuses is a fault of the
+        # program too, not of the input file.
+        (
+            congruence,
+            "line_through_point",
+            lambda c, point: congruence.ProjLine((1, 0, 0, 0, 0), (0, 1, 2, 3, 4)),
+            "solved line through (",
+        ),
     ),
-    ids=("kernel", "line-solver"),
+    ids=("kernel", "line-solver", "refused-line"),
 )
 def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch, owner, name, replacement, reason):
     path = tmp_path / "c.cong"

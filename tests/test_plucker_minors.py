@@ -9,13 +9,16 @@ takes each minor by its own fraction-free elimination.  The
 congruences here have integer data, so the two agree value for value.
 
 `focal_points_on_line` serves the lines of the congruence.  It
-eliminates the first node of rank n-1 in full, certifies that the left
-kernel there is the kernel along the whole line, and then takes one
-square minor per later node.  A line that fails the certificate is not
-a congruence line and is refused with a ValueError naming the node; a
-line on which every minor vanishes is reported as a focal line.
-`restriction.oracle_report` interpolates every minor and takes the gcd
-of all of them, so every report must equal it.
+eliminates the first node of rank n-1 in full and certifies that the
+left kernel there is the kernel along the whole line, which fixes the
+degrees; the report builds its gcd_form on first read, from one square
+minor per later node and one interpolation.  A line that fails the
+certificate is not a congruence line and is refused with a ValueError
+naming the node; a line on which every minor vanishes is reported as a
+focal line.  `restriction.oracle_report` interpolates every minor and
+takes the gcd of all of them, so every report must equal it.
+`WorkRecorder` pins the work of the slice call and of each read of
+gcd_form apart.
 """
 
 import random
@@ -30,6 +33,7 @@ from quadpoint.congruence import (
     ProjLine,
     _at_node,
     _pencil,
+    foci_check,
     focal_points_on_line,
     line_through_point,
     random_determinantal_congruence,
@@ -132,21 +136,43 @@ def test_maximal_minors_refuses_other_shapes():
         exact._maximal_minors([[1, 0, 0, 0]], [(1, 2, 3)])
 
 
-def elimination_shapes(monkeypatch, c, line):
-    """The slice report and the (rows, columns) of every `_bareiss`
-    call it made, through both module bindings of the elimination."""
-    shapes = []
-    inner = exact._bareiss
+class WorkRecorder:
+    """Records the work of a call: every `_bareiss` call, through both
+    module bindings of the elimination, as its (rows, columns), and the
+    calls of the slice's interpolation, through the module binding that
+    `congruence` looks up."""
 
-    def recorded(work):
-        shapes.append((len(work), len(work[0])))
-        return inner(work)
+    def __init__(self, monkeypatch):
+        self.shapes, self.interpolations = [], 0
+        bareiss, interpolate = exact._bareiss, congruence._form_from_integer_values
 
-    with monkeypatch.context() as patch:
-        patch.setattr(exact, "_bareiss", recorded)
-        patch.setattr(congruence, "_bareiss", recorded)
-        report = focal_points_on_line(c, line)
-    return report, shapes
+        def recorded(work):
+            self.shapes.append((len(work), len(work[0])))
+            return bareiss(work)
+
+        def counted(values):
+            self.interpolations += 1
+            return interpolate(values)
+
+        monkeypatch.setattr(exact, "_bareiss", recorded)
+        monkeypatch.setattr(congruence, "_bareiss", recorded)
+        monkeypatch.setattr(congruence, "_form_from_integer_values", counted)
+
+    def run(self, call, *args):
+        """(call(*args), the shapes it eliminated, its interpolations)."""
+        self.shapes, self.interpolations = [], 0
+        return call(*args), self.shapes, self.interpolations
+
+
+def slice_work(work, c, line):
+    """(report, call, first read, second read): the slice report and
+    the (shapes, interpolations) of the slice call, of the first read of
+    its gcd_form and of a second read, which returns the same tuple."""
+    report, *call = work.run(focal_points_on_line, c, line)
+    form, *first = work.run(getattr, report, "gcd_form")
+    again, *second = work.run(getattr, report, "gcd_form")
+    assert again is form and type(form) is tuple
+    return report, tuple(call), tuple(first), tuple(second)
 
 
 def width(c):
@@ -156,15 +182,20 @@ def width(c):
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_one_elimination_per_node(make, monkeypatch):
-    # The slice eliminates once per interpolation node, n in all,
-    # however many minors there are (n+1 choose 2 or n).  On a
-    # congruence line only node 0 is eliminated in full, (n-1) x N,
-    # which gives every minor and the kernel; the kernel is certified
-    # constant, so each later node needs one square minor.
+    # The slice eliminates one node, however many minors there are
+    # (n+1 choose 2 or n): on a congruence line node 0 is eliminated in
+    # full, (n-1) x N, which gives every minor and the kernel, and the
+    # kernel is certified constant.  That fixes the degrees; the focal
+    # form is built on the first read of gcd_form, from one square
+    # minor per later node and one interpolation, and kept.
+    work = WorkRecorder(monkeypatch)
     for n in range(3, 11):
         c, line = probe_line(make, n, 3)
-        _, shapes = elimination_shapes(monkeypatch, c, line)
-        assert shapes == [(n - 1, width(c))] + [(n - 1, n - 1)] * (n - 1)
+        report, call, first, second = slice_work(work, c, line)
+        assert call == ([(n - 1, width(c))], 0)
+        assert first == ([(n - 1, n - 1)] * (n - 1), 1)
+        assert second == ([], 0)
+        assert report.gcd_degree == n - 1
 
 
 def random_line(n, seed):
@@ -216,10 +247,13 @@ def test_lines_off_the_congruence_are_refused(monkeypatch):
         assert str(excinfo.value) == refusal(line, node)
     # A line on which every minor vanishes lies in the focal locus: it
     # has no kernel to certify, and every node is eliminated in full.
+    # Its gcd_form is () from the start, and a read does no work.
+    work = WorkRecorder(monkeypatch)
     for n in (3, 4, 5):
         c, line = vanishing_minors_line(n)
-        report, shapes = elimination_shapes(monkeypatch, c, line)
-        assert shapes == [(n - 1, width(c))] * n
+        report, call, first, second = slice_work(work, c, line)
+        assert call == ([(n - 1, width(c))] * n, 0)
+        assert first == second == ([], 0)
         assert report.focal_line and report == oracle_report(c, line)
 
 
@@ -227,18 +261,26 @@ def test_twisted_cubic_secants_with_a_focal_first_node(monkeypatch):
     # Both lines start at the curve point (1, 0, 0, 0), where A has rank
     # 1, so node 0 is eliminated in full and gives no kernel to check.
     tc = twisted_cubic_congruence()
+    work = WorkRecorder(monkeypatch)
     # Node 1 is (1, 0, 0, 1), off the curve: the certificate holds
-    # there, and node 2 needs one square minor.
+    # there, and the first read of gcd_form takes one square minor at
+    # node 2.
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
-    report, shapes = elimination_shapes(monkeypatch, tc, line)
-    assert shapes == [(2, 3), (2, 3), (2, 2)]
+    report, call, first, second = slice_work(work, tc, line)
+    assert call == ([(2, 3), (2, 3)], 0)
+    assert first == ([(2, 2)], 1)
+    assert second == ([], 0)
     assert report == oracle_report(tc, line)
+    assert report.gcd_form == (0, 1, 0)
     # Node 1 is (1, 1, 1, 1), a second curve point: node 2 is the first
     # of rank 2, eliminated in full, and the certificate holds there;
-    # no node is left for a square minor.
+    # no node is left for a square minor, and the read only
+    # interpolates.
     line = ProjLine((1, 0, 0, 0), (0, 1, 1, 1))
-    report, shapes = elimination_shapes(monkeypatch, tc, line)
-    assert shapes == [(2, 3)] * 3
+    report, call, first, second = slice_work(work, tc, line)
+    assert call == ([(2, 3)] * 3, 0)
+    assert first == ([], 1)
+    assert second == ([], 0)
     assert report == oracle_report(tc, line)
     assert report.minor_degrees == (2, 2, None) and report.gcd_degree == 2
 
@@ -263,14 +305,26 @@ CONGRUENCES = {
 @pytest.mark.parametrize("kind", sorted(CONGRUENCES))
 @pytest.mark.parametrize("n", range(3, 11))
 def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
+    # The certified report, with its gcd_form built on first read,
+    # equals the oracle's report from every minor, integral data or not.
+    # The call eliminates in full up to the first node of rank n-1 and
+    # interpolates nothing; the first read takes one square minor per
+    # later node and one interpolation; a second read does no work.
     rng = random.Random("certified %s %d" % (kind, n))
     c = CONGRUENCES[kind](n, rng)
+    work = WorkRecorder(monkeypatch)
     for _ in range(2):
         line = congruence_line(c, rng)
-        report, shapes = elimination_shapes(monkeypatch, c, line)
-        assert shapes[-1] == (n - 1, n - 1)
+        oracle = oracle_report(c, line)
+        # A has rank n-1 at a node exactly where the focal form, the
+        # oracle's gcd, does not vanish.
+        node = next(u for u in range(n) if sum(x * u**k for k, x in enumerate(oracle.gcd_form)))
+        report, call, first, second = slice_work(work, c, line)
+        assert call == ([(n - 1, width(c))] * (node + 1), 0)
+        assert first == ([(n - 1, n - 1)] * (n - 1 - node), 1)
+        assert second == ([], 0)
         assert report.gcd_degree == n - 1
-        assert report == oracle_report(c, line)
+        assert report == oracle
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
@@ -289,46 +343,43 @@ def test_class_path_matches_the_oracle(make, n):
         assert str(excinfo.value) == refusal(other, 0)
 
 
-class InterpolationCounter:
-    """Counts calls of the slice's interpolation through its module
-    binding, the name `focal_points_on_line` looks up."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        inner = congruence._form_from_integer_values
-
-        def counted(values):
-            self.calls += 1
-            return inner(values)
-
-        monkeypatch.setattr(congruence, "_form_from_integer_values", counted)
-
-    def slice(self, c, line):
-        self.calls = 0
-        report = focal_points_on_line(c, line)
-        return report, self.calls
-
-
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_one_interpolation_per_congruence_line(make, monkeypatch):
     # Every nonzero minor on a congruence line is a multiple of the
-    # focal form, so there is one class whatever the number of minors.
-    counter = InterpolationCounter(monkeypatch)
+    # focal form, so one interpolation gives the gcd whatever the number
+    # of minors; it runs on the first read of gcd_form, not in the slice.
+    work = WorkRecorder(monkeypatch)
     for n in range(3, 9):
         c, line = probe_line(make, n, 3)
-        report, calls = counter.slice(c, line)
+        report, (_, call), (_, first), (_, second) = slice_work(work, c, line)
         assert report.gcd_degree == n - 1
-        assert calls == 1
+        assert (call, first, second) == (0, 1, 0)
     # No interpolation where every minor vanishes.
-    report, calls = counter.slice(*vanishing_minors_line(4))
-    assert report.focal_line and calls == 0
+    report, (_, call), (_, first), _ = slice_work(work, *vanishing_minors_line(4))
+    assert report.focal_line and call == first == 0
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_foci_check_builds_no_focal_form(make, monkeypatch):
+    # `verify foci` prints the gcd degree alone, which the certificate
+    # gives: its probes take no square elimination and no
+    # interpolation, only the eliminations of A(P)^T, of the line
+    # solver and of the slice's first node, none of them square.
+    work = WorkRecorder(monkeypatch)
+    for n in range(3, 11):
+        c = make(n, 1, 9)
+        trials, shapes, interpolations = work.run(foci_check, c, 3, 1, 9)
+        assert [t.gcd_degree for t in trials] == [n - 1] * 3
+        assert shapes and all(rows < cols for rows, cols in shapes)
+        assert interpolations == 0
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_slice_builds_no_multipoly(make, monkeypatch):
     # A binary form is a coefficient tuple from the node values to the
-    # gcd; the slice never builds a polynomial object, not even on the
-    # way to refusing a random line.
+    # gcd; the slice and the first read of its gcd_form never build a
+    # polynomial object, nor does the slice on the way to refusing a
+    # random line.
     calls = []
     inner = MultiPoly.__init__
 
@@ -340,14 +391,15 @@ def test_slice_builds_no_multipoly(make, monkeypatch):
     reports = []
     for n in range(3, 9):
         c, line = probe_line(make, n, 2)
-        reports.append((n, focal_points_on_line(c, line)))
+        report = focal_points_on_line(c, line)
+        reports.append((n, report, report.gcd_form))
         other = random_line(n, 2)
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, other)
         assert str(excinfo.value) == refusal(other, 0)
     assert calls == []
     assert MultiPoly(2, {(1, 0): 1}) and len(calls) == 1
-    for n, report in reports:
-        assert type(report.gcd_form) is tuple
-        assert next(x for x in report.gcd_form if x) == 1
+    for n, report, form in reports:
+        assert type(form) is tuple
+        assert next(x for x in form if x) == 1
         assert report.gcd_degree == n - 1
