@@ -25,10 +25,10 @@ from .exact import (
     RationalMatrix,
     _bareiss,
     _cleared,
-    _kernel,
     _maximal_minors,
     _rational,
     binary_gcd,
+    determinant,
     pfaffian,
     primitive_vector,
     rank_and_kernel,
@@ -219,23 +219,20 @@ Congruence = LinearCongruence | DeterminantalCongruence
 
 
 def _left_kernel(c: Congruence, point: Sequence) -> tuple:
-    """A primitive integer basis of the left kernel of A(P).
+    """A primitive integer basis of the left kernel of A(P), the right
+    kernel of its rows A(P)^T (`exact.rank_and_kernel`).
 
-    The rows of A(P)^T, each cleared of denominators (a row scaling,
-    which keeps the kernel), go straight to the integer kernel of
-    `exact`.  P lies off the focal locus exactly when A(P) has rank
-    n-1; the kernel then has dimension 2 for the linear kind (it holds
-    P) and 1 for the determinantal kind.  A lower rank raises
-    FocalPointError.
+    P lies off the focal locus exactly when A(P) has rank n-1; the
+    kernel then has dimension 2 for the linear kind (it holds P) and 1
+    for the determinantal kind.  A lower rank raises FocalPointError.
     """
     pt = normalize_point(point)
-    rows = [_cleared(list(col))[0] for col in c.columns_at(pt)]
-    rank, _, _, _, vectors = _kernel(rows)
+    rank, kernel = rank_and_kernel(c.columns_at(pt))
     if rank != c.n - 1:
         raise FocalPointError(
             "A(P) has rank %d < %d at %s: focal point" % (rank, c.n - 1, pt)
         )
-    return tuple(map(primitive_vector, vectors))
+    return kernel
 
 
 def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
@@ -273,15 +270,14 @@ def line_through_point_determinantal(
         )
         for j in range(c.n - 1)
     ]
-    system = RationalMatrix(forms)
-    rank, kernel = rank_and_kernel(system)
+    rank, kernel = rank_and_kernel(forms)
     if rank != c.n - 1:
         raise DegeneracyError(
             "combined forms have rank %d < %d" % (rank, c.n - 1)
         )
     line = ProjLine(kernel[0], kernel[1])
     pt = normalize_point(point)
-    if any(v != 0 for v in system.mat_vec(pt)) or not line.contains(pt):
+    if any(sum(map(operator.mul, f, pt)) for f in forms) or not line.contains(pt):
         raise RuntimeError("solved line misses the probe point %s" % (pt,))
     return line
 
@@ -410,43 +406,18 @@ def _kernel_is_constant(pencil: list, kernel: Sequence) -> bool:
     )
 
 
-def _slice_on_constant_kernel(
-    pencil: list, deleted: Sequence, node: int, minors: Sequence
-) -> FocalSliceReport:
-    """The report on a line whose left kernel K, taken at the first node
-    of full rank, is certified constant (`_kernel_is_constant`).
-
-    minors holds every maximal minor m_I at that node.  Every minor is
-    the multiple (m_I / m_J) * F of the J-th one, F, J the first index
-    with m_J != 0, and F is a nonzero form of degree n-1: the minor
-    degrees and the gcd degree n-1 follow with no further work.  The
-    report keeps what fixes F, the pencil, the columns J keeps, the
-    node and m_J there, for `_focal_form` to build gcd_form when it is
-    read.
-    """
-    size = len(pencil)
-    j = next(k for k, m in enumerate(minors) if m)
-    kept = [i for i in range(len(pencil[0]) // 2) if i not in deleted[j]]
-    degrees = tuple(size if m else None for m in minors)
-    return FocalSliceReport(degrees, None, size, False, (pencil, kept, node, minors[j]))
-
-
 def _focal_form(pencil: list, kept: Sequence, node: int, value) -> tuple:
     """gcd_form of a certified slice: F, the minor of the kept columns,
     scaled so that its first nonzero entry is 1.
 
     F vanishes at the nodes before `node`, where the rank is below n-1,
-    and takes `value` there; at each later node it is one square
-    determinant of the kept columns, the permutation sign times the
-    last Bareiss pivot, or 0 below full rank.  One interpolation of F
+    and takes `value` there; at each later node it is the determinant
+    of the kept columns (`exact.determinant`).  One interpolation of F
     and `binary_gcd` of F alone give the gcd.
     """
-    size = len(pencil)
     values = [0] * node + [value]
-    for u in range(node + 1, size + 1):
-        work = _at_node(pencil, u, kept)
-        pivot_cols, sign = _bareiss(work)
-        values.append(sign * work[-1][-1] if len(pivot_cols) == size else 0)
+    for u in range(node + 1, len(pencil) + 1):
+        values.append(determinant(_at_node(pencil, u, kept)))
     return binary_gcd([_form_from_integer_values(values)])
 
 
@@ -477,7 +448,8 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     the lambda that cuts it).  The slice stops there, after one
     elimination and one integer check; F itself, one square
     determinant per later node and an interpolation, is built only
-    when the report's gcd_form is read (`_slice_on_constant_kernel`).
+    when the report's gcd_form is read (`_focal_form`), from the first
+    nonzero minor m_J: its kept columns, the node and its value there.
     A line whose kernel fails the check is not a line of the
     congruence, and ValueError names the line and the node.  On a line
     where every node has rank below n-1, every minor vanishes at n
@@ -495,7 +467,11 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
                 "%r is not a line of the congruence: the left kernel of A at "
                 "node (1, %d) does not annihilate A(p1)" % (line, u)
             )
-        return _slice_on_constant_kernel(pencil, deleted, u, minors)
+        j = next(k for k, m in enumerate(minors) if m)
+        kept = [i for i in every if i not in deleted[j]]
+        degrees = tuple(c.n - 1 if m else None for m in minors)
+        node = (pencil, kept, u, minors[j])
+        return FocalSliceReport(degrees, None, c.n - 1, False, node)
     return FocalSliceReport((None,) * len(deleted), (), None, True)
 
 
@@ -756,8 +732,8 @@ def save_congruence(c: Congruence) -> str:
     if isinstance(c, LinearCongruence):
         for idx, m in enumerate(c.matrices):
             lines.append("matrix %d" % idx)
-            for i in range(m.rows):
-                lines.append(" ".join(str(v) for v in m.row(i)))
+            for row in m:
+                lines.append(" ".join(str(v) for v in row))
     else:
         for idx, row in enumerate(c.rows):
             lines.append("row %d" % idx)
@@ -831,28 +807,27 @@ def load_congruence(text: str) -> Congruence:
         try:
             # Fraction expands an exponent such as 1e999999999 in full
             # before any size check could run, so exponents are refused.
-            if "e" in line.lower():
-                raise ValueError("exponent")
+            # An underscore, which Fraction reads as a digit separator
+            # from Python 3.11 on, is refused on every version.
+            if "e" in line.lower() or "_" in line:
+                raise ValueError("exponent or underscore")
             return [_parse_entry(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError):
             fail(no, "non-rational entry in %r" % line)
 
-    if kind == "linear":
-        matrices = []
-        for idx in range(n - 1):
-            no, header = next_line("'matrix %d'" % idx)
-            if header.split() != ["matrix", str(idx)]:
-                fail(no, "expected 'matrix %d', got %r" % (idx, header))
-            matrices.append([parse_vector(n + 1) for _ in range(n + 1)])
-        result = LinearCongruence(n, matrices)
-    else:
-        rows = []
-        for idx in range(n):
-            no, header = next_line("'row %d'" % idx)
-            if header.split() != ["row", str(idx)]:
-                fail(no, "expected 'row %d', got %r" % (idx, header))
-            rows.append([parse_vector(n + 1) for _ in range(n - 1)])
-        result = DeterminantalCongruence(n, rows)
+    # Linear: n-1 skew matrices of n+1 rows; determinantal: n rows of
+    # n-1 linear forms; every line holds n+1 entries.
+    cls, word, blocks, size = {
+        "linear": (LinearCongruence, "matrix", n - 1, n + 1),
+        "determinantal": (DeterminantalCongruence, "row", n, n - 1),
+    }[kind]
+    data = []
+    for idx in range(blocks):
+        no, header = next_line("'%s %d'" % (word, idx))
+        if header.split() != [word, str(idx)]:
+            fail(no, "expected '%s %d', got %r" % (word, idx, header))
+        data.append([parse_vector(n + 1) for _ in range(size)])
+    result = cls(n, data)
     if pos != len(body):
         no, line = body[pos]
         fail(no, "trailing content %r" % line)

@@ -1,22 +1,15 @@
 """Exact arithmetic substrate: rational matrices, fraction-free elimination,
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
-One elimination kernel, the in-place Bareiss loop `_bareiss`, serves
-the rank test of `congruence.ProjLine.contains`, `determinant` (last
-pivot and permutation sign) and `_kernel`, which adds integer
-back-substitution.  `_kernel` in turn serves `rank_and_kernel`, the
-line solver's left kernel in `congruence`, and `_maximal_minors`, which
-reads every maximal minor of a matrix with one or two more columns
-than rows off its kernel by Plucker duality and hands that kernel
-back.  The focal slice eliminates one node of its pencil in full this
-way.  When every kernel vector also annihilates the t-half of the
-pencil, an exact integer check, it is the kernel at every point of
-the line where the pencil has full rank (every congruence line
-passes, and the slice refuses any line that fails), so each maximal
-minor is a fixed multiple of one form of degree n-1, and the slice
-ends there.  Only a read of that form, the report's gcd_form, takes
-one square `_bareiss` per other node (determinant = permutation sign
-times last pivot) and gives `binary_gcd` the one form.
+`rank_and_kernel` and `determinant` take any iterable of rows of exact
+rationals, `int` or Fraction entries (a `RationalMatrix` iterates its
+rows); `_integer_rows` coerces and checks them once and clears each
+row of denominators.  One elimination loop, the in-place Bareiss
+`_bareiss`, serves both: `determinant` is the permutation sign times
+the last pivot (0 below full rank), and it gives the focal form of
+`congruence` its node values; `_kernel` adds integer back-substitution
+for the kernels, and `_maximal_minors` reads every maximal minor of a
+matrix with one or two more columns than rows off that kernel.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
@@ -75,6 +68,17 @@ def primitive_vector(vec: Sequence) -> tuple:
     return tuple(x // g for x in ints)
 
 
+def _rational_rows(rows: Iterable[Iterable]) -> tuple:
+    """The rows as a tuple of equally long, nonempty tuples of exact
+    rationals (see `_rational`)."""
+    data = tuple(tuple(map(_rational, row)) for row in rows)
+    if not data or not data[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    if any(len(row) != len(data[0]) for row in data):
+        raise ValueError("ragged rows")
+    return data
+
+
 class RationalMatrix:
     """Immutable matrix of exact rationals, stored row-major; integral
     entries are stored as `int`, the others as Fraction."""
@@ -82,15 +86,12 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = tuple(tuple(map(_rational, row)) for row in rows_data)
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        self._rows = data
-        self.rows = len(data)
-        self.cols = width
+        self._rows = _rational_rows(rows_data)
+        self.rows = len(self._rows)
+        self.cols = len(self._rows[0])
+
+    def __iter__(self):
+        return iter(self._rows)
 
     def entry(self, i: int, j: int):
         return self._rows[i][j]
@@ -124,16 +125,16 @@ class RationalMatrix:
         return "RationalMatrix[%s]" % body
 
 
-def _integer_rows(m: RationalMatrix) -> tuple:
-    """Rows cleared of denominators, with the product of the row multipliers.
+def _integer_rows(rows: Iterable[Iterable]) -> tuple:
+    """The rows (see `_rational_rows`) as lists cleared of denominators,
+    with the product of the row multipliers.
 
     Row scaling changes neither rank nor kernel, and it multiplies the
-    determinant by the returned product.  An integral row is copied as
-    it is.
+    determinant by the returned product.
     """
     out = []
     scale = 1
-    for row in m._rows:
+    for row in _rational_rows(rows):
         ints, mult = _cleared(list(row))
         scale *= mult
         out.append(ints)
@@ -210,10 +211,11 @@ def _kernel(work: list) -> tuple:
     return rank, sign, pivot, free_cols, vectors
 
 
-def rank_and_kernel(m: RationalMatrix) -> tuple:
-    """Rank of m together with a primitive integer basis of its right
-    kernel, one vector per free column (see `_kernel`)."""
-    work, _ = _integer_rows(m)
+def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
+    """Rank of the matrix with the given rows of exact rationals,
+    together with a primitive integer basis of its right kernel, one
+    vector per free column (see `_kernel`)."""
+    work, _ = _integer_rows(rows)
     rank, _, _, _, vectors = _kernel(work)
     return rank, tuple(map(primitive_vector, vectors))
 
@@ -255,16 +257,18 @@ def _maximal_minors(work: list, deleted: Sequence[tuple]) -> tuple:
     return out, vectors
 
 
-def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination: the last Bareiss
-    pivot times the permutation sign, over the row scaling."""
-    if m.rows != m.cols:
+def determinant(rows: Iterable[Iterable]):
+    """Exact determinant of the square matrix with the given rows of
+    exact rationals, by fraction-free elimination: the permutation sign
+    times the last Bareiss pivot over the row scaling, 0 below full
+    rank; an `int` when it is integral."""
+    work, scale = _integer_rows(rows)
+    if len(work) != len(work[0]):
         raise ValueError("determinant requires a square matrix")
-    work, scale = _integer_rows(m)
     pivot_cols, sign = _bareiss(work)
-    if len(pivot_cols) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * work[-1][-1], scale)
+    if len(pivot_cols) < len(work):
+        return 0
+    return _rational(Fraction(sign * work[-1][-1], scale))
 
 
 def ring_determinant(rows: Sequence[Sequence], zero):

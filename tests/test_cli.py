@@ -40,7 +40,7 @@ def test_schubert_lincong_example(capsys):
 
 def test_verify_foci_twisted_cubic(capsys, tmp_path):
     path = tmp_path / "tc.cong"
-    path.write_text(save_congruence(twisted_cubic_congruence()))
+    path.write_text(save_congruence(twisted_cubic_congruence()), encoding="utf-8")
     code, out, _ = run(capsys, ["verify", "foci", "--in", str(path), "--trials", "10", "--seed", "1"])
     assert code == 0
     lines = out.splitlines()
@@ -118,7 +118,7 @@ def test_all_focal_probes_fail_verification(capsys, tmp_path, kind):
     # Focal probes are skipped, so a run of them alone finds no line and
     # certifies nothing: both commands fail in every format.
     path = tmp_path / "zero.cong"
-    path.write_text(save_congruence(ALL_FOCAL[kind]))
+    path.write_text(save_congruence(ALL_FOCAL[kind]), encoding="utf-8")
     probe = ["--in", str(path), "--trials", "3"]
     counts = ["trials", 3], ["successes", 0], ["focal_skips", 3], ["unique_lines", 0]
     assert run(capsys, ["verify", "order"] + probe) == (
@@ -179,7 +179,7 @@ def test_construct_stdout_matches_file(capsys, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, ["construct", "--kind", "determinantal", "--n", "4", "--seed", "3"])
     assert code == 0
-    assert out == path.read_text()
+    assert out == path.read_text(encoding="utf-8")
 
 
 def test_verify_order_runs_from_file(capsys, tmp_path):
@@ -214,7 +214,7 @@ def test_pfaffian_odd_json(capsys, tmp_path):
 
 def test_pfaffian_rejects_determinantal(capsys, tmp_path):
     path = tmp_path / "det.cong"
-    path.write_text(save_congruence(twisted_cubic_congruence()))
+    path.write_text(save_congruence(twisted_cubic_congruence()), encoding="utf-8")
     code, _, err = run(capsys, ["pfaffian", "--in", str(path)])
     assert code == 2
     assert "linear" in err
@@ -226,7 +226,7 @@ def test_pfaffian_vanishing_identically_exits_one(capsys, tmp_path):
     a1 = [[0] * 4 for _ in range(4)]
     a1[0][1], a1[1][0] = 1, -1
     path = tmp_path / "degenerate.cong"
-    path.write_text(save_congruence(LinearCongruence(3, [a1, [[0] * 4 for _ in range(4)]])))
+    path.write_text(save_congruence(LinearCongruence(3, [a1, [[0] * 4 for _ in range(4)]])), encoding="utf-8")
     code, out, err = run(capsys, ["pfaffian", "--in", str(path)])
     assert (code, out, err) == (1, "", "error: pfaffian vanishes identically\n")
 
@@ -235,7 +235,7 @@ def test_pfaffian_of_the_wrong_degree_exits_three(capsys, tmp_path, monkeypatch)
     # A nonzero Pfaffian of linear forms is homogeneous of degree
     # (n+1)/2, so any other result is a fault of the program.
     path = tmp_path / "lin3.cong"
-    path.write_text(save_congruence(random_linear_congruence(3, 1, 9)))
+    path.write_text(save_congruence(random_linear_congruence(3, 1, 9)), encoding="utf-8")
     monkeypatch.setattr(congruence, "pfaffian", lambda rows: MultiPoly(2, {(0, 0): 1, (1, 0): 1}))
     code, out, err = run(capsys, ["pfaffian", "--in", str(path)])
     message = "error: internal check failed: pfaffian is not homogeneous of degree 2\n"
@@ -271,7 +271,7 @@ def test_classify_passing_subset_exits_zero(capsys, tmp_path):
         if "non-example" not in r.tags and r.dim in (2, 3)
     ]
     path = tmp_path / "good.tsv"
-    path.write_text(save_catalog(records))
+    path.write_text(save_catalog(records), encoding="utf-8")
     code, out, _ = run(capsys, ["classify", "--catalog", str(path)])
     assert code == 0
     assert out.endswith("result = pass\n")
@@ -289,7 +289,8 @@ def test_classify_shared_name_renders_each_kind(capsys, tmp_path):
     path.write_text(
         "\t".join(TSV_COLUMNS) + "\n"
         "a1\t5\t3\t7\t4\t1\t1\t\t\t\n"
-        "a1\t4\t2\t6\t3\t\t1\t-1\t0\t\n"
+        "a1\t4\t2\t6\t3\t\t1\t-1\t0\t\n",
+        encoding="utf-8",
     )
     argv = ["classify", "--catalog", str(path)]
     assert run(capsys, argv) == (
@@ -308,7 +309,7 @@ def test_classify_shared_name_renders_each_kind(capsys, tmp_path):
 def test_classify_without_records_fails(capsys, tmp_path, dims):
     # A run that classifies no record checks nothing, so it cannot pass.
     path = tmp_path / "empty.tsv"
-    path.write_text(save_catalog([r for r in load_builtin_catalog() if r.dim in dims]))
+    path.write_text(save_catalog([r for r in load_builtin_catalog() if r.dim in dims]), encoding="utf-8")
     argv = ["classify", "--catalog", str(path)]
     assert run(capsys, argv) == (1, "result = fail\n", "")
     assert run(capsys, argv + ["--format", "json"]) == (1, "[]\n", "")
@@ -378,9 +379,9 @@ def test_malformed_entries_exit_two(capsys, tmp_path):
     # would fail there before it tried to expand 1e999999999.
     good = save_congruence(twisted_cubic_congruence())
     path = tmp_path / "bad.cong"
-    for entry in ("1/0", "1E5", "1e999999999"):
+    for entry in ("1/0", "1E5", "1e999999999", "1_000"):
         line = "%s 0 0 0" % entry
-        path.write_text(good.replace("1 0 0 0", line, 1))
+        path.write_text(good.replace("1 0 0 0", line, 1), encoding="utf-8")
         code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
         assert (code, out) == (2, "")
         assert err == "error: line 4: non-rational entry in %r\n" % line
@@ -401,7 +402,7 @@ def test_order_failure_exit_code(capsys, tmp_path):
     # generic data, so use classify on a failing catalog instead.
     records = [r for r in load_builtin_catalog() if r.name == "ci_2_2_surface"]
     path = tmp_path / "bad.tsv"
-    path.write_text(save_catalog(records))
+    path.write_text(save_catalog(records), encoding="utf-8")
     assert main(["classify", "--catalog", str(path)]) == 1
     capsys.readouterr()
 
@@ -595,7 +596,7 @@ FIELDS_GOLDEN = (
 
 def test_fields_golden_output(capsys, tmp_path):
     files = {"cubic": tmp_path / "cubic.cong"}
-    files["cubic"].write_text(save_congruence(twisted_cubic_congruence()))
+    files["cubic"].write_text(save_congruence(twisted_cubic_congruence()), encoding="utf-8")
     for name, argv in (
         ("odd", ["--kind", "linear", "--n", "3", "--seed", "1"]),
         ("even", ["--kind", "linear", "--n", "4", "--seed", "1"]),
@@ -644,7 +645,7 @@ def test_malformed_catalog_exits_two(capsys, tmp_path):
         # a row of ten empty cells is a record, not a blank line
         (valid + "\n" + "\t" * 9 + "\n" + valid, "line 3, column n: required"),
     ):
-        path.write_text(header + "\n" + text + "\n" if text else "")
+        path.write_text(header + "\n" + text + "\n" if text else "", encoding="utf-8")
         for dim in ([], ["--dim", "3"]):
             code, out, err = run(capsys, ["classify", "--catalog", str(path)] + dim)
             assert (code, out, err) == (2, "", "error: %s\n" % message)
@@ -662,7 +663,7 @@ def test_truncated_file_names_its_last_line(capsys, tmp_path):
         (linear.replace("matrix 0", "matrix 1"), "line 3: expected 'matrix 0', got 'matrix 1'"),
         (cubic.replace("row 1", "row 2"), "line 6: expected 'row 1', got 'row 2'"),
     ):
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, ["verify", "order", "--in", str(path)])
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
@@ -670,7 +671,7 @@ def test_truncated_file_names_its_last_line(capsys, tmp_path):
 def test_input_bounds_refused_before_work(capsys, tmp_path):
     # Each value would run for hours; the limit check must come first.
     path = tmp_path / "c.cong"
-    path.write_text(save_congruence(twisted_cubic_congruence()))
+    path.write_text(save_congruence(twisted_cubic_congruence()), encoding="utf-8")
     odd13 = tmp_path / "odd13.cong"
     main(["construct", "--kind", "linear", "--n", "13", "--seed", "1", "--out", str(odd13)])
     huge, over_bound = str(10**9), str(10**19)
@@ -746,9 +747,11 @@ def fresh_call(argv):
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from quadpoint.cli import main; sys.exit(main(sys.argv[1:]))"]
         + argv,
-        env=dict(os.environ, PYTHONPATH=src),
+        # The child writes stdout (schubert pow prints sigma) in UTF-8
+        # whatever the locale, and the parent reads it as UTF-8.
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"),
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     return run.returncode, run.stdout
 

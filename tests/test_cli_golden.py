@@ -45,7 +45,7 @@ def collect():
                     construct = ["construct", "--kind", kind, "--n", str(n), "--seed", seed]
                     code, text = results[" ".join(construct)] = _run(construct)
                     path = str(Path(tmp) / ("%s-%d-%s.cong" % (kind, n, seed)))
-                    Path(path).write_text(text)
+                    Path(path).write_text(text, encoding="utf-8")
                     for sub in ("order", "foci"):
                         for fmt in ("text", "json"):
                             argv = ["verify", sub, "--in", path, "--seed", seed, "--format", fmt]

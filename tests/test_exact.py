@@ -157,6 +157,50 @@ def test_determinant_matches_permutation_oracle():
         assert determinant(RationalMatrix(rows)) == perm_det(rows, Fraction(0))
 
 
+# The row containers that rank_and_kernel and determinant accept.
+ROW_CONTAINERS = {
+    "list": lambda rows: [list(r) for r in rows],
+    "tuple": lambda rows: tuple(tuple(r) for r in rows),
+    "generator": lambda rows: (iter(r) for r in rows),
+    "RationalMatrix": RationalMatrix,
+}
+
+
+@pytest.mark.parametrize("wrap", ROW_CONTAINERS.values(), ids=ROW_CONTAINERS)
+def test_row_containers_give_the_same_results(wrap):
+    rng = random.Random(29)
+    for _ in range(20):
+        size = rng.randint(1, 4)
+        cols = rng.randint(1, 5)
+        data = [[random_rational(rng) for _ in range(cols)] for _ in range(size)]
+        assert rank_and_kernel(wrap(data)) == rank_and_kernel(RationalMatrix(data))
+        square = [[random_rational(rng) for _ in range(size)] for _ in range(size)]
+        assert determinant(wrap(square)) == perm_det(square, Fraction(0))
+
+
+@pytest.mark.parametrize("function", [rank_and_kernel, determinant])
+@pytest.mark.parametrize(
+    "rows, error",
+    [([], ValueError), ([[]], ValueError), ([[1, 2], [3]], ValueError),
+     ([[1, 0], [0, 0.5]], TypeError)],
+    ids=["no-rows", "empty-row", "ragged", "float"],
+)
+def test_rows_are_checked(function, rows, error):
+    for wrap in ROW_CONTAINERS.values():
+        with pytest.raises(error):
+            function(wrap(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, value",
+    [([[2, 1], [1, 1]], 1), ([[1, 2], [2, 4]], 0),
+     ([[Fraction(1, 2), 0], [0, 4]], 2), ([[0, 1], [1, 0]], -1)],
+)
+def test_determinant_of_integer_value_is_int(rows, value):
+    det = determinant(rows)
+    assert type(det) is int and det == value
+
+
 def test_ring_determinant_matches_permutation_oracle():
     rng = random.Random(8)
     for _ in range(10):

@@ -211,10 +211,10 @@ ENTRY_CHARS = "+-0123456789/._eE\u0663\u0664\uff11\uff12\u00b2 \t\u00a0"
 
 def fraction_parse(line):
     """The entries of a line as every token was read before integer
-    tokens went to int: Fraction on each of four tokens, exponents
-    refused; None for a refused line."""
+    tokens went to int: Fraction on each of four tokens, exponents and
+    underscores refused; None for a refused line."""
     tokens = line.split()
-    if len(tokens) != 4 or "e" in line.lower():
+    if len(tokens) != 4 or "e" in line.lower() or "_" in line:
         return None
     try:
         return [Fraction(tok) for tok in tokens]
