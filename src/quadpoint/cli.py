@@ -525,7 +525,8 @@ def main(argv=None) -> int:
         return 1
     except (ArithmeticError, RuntimeError) as err:
         # An exact self-check failed (an inexact division, a solved line
-        # that misses its probe or that the focal slice refuses, or a
+        # that is not isotropic or whose combined forms miss its probe
+        # or its solved point, a line that the focal slice refuses, or a
         # Pfaffian of the wrong degree): a fault of the program, not of
         # the input or of a verified property.
         print("error: internal check failed: %s" % err, file=sys.stderr)
@@ -535,5 +536,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> int:
+    """The `quadpoint` command and `python -m quadpoint.cli`: main with
+    stdout in UTF-8 whatever the locale, so that the same argv writes
+    the same bytes on every host (`schubert pow` prints a sigma).  main
+    itself writes to whatever sys.stdout is; a closed stdout is None,
+    and print writes nothing to it."""
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

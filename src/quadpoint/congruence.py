@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from .exact import (
     MultiPoly,
     RationalMatrix,
-    _bareiss,
     _cleared,
     _maximal_minors,
     _rational,
@@ -92,13 +91,6 @@ class ProjLine:
     @property
     def ambient_dim(self) -> int:
         return len(self.p0) - 1
-
-    def contains(self, point: Sequence) -> bool:
-        pt = normalize_point(point)
-        if len(pt) != len(self.p0):
-            return False
-        pivot_cols, _ = _bareiss([list(self.p0), list(self.p1), list(pt)])
-        return len(pivot_cols) == 2
 
     def _key(self) -> tuple:
         if self._plucker is None:
@@ -218,34 +210,59 @@ Congruence = LinearCongruence | DeterminantalCongruence
 # ----- line through a point -----
 
 
-def _left_kernel(c: Congruence, point: Sequence) -> tuple:
-    """A primitive integer basis of the left kernel of A(P), the right
-    kernel of its rows A(P)^T (`exact.rank_and_kernel`).
-
-    P lies off the focal locus exactly when A(P) has rank n-1; the
-    kernel then has dimension 2 for the linear kind (it holds P) and 1
-    for the determinantal kind.  A lower rank raises FocalPointError.
-    """
-    pt = normalize_point(point)
-    rank, kernel = rank_and_kernel(c.columns_at(pt))
+def _require_off_focal(c: Congruence, pt: tuple, rank: int) -> None:
+    """The focal test: P lies off the focal locus exactly when A(P) has
+    rank n-1; a lower rank raises FocalPointError."""
     if rank != c.n - 1:
         raise FocalPointError(
             "A(P) has rank %d < %d at %s: focal point" % (rank, c.n - 1, pt)
         )
-    return kernel
+
+
+def _solve_through(rows: Sequence, pt: tuple) -> tuple:
+    """(rank, w, line) of a line system M, the rows, that the probe
+    point pt solves: M has n+1 columns and M * pt = 0.
+
+    Let f be pt's last nonzero coordinate.  M * pt = 0 makes column f a
+    combination of the columns before it, so f is never a pivot, and
+    `rank_and_kernel` of M without column f gives M's rank.  At full row
+    rank the kernel of M is a plane and that elimination has one kernel
+    vector; with 0 put back at f it is w, the basis vector of
+    `rank_and_kernel(M)` for its other free column g, w's last nonzero
+    entry.  u = w[g]*pt - pt[g]*w is zero at g and not at f, so it is
+    the basis vector of f.  line spans u and w, p0 the one that is zero
+    at max(f, g): rank_and_kernel(M)'s basis in its order, from one
+    elimination with a column fewer and one back-substitution, and pt
+    lies on it by construction.  Below full row rank w and line are
+    None.
+    """
+    f = max(i for i, x in enumerate(pt) if x)
+    rank, kernel = rank_and_kernel([r[:f] + r[f + 1 :] for r in rows])
+    if rank < len(rows):
+        return rank, None, None
+    (w,) = kernel
+    w = w[:f] + (0,) + w[f:]
+    g = max(i for i, x in enumerate(w) if x)
+    u = [w[g] * x - pt[g] * y for x, y in zip(pt, w)]
+    return rank, w, ProjLine(u, w) if g > f else ProjLine(w, u)
 
 
 def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     """The unique congruence line through a general point P.
 
     Solves A(P)^T * v = 0, that is tP * A_i * v = 0 for all i.  P itself
-    always solves the system; a second independent solution exists
-    because A(P)^T has n-1 rows.
+    always solves the system, by skew-symmetry; a second independent
+    solution exists because A(P)^T has n-1 rows, and `_solve_through`
+    finds it in one elimination through P.  The spanning points are
+    `rank_and_kernel`'s primitive basis of the whole system: the
+    echelon basis of the line, fixed by the line alone whatever point
+    of it is probed, and the parametrization s*p0 + t*p1 in which the
+    focal slice writes gcd_form.  The line must be isotropic for every
+    A_i.
     """
-    line = ProjLine(*_left_kernel(c, point))
     pt = normalize_point(point)
-    if not line.contains(pt):
-        raise RuntimeError("solved line misses the probe point %s" % (pt,))
+    rank, _, line = _solve_through(c.columns_at(pt), pt)
+    _require_off_focal(c, pt, rank)
     for m in c.matrices:
         image = m.mat_vec(line.p1)
         if sum(a * b for a, b in zip(line.p0, image)) != 0:
@@ -260,9 +277,17 @@ def line_through_point_determinantal(
 
     Finds the left kernel vector lambda of A(P) (it must be unique up
     to scale), then intersects the n-1 hyperplanes given by the lambda
-    combination of the columns of A.
+    combination of the columns of A, in one elimination through P
+    (`_solve_through`).  As for the linear kind, the spanning points
+    are `rank_and_kernel`'s primitive basis of the combined forms, the
+    echelon basis of the line and the parametrization of its focal
+    slice.  The combined forms must vanish at P and at w, the solved
+    vector, which with P spans the line.
     """
-    (lam,) = _left_kernel(c, point)
+    pt = normalize_point(point)
+    rank, kernel = rank_and_kernel(c.columns_at(pt))
+    _require_off_focal(c, pt, rank)
+    (lam,) = kernel
     forms = [
         tuple(
             sum(lam[i] * c.rows[i][j][k] for i in range(c.n))
@@ -270,15 +295,15 @@ def line_through_point_determinantal(
         )
         for j in range(c.n - 1)
     ]
-    rank, kernel = rank_and_kernel(forms)
+    if any(sum(map(operator.mul, f, pt)) for f in forms):
+        raise RuntimeError("solved line misses the probe point %s" % (pt,))
+    rank, w, line = _solve_through(forms, pt)
     if rank != c.n - 1:
         raise DegeneracyError(
             "combined forms have rank %d < %d" % (rank, c.n - 1)
         )
-    line = ProjLine(kernel[0], kernel[1])
-    pt = normalize_point(point)
-    if any(sum(map(operator.mul, f, pt)) for f in forms) or not line.contains(pt):
-        raise RuntimeError("solved line misses the probe point %s" % (pt,))
+    if any(sum(map(operator.mul, f, w)) for f in forms):
+        raise RuntimeError("combined forms do not vanish on the solved line")
     return line
 
 

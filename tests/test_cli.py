@@ -17,7 +17,7 @@ from quadpoint.congruence import (
     save_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly
+from quadpoint.exact import MultiPoly, rank_and_kernel
 
 
 def run(capsys, argv):
@@ -711,13 +711,20 @@ def raise_plucker(*args):
     raise ArithmeticError("inexact Plucker division")
 
 
+def off_kernel(rows):
+    """rank_and_kernel with its first kernel vector moved off the kernel."""
+    rank, kernel = rank_and_kernel(rows)
+    first = kernel[0]
+    return rank, ((first[0] + 1,) + first[1:],) + kernel[1:]
+
+
 @pytest.mark.parametrize(
     "owner, name, replacement, reason",
     (
         (congruence, "_maximal_minors", raise_plucker, "inexact Plucker division"),
-        # A solved line that misses its probe makes the line solver
-        # raise RuntimeError.
-        (congruence.ProjLine, "contains", lambda self, point: False, "solved line misses the probe point"),
+        # A wrong kernel vector gives a line that is not isotropic, and
+        # the line solver raises RuntimeError.
+        (congruence, "rank_and_kernel", off_kernel, "solved line is not isotropic for every A_i"),
         # A solved line that the focal slice refuses is a fault of the
         # program too, not of the input file.
         (
@@ -768,3 +775,35 @@ def test_in_process_calls_match_fresh_calls(capsys):
     in_process = [run(capsys, argv)[:2] for argv in argvs]
     assert [code for code, _ in in_process] == [2, 2, 0, 0]
     assert in_process == [fresh_call(argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("encoding", ("latin-1", "ascii", "utf-8"))
+def test_command_writes_utf8_in_every_locale(capsys, encoding):
+    # The command writes the UTF-8 bytes of what main prints in process,
+    # whatever encoding the environment asks for.
+    argv = ["schubert", "pow", "--n", "5", "--l", "4"]
+    code, out, _ = run(capsys, argv)
+    assert (code, out) == (0, "σ[4,0] + 3σ[3,1] + 2σ[2,2]\n")
+    src = str(Path(congruence.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "quadpoint.cli"] + argv,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=encoding),
+        capture_output=True,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, out.encode("utf-8"), b"")
+    # The installed console script runs the same entry point.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'quadpoint = "quadpoint.cli:console_main"' in pyproject.read_text(encoding="utf-8")
+
+
+def test_command_with_closed_stdout_exits_zero():
+    # With file descriptor 1 closed, sys.stdout is None and print writes
+    # nothing; the command still succeeds.
+    src = str(Path(congruence.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "quadpoint.cli", "schubert", "pow", "--n", "5", "--l", "4"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (child.returncode, child.stderr) == (0, b"")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -36,6 +37,7 @@ from quadpoint.congruence import (
 from quadpoint.exact import (
     MultiPoly,
     RationalMatrix,
+    _bareiss,
     rank_and_kernel,
     ring_determinant,
     seeded_skew_matrix,
@@ -46,6 +48,16 @@ from restriction import normalized, oracle_report, restricted, scaled, variable
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
 def is_focal_point(c, point):
     return rank_and_kernel(RationalMatrix(zip(*c.columns_at(point))))[0] < c.n - 1
+
+
+# Membership oracle: the point lies on the line when it adds no rank to
+# the two spanning points; a point of another dimension is not on it.
+def contains(line, point):
+    pt = normalize_point(point)
+    if len(pt) != len(line.p0):
+        return False
+    pivot_cols, _ = _bareiss([list(line.p0), list(line.p1), list(pt)])
+    return len(pivot_cols) == 2
 
 
 def test_normalize_point():
@@ -61,8 +73,8 @@ def test_projline_equality_is_projective():
     assert a == b
     assert hash(a) == hash(b)
     assert ProjLine(a.p1, a.p0) == a
-    assert a.contains((3, 0, 0, 7))
-    assert not a.contains((0, 1, 0, 0))
+    assert contains(a, (3, 0, 0, 7))
+    assert not contains(a, (0, 1, 0, 0))
     assert normalize_point([x - y for x, y in zip(a.p0, a.p1)]) == (1, 0, 0, 0)
     # Any two distinct points of a line span it; the Plucker key that
     # equality and hashing use is the same for every such pair.
@@ -97,9 +109,9 @@ def test_projline_validation():
         ProjLine((1, 0, 0), (0, 1, 0, 0))
     # a point of another dimension is not on the line
     line = ProjLine((1, 0, 0, 0), (0, 1, 0, 0))
-    assert line.contains((1, 1, 0, 0))
-    assert not line.contains((1, 0, 0))
-    assert not line.contains((1, 0, 0, 0, 0))
+    assert contains(line, (1, 1, 0, 0))
+    assert not contains(line, (1, 0, 0))
+    assert not contains(line, (1, 0, 0, 0, 0))
 
 
 # ----- twisted cubic fixtures -----
@@ -229,7 +241,7 @@ def test_linear_line_membership_residuals():
                 for k in range(n + 1)
             )
             assert residual == 0
-        assert line.contains(tuple(range(2, n + 3)))
+        assert contains(line, tuple(range(2, n + 3)))
 
 
 def test_rational_scaling_keeps_lines_and_slices():
@@ -273,6 +285,100 @@ def test_two_points_determine_the_line():
     dline = line_through_point_determinantal(d, (1, 1, 2, 3, 5))
     other = [x + 4 * y for x, y in zip(dline.p0, dline.p1)]
     assert line_through_point_determinantal(d, other) == dline
+
+
+def solved_by_whole_system(c, point):
+    """(error, expected) of the two-vector solve that the line solvers
+    replaced: rank_and_kernel of the whole line system, A(P)^T for the
+    linear kind and the lambda-combined forms for the determinantal
+    kind.  error is None and expected the primitive basis (p0, p1) when
+    a line exists, else the exception class and its text."""
+    pt = normalize_point(point)
+    rank, kernel = rank_and_kernel(c.columns_at(pt))
+    if rank < c.n - 1:
+        return FocalPointError, "A(P) has rank %d < %d at %s: focal point" % (rank, c.n - 1, pt)
+    if isinstance(c, DeterminantalCongruence):
+        (lam,) = kernel
+        forms = [
+            [sum(lam[i] * c.rows[i][j][k] for i in range(c.n)) for k in range(c.n + 1)]
+            for j in range(c.n - 1)
+        ]
+        rank, kernel = rank_and_kernel(forms)
+        if rank < c.n - 1:
+            return DegeneracyError, "combined forms have rank %d < %d" % (rank, c.n - 1)
+    return None, kernel
+
+
+@pytest.mark.parametrize("kind", ("linear", "determinantal"))
+def test_line_is_the_basis_of_the_whole_system(kind):
+    # One elimination through P must give the basis of rank_and_kernel
+    # on the whole system, in its order, and the same error texts.  A
+    # third of the random probes end in zeros, so that P's last nonzero
+    # coordinate is not its last; the sweep of n = 3 points with entries
+    # in {-1, 0, 1} and a last 0 hits focal and degenerate probes.
+    make = getattr(congruence, "random_%s_congruence" % kind)
+    cases = []
+    for n in range(3, 10):
+        for bound in (1, 2, 9, 10**6):
+            rng = random.Random("%s %d %d" % (kind, n, bound))
+            points = []
+            for k in range(6):
+                point = [rng.randint(-bound, bound) for _ in range(n + 1)]
+                if k % 3 == 1:
+                    zeros = rng.randint(1, n)
+                    point[-zeros:] = [0] * zeros
+                points.append(point)
+            cases.append((make(n, n, bound), points))
+    sweep = [p + (0,) for p in itertools.product((-1, 0, 1), repeat=3)]
+    cases += [(make(3, seed, 1), sweep) for seed in (1, 2, 3)]
+    if kind == "determinantal":
+        cases.append((twisted_cubic_congruence(), sweep))
+    outcomes = set()
+    for c, points in cases:
+        for point in points:
+            if not any(point):
+                continue
+            error, expected = solved_by_whole_system(c, point)
+            outcomes.add(error)
+            if error is None:
+                line = line_through_point(c, point)
+                assert (line.p0, line.p1) == expected
+                assert contains(line, point)
+                continue
+            with pytest.raises(error) as excinfo:
+                line_through_point(c, point)
+            assert str(excinfo.value) == expected
+    assert outcomes == (
+        {None, FocalPointError}
+        if kind == "linear"
+        else {None, FocalPointError, DegeneracyError}
+    )
+
+
+@pytest.mark.parametrize(
+    "wrong_call, message",
+    (
+        (1, "solved line misses the probe point"),
+        (2, "combined forms do not vanish on the solved line"),
+    ),
+)
+def test_determinantal_self_checks(monkeypatch, wrong_call, message):
+    # A wrong lambda (the first rank_and_kernel call) gives forms that
+    # miss P; a wrong solution w of the forms (the second) misses them.
+    calls = []
+
+    def off_kernel(rows):
+        calls.append(rows)
+        rank, kernel = rank_and_kernel(rows)
+        if len(calls) != wrong_call:
+            return rank, kernel
+        first = kernel[0]
+        return rank, ((first[0] + 1,) + first[1:],) + kernel[1:]
+
+    c = random_determinantal_congruence(4, 3, 9)
+    monkeypatch.setattr(congruence, "rank_and_kernel", off_kernel)
+    with pytest.raises(RuntimeError, match=message):
+        line_through_point_determinantal(c, (1, 1, 2, 3, 5))
 
 
 def test_lambda_combination_vanishes_on_line():
