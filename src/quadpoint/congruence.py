@@ -5,17 +5,15 @@ Grassmannian G(1,n) by n-1 skew-symmetric matrices, and determinantal
 congruences given by an n x (n-1) matrix of linear forms whose minors
 vanish on the focal locus.  Everything runs over the rationals; the
 order-one property and the focal length on lines are checked by exact
-linear algebra, never numerically; the focal form itself, a binary-form
-gcd, is built only when it is read.
+linear algebra, never numerically.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -26,8 +24,6 @@ from .exact import (
     _cleared,
     _maximal_minors,
     _rational,
-    binary_gcd,
-    determinant,
     pfaffian,
     primitive_vector,
     rank_and_kernel,
@@ -257,7 +253,7 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     `rank_and_kernel`'s primitive basis of the whole system: the
     echelon basis of the line, fixed by the line alone whatever point
     of it is probed, and the parametrization s*p0 + t*p1 in which the
-    focal slice writes gcd_form.  The line must be isotropic for every
+    focal slice restricts A to.  The line must be isotropic for every
     A_i.
     """
     pt = normalize_point(point)
@@ -322,74 +318,17 @@ class FocalSliceReport:
 
     minor_degrees lists the degree of each restricted maximal minor in
     a fixed order: n-1 for a nonzero minor, None for an identically
-    zero one.  gcd_form is the gcd of the nonzero minors as a binary
-    form in the line coordinates (s, t): its coefficient tuple, entry k
-    that of s^(d-k) * t^k, scaled so that the first nonzero entry is 1
-    (see `exact.binary_gcd`).  Every nonzero minor is a constant
-    multiple of one form of degree n-1, so the gcd degree equals n-1,
-    the focal length.  If every minor vanishes, the line lies inside
-    the focal locus and focal_line is set; gcd_form is then () and the
-    gcd degree is None.
-
-    `focal_points_on_line` certifies the degree without the form: its
-    report carries, in _node, the data that fix the form, and leaves the
-    gcd_form slot unset.  The first read of gcd_form fills the slot
-    (`_focal_form`) and drops _node; later reads find the slot set.
+    zero one.  gcd_degree is the degree of the gcd of the nonzero
+    minors as binary forms in the line coordinates (s, t).  Every
+    nonzero minor is a constant multiple of one form of degree n-1, so
+    the gcd degree equals n-1, the focal length.  If every minor
+    vanishes, the line lies inside the focal locus, focal_line is set
+    and the gcd degree is None.
     """
 
     minor_degrees: tuple
-    gcd_form: tuple
     gcd_degree: Optional[int]
     focal_line: bool
-    _node: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._node is not None:
-            del self.gcd_form
-
-    def __getattr__(self, name):
-        # Python calls this only for an attribute it did not find: here
-        # the gcd_form slot of a report that still holds its node data.
-        if name != "gcd_form" or self._node is None:
-            raise AttributeError(
-                "%r object has no attribute %r" % (type(self).__name__, name)
-            )
-        self.gcd_form = _focal_form(*self._node)
-        self._node = None
-        return self.gcd_form
-
-
-def _form_from_integer_values(values: Sequence) -> list:
-    """The coefficients of the integer binary form of degree
-    d = len(values) - 1 that takes the value values[u] at (s, t) = (1, u)
-    for u = 0..d; entry k is that of s^(d-k) * t^k.
-
-    Newton interpolation on the unit nodes 0..d, where the k-th divided
-    difference is the k-th forward difference divided by k!.  Scaled by
-    d!, every Newton coefficient and every Horner step is an integer;
-    the form has integer coefficients (its values are those of an
-    integer determinant), so the final division by d! is exact.
-    """
-    d = len(values) - 1
-    d_factorial = math.factorial(d)
-    diffs = list(values)
-    newton = []
-    for k in range(d + 1):
-        newton.append(diffs[0] * (d_factorial // math.factorial(k)))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    # d! * p(u) = sum_k newton[k] * u(u-1)...(u-k+1), expanded by Horner;
-    # coeffs[j] is the coefficient of u^j, that is of s^(d-j) * t^j.
-    coeffs = [newton[d]]
-    for k in range(d - 1, -1, -1):
-        shifted = [0] + coeffs
-        for j, cj in enumerate(coeffs):
-            shifted[j] -= k * cj
-        shifted[0] += newton[k]
-        coeffs = shifted
-    quotients = [divmod(x, d_factorial) for x in coeffs]
-    if any(r for _, r in quotients):
-        raise ArithmeticError("interpolated minor has non-integer coefficients")
-    return [q for q, _ in quotients]
 
 
 def _pencil(c: Congruence, line: ProjLine) -> tuple:
@@ -416,34 +355,10 @@ def _pencil(c: Congruence, line: ProjLine) -> tuple:
     return pencil, deleted
 
 
-def _at_node(pencil: list, u: int, cols: Sequence) -> list:
-    """The columns cols of the pencil (a + u*b)^T at the node (1, u)."""
+def _at_node(pencil: list, u: int) -> list:
+    """The pencil (a + u*b)^T at the node (1, u)."""
     half = len(pencil[0]) // 2
-    return [[r[i] + u * r[half + i] for i in cols] for r in pencil]
-
-
-def _kernel_is_constant(pencil: list, kernel: Sequence) -> bool:
-    """Whether every kernel vector annihilates the t-half of the pencil,
-    the rows of A(p1)^T: an exact integer check."""
-    half = len(pencil[0]) // 2
-    return not any(
-        sum(map(operator.mul, r[half:], v)) for r in pencil for v in kernel
-    )
-
-
-def _focal_form(pencil: list, kept: Sequence, node: int, value) -> tuple:
-    """gcd_form of a certified slice: F, the minor of the kept columns,
-    scaled so that its first nonzero entry is 1.
-
-    F vanishes at the nodes before `node`, where the rank is below n-1,
-    and takes `value` there; at each later node it is the determinant
-    of the kept columns (`exact.determinant`).  One interpolation of F
-    and `binary_gcd` of F alone give the gcd.
-    """
-    values = [0] * node + [value]
-    for u in range(node + 1, len(pencil) + 1):
-        values.append(determinant(_at_node(pencil, u, kept)))
-    return binary_gcd([_form_from_integer_values(values)])
+    return [[x + u * y for x, y in zip(r[:half], r[half:])] for r in pencil]
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
@@ -471,33 +386,28 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     is the line of points whose left kernel is K (linear kind: K is
     the line itself, isotropic for every A_i; determinantal kind: K is
     the lambda that cuts it).  The slice stops there, after one
-    elimination and one integer check; F itself, one square
-    determinant per later node and an interpolation, is built only
-    when the report's gcd_form is read (`_focal_form`), from the first
-    nonzero minor m_J: its kept columns, the node and its value there.
-    A line whose kernel fails the check is not a line of the
-    congruence, and ValueError names the line and the node.  On a line
-    where every node has rank below n-1, every minor vanishes at n
-    nodes and so identically: the line lies in the focal locus, and
-    the report says so.  Nothing is probabilistic or modular.
+    elimination and one integer check, and never builds F.  A line
+    whose kernel fails the check is not a line of the congruence, and
+    ValueError names the line and the node.  On a line where every
+    node has rank below n-1, every minor vanishes at n nodes and so
+    identically: the line lies in the focal locus, and the report says
+    so.  Nothing is probabilistic or modular.
     """
     pencil, deleted = _pencil(c, line)
-    every = range(len(pencil[0]) // 2)
+    half = len(pencil[0]) // 2
     for u in range(c.n):
-        minors, kernel = _maximal_minors(_at_node(pencil, u, every), deleted)
+        minors, kernel = _maximal_minors(_at_node(pencil, u), deleted)
         if not any(minors):
             continue
-        if not _kernel_is_constant(pencil, kernel):
+        # Pencil row j is the j-th column of A(p0) then that of A(p1).
+        if any(sum(map(operator.mul, r[half:], v)) for r in pencil for v in kernel):
             raise ValueError(
                 "%r is not a line of the congruence: the left kernel of A at "
                 "node (1, %d) does not annihilate A(p1)" % (line, u)
             )
-        j = next(k for k, m in enumerate(minors) if m)
-        kept = [i for i in every if i not in deleted[j]]
         degrees = tuple(c.n - 1 if m else None for m in minors)
-        node = (pencil, kept, u, minors[j])
-        return FocalSliceReport(degrees, None, c.n - 1, False, node)
-    return FocalSliceReport((None,) * len(deleted), (), None, True)
+        return FocalSliceReport(degrees, c.n - 1, False)
+    return FocalSliceReport((None,) * len(deleted), None, True)
 
 
 # ----- Pfaffian of the linear family -----
@@ -682,11 +592,17 @@ def foci_check(
 # ----- random constructions -----
 
 
-def _first_generic(n: int, bound: int, kind: str, draw, solve):
+def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
     """The first of MAX_REDRAWS candidates draw(attempt) through whose
-    fixed probe point `solve` finds a unique line."""
+    fixed probe point `solve` finds a unique line.
+
+    A negative seed is refused: `random.Random` seeds an int by its
+    absolute value, so the draws of seed -s would repeat those of s.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     probe = tuple(range(1, n + 2))
@@ -712,7 +628,7 @@ def random_linear_congruence(
         seeds = [_derived_seed(seed, attempt, i) for i in range(n - 1)]
         return LinearCongruence(n, [seeded_skew_matrix(s, n + 1, bound) for s in seeds])
 
-    return _first_generic(n, bound, "linear", draw, line_through_point_linear)
+    return _first_generic(n, seed, bound, "linear", draw, line_through_point_linear)
 
 
 def random_determinantal_congruence(
@@ -733,7 +649,7 @@ def random_determinantal_congruence(
         return DeterminantalCongruence(n, rows)
 
     return _first_generic(
-        n, bound, "determinantal", draw, line_through_point_determinantal
+        n, seed, bound, "determinantal", draw, line_through_point_determinantal
     )
 
 

@@ -6,10 +6,10 @@ rationals, `int` or Fraction entries (a `RationalMatrix` iterates its
 rows); `_integer_rows` coerces and checks them once and clears each
 row of denominators.  One elimination loop, the in-place Bareiss
 `_bareiss`, serves both: `determinant` is the permutation sign times
-the last pivot (0 below full rank), and it gives the focal form of
-`congruence` its node values; `_kernel` adds integer back-substitution
-for the kernels, and `_maximal_minors` reads every maximal minor of a
-matrix with one or two more columns than rows off that kernel.
+the last pivot (0 below full rank); `_kernel` adds integer
+back-substitution for the kernels, and `_maximal_minors` reads every
+maximal minor of a matrix with one or two more columns than rows off
+that kernel.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
@@ -261,7 +261,11 @@ def determinant(rows: Iterable[Iterable]):
     """Exact determinant of the square matrix with the given rows of
     exact rationals, by fraction-free elimination: the permutation sign
     times the last Bareiss pivot over the row scaling, 0 below full
-    rank; an `int` when it is integral."""
+    rank; an `int` when it is integral.
+
+    Only tests call it today, and it stays here because the
+    benchmark's tracer looks it up by name.
+    """
     work, scale = _integer_rows(rows)
     if len(work) != len(work[0]):
         raise ValueError("determinant requires a square matrix")
@@ -484,6 +488,9 @@ def binary_gcd(forms: Sequence[Sequence]) -> tuple:
     in u = t/s, where a power of t is a power of u; only the trailing
     zero coefficients, the power of s (roots at infinity), are tracked
     apart.
+
+    Only tests call it today, as the slice oracles' gcd, and it stays
+    here because the benchmark's tracer looks it up by name.
     """
     forms = [[_rational(x) for x in f] for f in forms]
     if not forms:

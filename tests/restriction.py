@@ -1,37 +1,34 @@
 """Test-side oracles: the defining matrix restricted to a line.
 
 The library slices a congruence along a line by evaluating A(P) at the
-two spanning points and reads every maximal minor at a node off one
-integer kernel.  These oracles build the same restriction
-independently, straight from the skew matrices or the linear forms:
-`restricted` as a matrix of degree-1 binary forms a*s + b*t in the
-parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
-the node values of its maximal minors, one determinant per minor.
-`oracle_report` builds the slice report from those node values,
-interpolating every minor and taking the gcd of all of them.
-`variable` is the coordinate polynomial the tests build other
-polynomials from, and `fractional_linear` and
-`fractional_determinantal` build congruences whose entries are
-Fractions, not all integral.
+two spanning points, eliminates one node and certifies the degree of
+the focal form without building it.  These oracles build the same
+restriction independently, straight from the skew matrices or the
+linear forms: `restricted` as a matrix of degree-1 binary forms
+a*s + b*t in the parametrization s*p0 + t*p1 of the line, and
+`direct_node_minors` as the node values of its maximal minors, one
+determinant per minor.  `oracle_report` interpolates every minor from
+those node values (`_form_from_integer_values`) and takes the gcd of all
+of them: it returns (minor_degrees, gcd_form, gcd_degree, focal_line),
+the focal form included, and `without_form` drops the form to give the
+three fields of the library's `FocalSliceReport`.  `variable` is the
+coordinate polynomial the tests build other polynomials from, and
+`fractional_linear` and `fractional_determinantal` build congruences
+whose entries are Fractions, not all integral.
 
-The library keeps a binary form as its coefficient tuple, entry k that
-of s^(d-k) * t^k.  The oracles build binary forms as homogeneous
-`MultiPoly`s in (s, t) instead, with `binary_form`, and read them back
-with `binary_coeffs`; `normalized` scales coefficients the way
-`exact.binary_gcd` does, and `scaled` multiplies a polynomial by a
-rational number.
+A binary form is its coefficient tuple, entry k that of s^(d-k) * t^k,
+as `exact.binary_gcd` takes and returns it.  The oracles also build
+binary forms as homogeneous `MultiPoly`s in (s, t), with
+`binary_form`, and read them back with `binary_coeffs`; `normalized`
+scales coefficients the way `exact.binary_gcd` does, and `scaled`
+multiplies a polynomial by a rational number.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
-from quadpoint.congruence import (
-    DeterminantalCongruence,
-    FocalSliceReport,
-    LinearCongruence,
-    _form_from_integer_values,
-)
+from quadpoint.congruence import DeterminantalCongruence, LinearCongruence
 from quadpoint.exact import MultiPoly, binary_gcd
 
 
@@ -159,9 +156,43 @@ def direct_node_minors(c, line):
     return out
 
 
+def _form_from_integer_values(values):
+    """The coefficients of the integer binary form of degree
+    d = len(values) - 1 that takes the value values[u] at (s, t) = (1, u)
+    for u = 0..d; entry k is that of s^(d-k) * t^k.
+
+    Newton interpolation on the unit nodes 0..d, where the k-th divided
+    difference is the k-th forward difference divided by k!.  Scaled by
+    d!, every Newton coefficient and every Horner step is an integer;
+    the form has integer coefficients (its values are those of an
+    integer determinant), so the final division by d! is exact.
+    """
+    d = len(values) - 1
+    d_factorial = math.factorial(d)
+    diffs = list(values)
+    newton = []
+    for k in range(d + 1):
+        newton.append(diffs[0] * (d_factorial // math.factorial(k)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # d! * p(u) = sum_k newton[k] * u(u-1)...(u-k+1), expanded by Horner;
+    # coeffs[j] is the coefficient of u^j, that is of s^(d-j) * t^j.
+    coeffs = [newton[d]]
+    for k in range(d - 1, -1, -1):
+        shifted = [0] + coeffs
+        for j, cj in enumerate(coeffs):
+            shifted[j] -= k * cj
+        shifted[0] += newton[k]
+        coeffs = shifted
+    quotients = [divmod(x, d_factorial) for x in coeffs]
+    if any(r for _, r in quotients):
+        raise ArithmeticError("interpolated minor has non-integer coefficients")
+    return [q for q, _ in quotients]
+
+
 def oracle_report(c, line):
-    """The slice report built from `direct_node_minors`, through the
-    library's own interpolation and gcd.
+    """(minor_degrees, gcd_form, gcd_degree, focal_line) of the slice,
+    built from `direct_node_minors` by interpolation and the library's
+    `binary_gcd`.
 
     Every minor is interpolated and the gcd taken over all nonzero
     ones.  The node values are first scaled by one common factor, the
@@ -174,9 +205,16 @@ def oracle_report(c, line):
     minors = [_form_from_integer_values([int(v * scale) for v in vs]) for vs in zip(*nodes)]
     degrees = tuple(len(m) - 1 if any(m) else None for m in minors)
     if not any(map(any, minors)):
-        return FocalSliceReport(degrees, (), None, True)
+        return degrees, (), None, True
     g = binary_gcd(minors)
-    return FocalSliceReport(degrees, g, len(g) - 1, False)
+    return degrees, g, len(g) - 1, False
+
+
+def without_form(oracle):
+    """(minor_degrees, gcd_degree, focal_line) of an oracle slice: the
+    fields of the library's `FocalSliceReport`, in their order."""
+    degrees, _, gcd_degree, focal_line = oracle
+    return degrees, gcd_degree, focal_line
 
 
 def random_fraction(rng):

@@ -703,6 +703,10 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
         (["verify", sub, "--in", str(path), "--bound", "0"], "bound must be >= 1")
         for sub in ("order", "foci")
     ]
+    cases += [
+        (["construct", "--kind", kind, "--n", "4", "--seed", "-1"], "seed must be >= 0")
+        for kind in ("linear", "determinantal")
+    ]
     for argv, message in cases:
         assert run(capsys, argv) == (2, "", "error: %s\n" % message)
 

@@ -4,7 +4,8 @@
 order` and `verify foci` (text and json) for both congruence kinds,
 n = 3..6 and seeds 1, 2, from before the line path went integer-only.
 `data/command_golden.json` holds `collect_commands`: every other
-subcommand in text, json and tsv.  An intended change of the output
+subcommand in text, json and tsv, `classify` on the builtin catalog and
+on a catalog file.  An intended change of the output
 must regenerate the file with
 
     PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests'); \
@@ -18,6 +19,7 @@ import contextlib
 import io
 import json
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 from quadpoint.cli import main
@@ -88,6 +90,12 @@ def _commands(tmp):
     for dim in ([], ["--dim", "2"], ["--dim", "3"]):
         yield ["classify", "--catalog", "builtin"] + dim
     yield ["classify", "--catalog", "builtin", "--multiplicity", "2"]
+    # The builtin rows read from a file, plus a surface that fails.
+    builtin = resources.files("quadpoint").joinpath("data/builtin_catalog.tsv")
+    path = Path(tmp) / "catalog.tsv"
+    extra = "castelnuovo_surface\t4\t2\t5\t2\t\t1\t3\t0\tnon-example\n"
+    path.write_text(builtin.read_text(encoding="utf-8") + extra, encoding="utf-8")
+    yield ["classify", "--catalog", str(path)]
     for d in range(4, 16):
         yield ["scan", "--d", str(d), "--pi-max", "40", "--chi-max", "40"]
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,7 +43,14 @@ from quadpoint.exact import (
     ring_determinant,
     seeded_skew_matrix,
 )
-from restriction import normalized, oracle_report, restricted, scaled, variable
+from restriction import (
+    normalized,
+    oracle_report,
+    restricted,
+    scaled,
+    variable,
+    without_form,
+)
 
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
@@ -132,9 +140,11 @@ def test_twisted_cubic_focal_slice():
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
     rep = focal_points_on_line(tc, line)
     assert rep.minor_degrees == (None, 2, None)
-    assert rep.gcd_form == (0, 1, 0)
     assert rep.gcd_degree == 2
     assert not rep.focal_line
+    oracle = oracle_report(tc, line)
+    assert astuple(rep) == without_form(oracle)
+    assert oracle[1] == (0, 1, 0)
     # s*t vanishes at (s, t) = (1, 0) and (0, 1): the points p0 and p1.
     assert is_focal_point(tc, line.p0)
     assert is_focal_point(tc, line.p1)
@@ -157,8 +167,10 @@ def test_secant_line_gcd_roots_are_curve_points():
     rep = focal_points_on_line(tc, line)
     assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 1, 1, 1))
     assert rep.gcd_degree == 2
+    oracle = oracle_report(tc, line)
+    assert astuple(rep) == without_form(oracle)
     # s*t - t^2 vanishes at (s, t) = (1, 0) and (1, 1): p0 and p0 + p1.
-    assert rep.gcd_form == (0, 1, -1)
+    assert oracle[1] == (0, 1, -1)
     assert is_focal_point(tc, line.p0)
     assert is_focal_point(tc, [x + y for x, y in zip(line.p0, line.p1)])
 
@@ -169,9 +181,9 @@ def test_line_outside_congruence_has_trivial_gcd():
     # its first node, where A has full rank.
     tc = twisted_cubic_congruence()
     line = ProjLine((1, 2, 0, 1), (0, 1, 1, 3))
-    rep = oracle_report(tc, line)
-    assert rep.gcd_degree == 0
-    assert not rep.focal_line
+    _, _, gcd_degree, focal_line = oracle_report(tc, line)
+    assert gcd_degree == 0
+    assert not focal_line
     message = r"^ProjLine\(.*\) is not a line of the congruence: .* at node \(1, 0\) "
     with pytest.raises(ValueError, match=message):
         focal_points_on_line(tc, line)
@@ -196,6 +208,20 @@ def test_determinantal_construction_shapes():
     assert len(c.rows) == 4
     assert all(len(r) == 3 for r in c.rows)
     assert all(len(coeffs) == 5 for r in c.rows for coeffs in r)
+
+
+@pytest.mark.parametrize(
+    "make", (random_linear_congruence, random_determinantal_congruence)
+)
+def test_negative_seed_refused(make):
+    # random.Random seeds an int by its absolute value, so seed -1 would
+    # draw from the stream of seed 1: the derived seeds of the first
+    # draw are -1000003 and 1000003.
+    assert random.Random(-1000003).random() == random.Random(1000003).random()
+    for seed in (-1, -2, -(10**30)):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            make(4, seed, 9)
+    assert save_congruence(make(4, 0, 9)) != save_congruence(make(4, 1, 9))
 
 
 @pytest.mark.parametrize("kind", ["linear", "determinantal"])
@@ -415,14 +441,17 @@ def test_focal_gcd_degree_on_congruence_lines():
 
 
 def test_gcd_invariant_under_reparametrization():
+    # Swapping the spanning points swaps s and t: the slice's degree
+    # stays n-1, and the oracle's focal form comes out reversed.
     for n in (3, 4, 5):
         c = random_linear_congruence(n, 5, 9)
         line = line_through_point_linear(c, tuple(range(2, n + 3)))
+        swapped_line = ProjLine(line.p1, line.p0)
         rep = focal_points_on_line(c, line)
-        swapped = focal_points_on_line(c, ProjLine(line.p1, line.p0))
+        swapped = focal_points_on_line(c, swapped_line)
         assert rep.gcd_degree == swapped.gcd_degree == n - 1
-        reversed_gcd = normalized(rep.gcd_form[::-1])
-        assert swapped.gcd_form == reversed_gcd
+        form = oracle_report(c, line)[1]
+        assert oracle_report(c, swapped_line)[1] == normalized(form[::-1])
 
 
 def test_random_points_rarely_focal():

@@ -1,13 +1,14 @@
 """The focal slice against a cofactor-expansion oracle.
 
-`focal_points_on_line` evaluates the restricted maximal minors of a
-congruence line at n points and interpolates.  The oracle here rebuilds
+`focal_points_on_line` certifies the degrees of the restricted maximal
+minors of a congruence line from one node.  The oracle here rebuilds
 every minor symbolically with `ring_determinant` over the restricted
 binary forms and takes `binary_gcd` of their coefficients, so each
-report field can be compared exactly.  A random line is not a line of
-the congruence: the slice refuses it, and the oracle shows that its
-minors share no factor, since a general line misses the focal locus,
-which has codimension 2.
+report field can be compared exactly; it must also agree, focal form
+included, with the interpolating oracle `restriction.oracle_report`.
+A random line is not a line of the congruence: the slice refuses it,
+and the oracle shows that its minors share no factor, since a general
+line misses the focal locus, which has codimension 2.
 """
 
 import random
@@ -28,6 +29,7 @@ from restriction import (
     binary_coeffs,
     fractional_determinantal,
     fractional_linear,
+    oracle_report,
     restricted,
 )
 
@@ -52,12 +54,15 @@ def cofactor_slice(c, line):
 
 
 def assert_matches_oracle(c, line):
+    """The slice's fields equal the cofactor oracle's, and the two
+    oracles agree on every field and on the focal form."""
     rep = focal_points_on_line(c, line)
-    degrees, gcd_form, gcd_degree, focal_line = cofactor_slice(c, line)
+    oracle = cofactor_slice(c, line)
+    degrees, _, gcd_degree, focal_line = oracle
     assert rep.minor_degrees == degrees
-    assert rep.gcd_form == gcd_form
     assert rep.gcd_degree == gcd_degree
     assert rep.focal_line is focal_line
+    assert oracle_report(c, line) == oracle
     return rep
 
 
@@ -135,7 +140,6 @@ def test_identical_columns_give_a_focal_line():
         assert rep.focal_line
         assert rep.minor_degrees == (None,) * n
         assert rep.gcd_degree is None
-        assert rep.gcd_form == ()
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM))

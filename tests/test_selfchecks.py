@@ -1,16 +1,22 @@
-"""Static checks on the package source.
+"""Checks on the package source and on what its commands run.
 
 Runtime self-checks must survive `python -O`, and every public name in
 the package must serve the package itself or the benchmark; code that
-only tests call belongs in the tests.
+only tests call belongs in the tests.  The static check sees names
+only, so a reachability check also runs every golden command line under
+a profiler: a package function that no command enters must be on
+`UNREACHED`, which says why it stays.
 """
 
 import ast
+import os
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import quadpoint
+from test_cli_golden import collect, collect_commands
 
 PACKAGE = Path(quadpoint.__file__).parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
@@ -24,6 +30,33 @@ ACCEPTANCE_ONLY = (
     "grassmannian_degree",
     "k_squared_from_double_point",
 )
+
+# Package functions, as module.qualname, that no golden command line
+# enters, each with the reason it stays; the names in ACCEPTANCE_ONLY
+# join them.
+TRACED = "only tests call it; perfbench/tracing.py looks it up by name"
+UNREACHED = {
+    "exact.binary_gcd": TRACED,
+    "exact._upoly_normalize": "a step of binary_gcd",
+    "exact._upoly_rem": "a step of binary_gcd",
+    "exact.determinant": TRACED,
+    "exact.ring_determinant": TRACED,
+    "exact.ring_determinant.expand": "the cofactor expansion of ring_determinant",
+    "cli.console_main": "the quadpoint command; it runs only as a subprocess",
+    "congruence.twisted_cubic_congruence": "a known answer that perfbench slices",
+    "catalog.save_catalog": "perfbench writes its seeded catalog with it",
+    "catalog.save_catalog.cells": "a step of save_catalog",
+    "exact.RationalMatrix.row": "perfbench reads matrix rows with it",
+    "congruence.load_congruence.fail": "the error path; every golden input file is valid",
+    "congruence.ProjLine.__eq__": "set() of probe lines compares only lines of equal hash",
+    "congruence.ProjLine.__repr__": "the line in a refusal of the slice",
+    "exact.MultiPoly.__repr__": "debugging output",
+    "exact.MultiPoly.__str__": "debugging output",
+    "exact.MultiPoly.__sub__": "ring_determinant subtracts with it",
+    "exact.RationalMatrix.__eq__": "value semantics of a matrix",
+    "exact.RationalMatrix.__hash__": "value semantics of a matrix",
+    "exact.RationalMatrix.__repr__": "debugging output",
+}
 
 
 def package_sources():
@@ -113,3 +146,59 @@ def test_every_public_name_is_used_outside_tests():
             and node.name not in used
         ]
     assert offenders == []
+
+
+def package_functions():
+    """{(file, first line): module.qualname} for every function and
+    method defined in the package, nested ones included.  The first line
+    is that of the code object: the first decorator's, if any."""
+    out = {}
+
+    def walk(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(path, first)] = name
+                walk(child, name + ".", path)
+            else:
+                walk(child, prefix, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        walk(tree, path.stem + ".", os.path.realpath(path))
+    return out
+
+
+def entered_by_golden_commands():
+    """{(file, first line)} of every code object that the golden command
+    lines enter, recorded with sys.setprofile."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        collect()
+        collect_commands()
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in entered}
+
+
+def test_every_package_function_is_reached_or_allowlisted():
+    functions = package_functions()
+    entered = entered_by_golden_commands()
+    allowed = dict(UNREACHED)
+    for name in functions.values():
+        module, _, qualname = name.partition(".")
+        if qualname in ACCEPTANCE_ONLY:
+            allowed[name] = "acceptance criteria only"
+    never = {name for key, name in functions.items() if key not in entered}
+    assert sorted(never - set(allowed)) == []
+    # An entry that a command now enters, or that no longer exists, goes.
+    assert sorted(set(allowed) - never) == []
