@@ -15,13 +15,13 @@ import random
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .exact import (
     MultiPoly,
     RationalMatrix,
-    _cleared,
+    _integer_rows,
     _maximal_minors,
     _rational,
     pfaffian,
@@ -67,9 +67,16 @@ class ProjLine:
     those are computed on the first comparison or hash, since a line of
     a determinantal congruence at n = 12 and bound 10^18 has a Plucker
     vector of about 15k bits that most callers never need.
+
+    point is the normalized probe point that a line solver solved the
+    line through (`_solve_through` sets it), or None for a line built
+    from two points.  Its coordinates are of the probe's size, while p0
+    and p1 carry about n-1 times the height of the congruence data, so
+    the focal slice certifies the line there.  It takes no part in
+    equality, hashing or repr.
     """
 
-    __slots__ = ("p0", "p1", "_plucker")
+    __slots__ = ("p0", "p1", "point", "_plucker")
 
     def __init__(self, p0: Sequence, p1: Sequence):
         a = normalize_point(p0)
@@ -82,6 +89,7 @@ class ProjLine:
             raise ValueError("spanning points are proportional")
         self.p0 = a
         self.p1 = b
+        self.point = None
         self._plucker = None
 
     @property
@@ -192,7 +200,7 @@ class DeterminantalCongruence:
         if len(pt) != self.n + 1:
             raise ValueError("point has wrong length")
         return tuple(
-            tuple(sum(c * x for c, x in zip(row[j], pt)) for row in self.rows)
+            tuple(sum(map(operator.mul, row[j], pt)) for row in self.rows)
             for j in range(self.n - 1)
         )
 
@@ -229,8 +237,8 @@ def _solve_through(rows: Sequence, pt: tuple) -> tuple:
     the basis vector of f.  line spans u and w, p0 the one that is zero
     at max(f, g): rank_and_kernel(M)'s basis in its order, from one
     elimination with a column fewer and one back-substitution, and pt
-    lies on it by construction.  Below full row rank w and line are
-    None.
+    lies on it by construction; the line carries pt as its `point`.
+    Below full row rank w and line are None.
     """
     f = max(i for i, x in enumerate(pt) if x)
     rank, kernel = rank_and_kernel([r[:f] + r[f + 1 :] for r in rows])
@@ -240,7 +248,25 @@ def _solve_through(rows: Sequence, pt: tuple) -> tuple:
     w = w[:f] + (0,) + w[f:]
     g = max(i for i, x in enumerate(w) if x)
     u = [w[g] * x - pt[g] * y for x, y in zip(pt, w)]
-    return rank, w, ProjLine(u, w) if g > f else ProjLine(w, u)
+    line = ProjLine(u, w) if g > f else ProjLine(w, u)
+    line.point = pt
+    return rank, w, line
+
+
+def _vanish_on(forms: Sequence, line: ProjLine) -> bool:
+    """Whether every linear form (a coefficient row) vanishes at both
+    spanning points of the line, that is on the whole line."""
+    return not any(sum(map(operator.mul, f, p)) for f in forms for p in (line.p0, line.p1))
+
+
+def _combined_forms(c: DeterminantalCongruence, lam: Sequence) -> list:
+    """The n-1 linear forms lam^T * A(x), one per column of A: form j
+    has coefficient k equal to sum_i lam[i] * (coefficient k of entry
+    (i, j))."""
+    return [
+        tuple(sum(map(operator.mul, lam, col)) for col in zip(*(row[j] for row in c.rows)))
+        for j in range(c.n - 1)
+    ]
 
 
 def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
@@ -252,17 +278,21 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     finds it in one elimination through P.  The spanning points are
     `rank_and_kernel`'s primitive basis of the whole system: the
     echelon basis of the line, fixed by the line alone whatever point
-    of it is probed, and the parametrization s*p0 + t*p1 in which the
-    focal slice restricts A to.  The line must be isotropic for every
-    A_i.
+    of it is probed, and the parametrization s*p0 + t*p1 of the line;
+    the line carries P as its `point`.
+
+    The line must be isotropic for every A_i, and the check runs on the
+    short side: A(P)^T * p0 = A(P)^T * p1 = 0, products of the rows of
+    A(P)^T with p0 and p1.  P lies on the line by construction, and a
+    skew form on a plane is fixed by its one value p0^T * A_i * p1, so
+    this holds exactly when every A_i vanishes on the line.
     """
     pt = normalize_point(point)
-    rank, _, line = _solve_through(c.columns_at(pt), pt)
+    columns = c.columns_at(pt)
+    rank, _, line = _solve_through(columns, pt)
     _require_off_focal(c, pt, rank)
-    for m in c.matrices:
-        image = m.mat_vec(line.p1)
-        if sum(a * b for a, b in zip(line.p0, image)) != 0:
-            raise RuntimeError("solved line is not isotropic for every A_i")
+    if not _vanish_on(columns, line):
+        raise RuntimeError("solved line is not isotropic for every A_i")
     return line
 
 
@@ -276,21 +306,15 @@ def line_through_point_determinantal(
     combination of the columns of A, in one elimination through P
     (`_solve_through`).  As for the linear kind, the spanning points
     are `rank_and_kernel`'s primitive basis of the combined forms, the
-    echelon basis of the line and the parametrization of its focal
-    slice.  The combined forms must vanish at P and at w, the solved
-    vector, which with P spans the line.
+    echelon basis of the line, and the line carries P as its `point`.
+    The combined forms must vanish at P and at w, the solved vector,
+    which with P spans the line.
     """
     pt = normalize_point(point)
     rank, kernel = rank_and_kernel(c.columns_at(pt))
     _require_off_focal(c, pt, rank)
     (lam,) = kernel
-    forms = [
-        tuple(
-            sum(lam[i] * c.rows[i][j][k] for i in range(c.n))
-            for k in range(c.n + 1)
-        )
-        for j in range(c.n - 1)
-    ]
+    forms = _combined_forms(c, lam)
     if any(sum(map(operator.mul, f, pt)) for f in forms):
         raise RuntimeError("solved line misses the probe point %s" % (pt,))
     rank, w, line = _solve_through(forms, pt)
@@ -331,82 +355,86 @@ class FocalSliceReport:
     focal_line: bool
 
 
-def _pencil(c: Congruence, line: ProjLine) -> tuple:
-    """(pencil, deleted): the transposed pencil of A on the line and the
-    row tuples that the maximal minors delete.
-
-    Column j of the restriction is a_j*s + b_j*t with a_j, b_j the
-    columns of A(p0) and A(p1); pencil row j is a_j followed by b_j,
-    the pair cleared of denominators together, which scales every maximal minor
-    by the same positive constant and keeps the left kernel of each
-    half.  deleted[k] is the ascending tuple of the rows of A that
-    minor k leaves out, in the order of `focal_points_on_line`.
-    """
-    if line.ambient_dim != c.n:
-        raise ValueError("line lives in the wrong space")
-    pencil = [
-        _cleared(list(a + b))[0]
-        for a, b in zip(c.columns_at(line.p0), c.columns_at(line.p1))
-    ]
-    rows = range(len(pencil[0]) // 2)
-    deleted = [
-        tuple(i for i in rows if i not in kept) for kept in combinations(rows, c.n - 1)
-    ]
-    return pencil, deleted
-
-
-def _at_node(pencil: list, u: int) -> list:
-    """The pencil (a + u*b)^T at the node (1, u)."""
-    half = len(pencil[0]) // 2
-    return [[x + u * y for x, y in zip(r[:half], r[half:])] for r in pencil]
+def _lies_on(line: ProjLine, q: Sequence) -> bool:
+    """Whether q lies on span(p0, p1), in O(n) integer products: with
+    d a nonzero 2 x 2 minor of (p0, p1), at columns i and j, the point
+    d*q - (q x p1)_ij * p0 - (p0 x q)_ij * p1 is zero at i and j, and it
+    is zero everywhere exactly when q lies on the line."""
+    a, b = line.p0, line.p1
+    if len(q) != len(a):
+        return False
+    i = next(k for k, x in enumerate(a) if x)
+    j = next(k for k in range(len(a)) if a[i] * b[k] - a[k] * b[i])
+    d, s, t = (u[i] * v[j] - u[j] * v[i] for u, v in ((a, b), (q, b), (a, q)))
+    return all(d * x == s * y + t * z for x, y, z in zip(q, a, b))
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     """Focal scheme cut on a congruence line, as the gcd of restricted
     minors.
 
-    Restricts the defining matrix to s*p0 + t*p1, where it is the pencil
-    s*A(p0) + t*A(p1) since A(P) is linear in P, and takes all maximal
-    minors (choices of n-1 rows, in ascending lexicographic order of
-    the kept row indices).  Each nonzero minor is a binary form of
-    degree n-1, fixed by its integer values at the n nodes
-    (s, t) = (1, u), u = 0..n-1; their gcd is the divisorial part of
-    the focal scheme.
+    Restricted to the line, the defining matrix is the pencil
+    s*A(p0) + t*A(p1), since A(P) is linear in P.  Its maximal minors
+    (choices of n-1 rows, in ascending lexicographic order of the kept
+    row indices) are binary forms of degree n-1 or zero, and their gcd
+    is the divisorial part of the focal scheme.
 
-    Nodes are eliminated in full, in turn, up to the first of rank
-    n-1: one Bareiss elimination of (a + u*b)^T gives every minor and
-    the left kernel K of A at the node (`exact._maximal_minors`,
-    Plucker duality).  At that node every vector of K is tested, in
-    integers, against A(p1)^T.  If all of them annihilate it, they
-    annihilate A(p0)^T too, so K lies in the left kernel of A at every
-    point of the line and is that kernel wherever A has rank n-1; the
-    maximal minors, the Plucker coordinates of the annihilator of K,
-    are then fixed multiples of one nonzero form F of degree n-1, and
-    the gcd has degree n-1.  That holds on every congruence line: it
-    is the line of points whose left kernel is K (linear kind: K is
-    the line itself, isotropic for every A_i; determinantal kind: K is
-    the lambda that cuts it).  The slice stops there, after one
-    elimination and one integer check, and never builds F.  A line
-    whose kernel fails the check is not a line of the congruence, and
-    ValueError names the line and the node.  On a line where every
-    node has rank below n-1, every minor vanishes at n nodes and so
+    The slice eliminates A at one point Q of the line: the candidates
+    are the line's `point`, the probe point it was solved through, and
+    then the nodes p0 + u*p1, u = 0..n-1.  A carried point must lie on
+    span(p0, p1), an O(n) integer check, or ValueError names it.  At
+    each candidate one Bareiss elimination of the integer rows of
+    A(Q)^T gives every maximal minor at Q and the left kernel K of A(Q)
+    (`exact._maximal_minors`, Plucker duality).  At the first Q where a
+    minor is nonzero, A(Q) has rank n-1, and one integer check of K
+    against p0 and p1 certifies the line:
+
+    - linear kind: A(Q)^T * p0 = A(Q)^T * p1 = 0, that is K = span(p0,
+      p1).  Q lies on the line and a skew form on a plane is fixed by
+      one value, so this holds exactly when the line is isotropic for
+      every A_i; then the line lies in the left kernel of A at each of
+      its points, and is that kernel wherever A has rank n-1.
+    - determinantal kind: K = lambda, and the n-1 combined forms
+      lambda^T * A(x) vanish at p0 and at p1, so on the whole line:
+      lambda is in the left kernel of A at every point of the line,
+      and is that kernel wherever A has rank n-1.
+
+    Theorem: if the left kernel of A is one fixed space along the line
+    wherever A has rank n-1, the maximal minors, the Plucker coordinates
+    of its annihilator, are fixed multiples of one form F of degree n-1,
+    nonzero since a minor is nonzero at Q; the gcd is F up to scale and
+    has degree n-1, the focal length.  Every congruence line passes the
+    check: it is the line of points whose left kernel is K.  The slice
+    stops there, with every checked product on the short side (Q and K
+    have the probe's height, not that of p0 and p1), and never builds
+    F.  A line that fails the check is not a line of the congruence,
+    and ValueError names the line and Q (the point, or the node (1, u)).
+    If no node has rank n-1, every minor vanishes at n nodes and so
     identically: the line lies in the focal locus, and the report says
     so.  Nothing is probabilistic or modular.
     """
-    pencil, deleted = _pencil(c, line)
-    half = len(pencil[0]) // 2
-    for u in range(c.n):
-        minors, kernel = _maximal_minors(_at_node(pencil, u), deleted)
+    if line.ambient_dim != c.n:
+        raise ValueError("line lives in the wrong space")
+    carried = [] if line.point is None else [line.point]
+    if carried and not _lies_on(line, line.point):
+        raise ValueError("point %s does not lie on %r" % (line.point, line))
+    nodes = (tuple(a + u * b for a, b in zip(line.p0, line.p1)) for u in range(c.n))
+    linear = isinstance(c, LinearCongruence)
+    rows = range(c.n + 1 if linear else c.n)
+    deleted = [tuple(i for i in rows if i not in kept) for kept in combinations(rows, c.n - 1)]
+    # k counts the nodes; the carried point comes first, at k = -1.
+    for k, q in enumerate(chain(carried, nodes), -len(carried)):
+        columns = c.columns_at(q)
+        minors, kernel = _maximal_minors(_integer_rows(columns)[0], deleted)
         if not any(minors):
             continue
-        # Pencil row j is the j-th column of A(p0) then that of A(p1).
-        if any(sum(map(operator.mul, r[half:], v)) for r in pencil for v in kernel):
+        if not _vanish_on(columns if linear else _combined_forms(c, kernel[0]), line):
+            where = "node (1, %d)" % k if k >= 0 else "point %s" % (q,)
             raise ValueError(
-                "%r is not a line of the congruence: the left kernel of A at "
-                "node (1, %d) does not annihilate A(p1)" % (line, u)
+                "%r is not a line of the congruence: the left kernel of A at %s "
+                "does not annihilate both A(p0) and A(p1)" % (line, where)
             )
-        degrees = tuple(c.n - 1 if m else None for m in minors)
-        return FocalSliceReport(degrees, c.n - 1, False)
+        return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
     return FocalSliceReport((None,) * len(deleted), None, True)
 
 
@@ -570,8 +598,13 @@ def foci_check(
     a rank defect is a failed trial carrying the reason, as in
     order_check.  Both draw their probes from `_probes`, so the two
     reports probe the same points.  Every line sliced here was solved
-    by `line_through_point`, so a line the slice refuses is a fault of
-    the program, and RuntimeError says so.
+    by `line_through_point` and carries its probe point, so the slice
+    eliminates A once, at that point, whose height does not grow with
+    n.  There it repeats the solver's own checks: rank n-1 at P, and
+    the isotropy of the line (linear kind) or the combined forms
+    vanishing on it (determinantal kind); what it adds is that P lies
+    on span(p0, p1) and which minors are nonzero.  A line the slice
+    refuses is a fault of the program, and RuntimeError says so.
     """
     expected = c.n - 1
     out = []

@@ -715,6 +715,16 @@ def raise_plucker(*args):
     raise ArithmeticError("inexact Plucker division")
 
 
+SOLVED_LINE = congruence.line_through_point
+
+
+def point_moved_off(c, point):
+    """line_through_point with the point it carries moved off the line."""
+    line = SOLVED_LINE(c, point)
+    line.point = tuple(x + 1 for x in line.point)
+    return line
+
+
 def off_kernel(rows):
     """rank_and_kernel with its first kernel vector moved off the kernel."""
     rank, kernel = rank_and_kernel(rows)
@@ -722,27 +732,39 @@ def off_kernel(rows):
     return rank, ((first[0] + 1,) + first[1:],) + kernel[1:]
 
 
+def random_line(c, point):
+    """line_through_point returning a fixed line of neither congruence."""
+    return congruence.ProjLine((1, 0, 0, 0, 0), (0, 1, 2, 3, 4))
+
+
 @pytest.mark.parametrize(
-    "owner, name, replacement, reason",
+    "kind, owner, name, replacement, reason",
     (
-        (congruence, "_maximal_minors", raise_plucker, "inexact Plucker division"),
+        ("linear", congruence, "_maximal_minors", raise_plucker, "inexact Plucker division"),
         # A wrong kernel vector gives a line that is not isotropic, and
         # the line solver raises RuntimeError.
-        (congruence, "rank_and_kernel", off_kernel, "solved line is not isotropic for every A_i"),
-        # A solved line that the focal slice refuses is a fault of the
-        # program too, not of the input file.
         (
+            "linear",
             congruence,
-            "line_through_point",
-            lambda c, point: congruence.ProjLine((1, 0, 0, 0, 0), (0, 1, 2, 3, 4)),
-            "solved line through (",
+            "rank_and_kernel",
+            off_kernel,
+            "solved line is not isotropic for every A_i",
         ),
+        # A solved line that the focal slice refuses is a fault of the
+        # program too, not of the input file: a line that is not one of
+        # the congruence, of either kind, and a solved line that carries
+        # a point off it.
+        ("linear", congruence, "line_through_point", random_line, "solved line through ("),
+        ("determinantal", congruence, "line_through_point", random_line, "solved line through ("),
+        ("linear", congruence, "line_through_point", point_moved_off, "solved line through ("),
     ),
-    ids=("kernel", "line-solver", "refused-line"),
+    ids=("kernel", "line-solver", "refused-line", "refused-line-determinantal", "moved-point"),
 )
-def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch, owner, name, replacement, reason):
+def test_internal_check_failure_exits_three(
+    capsys, tmp_path, monkeypatch, kind, owner, name, replacement, reason
+):
     path = tmp_path / "c.cong"
-    main(["construct", "--kind", "linear", "--n", "4", "--seed", "1", "--out", str(path)])
+    main(["construct", "--kind", kind, "--n", "4", "--seed", "1", "--out", str(path)])
     capsys.readouterr()
     monkeypatch.setattr(owner, name, replacement)
     code, out, err = run(capsys, ["verify", "foci", "--in", str(path), "--trials", "3", "--seed", "1"])

@@ -12,7 +12,10 @@ must regenerate the file with
 from test_cli_golden import collect; print(json.dumps(collect(), indent=1))" \
     > tests/data/line_path_golden.json
 
-and likewise with `collect_commands` for `command_golden.json`.
+and likewise with `collect_commands` for `command_golden.json`.  The
+tests here read both collections from the session fixture
+`golden_runs` (conftest.py), which runs them once for this file and
+for the reachability check in `test_selfchecks.py`.
 """
 
 import contextlib
@@ -112,19 +115,19 @@ def collect_commands():
     return results
 
 
-def test_line_path_stdout_matches_golden(capsys):
+def test_line_path_stdout_matches_golden(golden_runs):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(golden) == 80
-    found = collect()
-    assert capsys.readouterr().err == ""
+    found = golden_runs.lines
+    assert golden_runs.lines_stderr == ""
     assert list(found) == list(golden)
     for argv, expected in golden.items():
         assert found[argv] == expected, argv
 
 
-def test_command_stdout_matches_golden():
+def test_command_stdout_matches_golden(golden_runs):
     golden = json.loads(COMMAND_GOLDEN.read_text(encoding="utf-8"))
-    found = collect_commands()
+    found = golden_runs.commands
     assert list(found) == list(golden)
     for argv, expected in golden.items():
         assert found[argv] == expected, argv

@@ -3,20 +3,22 @@ and its reports against an oracle.
 
 `exact._maximal_minors` reads every maximal minor at a node off one
 integer kernel (Plucker duality); `node_minors` below applies it at all
-n nodes of `congruence._pencil`.  The oracle
+n nodes of `restriction.pencil`.  The oracle
 `restriction.direct_node_minors` evaluates A at the node's point and
 takes each minor by its own fraction-free elimination.  The
 congruences here have integer data, so the two agree value for value.
 
 `focal_points_on_line` serves the lines of the congruence.  It
-eliminates the first node of rank n-1 in full and certifies that the
+eliminates A at one point of the line, the probe point that a solved
+line carries, else the first node of rank n-1, and certifies that the
 left kernel there is the kernel along the whole line, which fixes the
 degrees without building the focal form.  A line that fails the
 certificate is not a congruence line and is refused with a ValueError
-naming the node; a line on which every minor vanishes is reported as a
-focal line.  `restriction.oracle_report` interpolates every minor and
-takes the gcd of all of them, so the three fields of every report must
-equal the oracle's.  `WorkRecorder` pins the eliminations of the slice.
+naming the point or node; a line on which every minor vanishes is
+reported as a focal line.  `restriction.oracle_report` interpolates
+every minor and takes the gcd of all of them, so the three fields of
+every report must equal the oracle's.  `WorkRecorder` pins the
+eliminations of the slice.
 """
 
 import random
@@ -29,8 +31,6 @@ import quadpoint.exact as exact
 from quadpoint.congruence import (
     LinearCongruence,
     ProjLine,
-    _at_node,
-    _pencil,
     foci_check,
     focal_points_on_line,
     line_through_point,
@@ -40,10 +40,12 @@ from quadpoint.congruence import (
 )
 from quadpoint.exact import MultiPoly, _maximal_minors, seeded_skew_matrix
 from restriction import (
+    at_node,
     direct_node_minors,
     fractional_determinantal,
     fractional_linear,
     oracle_report,
+    pencil,
     without_form,
 )
 
@@ -60,8 +62,8 @@ def probe_line(make, n, seed):
 def node_minors(c, line):
     """The values of every maximal minor at the nodes u = 0..n-1, one
     full elimination of the pencil per node."""
-    pencil, deleted = _pencil(c, line)
-    return [_maximal_minors(_at_node(pencil, u), deleted)[0] for u in range(c.n)]
+    rows, deleted = pencil(c, line)
+    return [_maximal_minors(at_node(rows, u), deleted)[0] for u in range(c.n)]
 
 
 def refusal(line, node):
@@ -69,7 +71,7 @@ def refusal(line, node):
     kernel certificate at the node (1, node)."""
     return (
         "%r is not a line of the congruence: the left kernel of A at node "
-        "(1, %d) does not annihilate A(p1)" % (line, node)
+        "(1, %d) does not annihilate both A(p0) and A(p1)" % (line, node)
     )
 
 
@@ -136,14 +138,17 @@ def test_maximal_minors_refuses_other_shapes():
 
 class WorkRecorder:
     """Records every `_bareiss` call, through the one module binding of
-    the elimination, as its (rows, columns)."""
+    the elimination, as its (rows, columns), and a copy of each matrix
+    it was given in `matrices`."""
 
     def __init__(self, monkeypatch):
         self.shapes = []
+        self.matrices = []
         bareiss = exact._bareiss
 
         def recorded(work):
             self.shapes.append((len(work), len(work[0])))
+            self.matrices.append([list(row) for row in work])
             return bareiss(work)
 
         monkeypatch.setattr(exact, "_bareiss", recorded)
@@ -151,6 +156,7 @@ class WorkRecorder:
     def run(self, call, *args):
         """(call(*args), the shapes it eliminated)."""
         self.shapes = []
+        self.matrices = []
         return call(*args), self.shapes
 
 
@@ -161,16 +167,50 @@ def width(c):
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_one_elimination_per_node(make, monkeypatch):
-    # The slice eliminates one node, however many minors there are
-    # (n+1 choose 2 or n): on a congruence line node 0 is eliminated in
-    # full, (n-1) x N, which gives every minor and the kernel, and the
-    # kernel is certified constant.  That fixes the degrees.
+    # The slice eliminates once, however many minors there are (n+1
+    # choose 2 or n): a solved line carries its probe point, and the
+    # integer rows of A(P)^T, (n-1) x N, give every minor and the
+    # kernel, which is certified constant.  That fixes the degrees.
     work = WorkRecorder(monkeypatch)
     for n in range(3, 11):
         c, line = probe_line(make, n, 3)
         report, shapes = work.run(focal_points_on_line, c, line)
         assert shapes == [(n - 1, width(c))]
+        assert work.matrices == [exact._integer_rows(c.columns_at(line.point))[0]]
         assert report.gcd_degree == n - 1
+    # The Fraction congruences are eliminated on rows cleared of
+    # denominators, one row at a time.
+    for make_fractions in (fractional_linear, fractional_determinantal):
+        c = make_fractions(5, random.Random("fraction rows"))
+        line = congruence_line(c, random.Random("fraction line"))
+        report, shapes = work.run(focal_points_on_line, c, line)
+        assert work.matrices == [exact._integer_rows(c.columns_at(line.point))[0]]
+        assert all(type(x) is int for row in work.matrices[0] for x in row)
+        assert report.gcd_degree == 4
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_carried_point_off_the_line_is_refused(make, monkeypatch):
+    # A line whose point was moved off it is refused before any
+    # elimination, with a ValueError that names the point; a point moved
+    # along the line changes nothing.
+    work = WorkRecorder(monkeypatch)
+    for n in range(3, 9):
+        c, line = probe_line(make, n, 4)
+        report = focal_points_on_line(c, line)
+        rng = random.Random("off the line %d" % n)
+        off = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+        assert exact.rank_and_kernel([line.p0, line.p1, off])[0] == 3
+        line.point = off
+        with pytest.raises(ValueError) as excinfo:
+            work.run(focal_points_on_line, c, line)
+        assert work.shapes == []
+        assert str(excinfo.value) == "point %s does not lie on %r" % (off, line)
+        line.point = tuple(2 * a - 3 * b for a, b in zip(line.p0, line.p1))
+        assert focal_points_on_line(c, line) == report
+        line.point = off[:-1]
+        with pytest.raises(ValueError, match="does not lie on"):
+            focal_points_on_line(c, line)
 
 
 def random_line(n, seed):
@@ -274,21 +314,29 @@ CONGRUENCES = {
 @pytest.mark.parametrize("n", range(3, 11))
 def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
     # The certified report equals the oracle's report from every minor,
-    # integral data or not, field for field.  The call eliminates in
-    # full up to the first node of rank n-1 and no further.
+    # integral data or not, field for field, on a solved line and on its
+    # copy without the probe point.  The solved line is eliminated once,
+    # at its probe point; the copy is eliminated in full up to the
+    # first node of rank n-1 and no further.
     rng = random.Random("certified %s %d" % (kind, n))
     c = CONGRUENCES[kind](n, rng)
     work = WorkRecorder(monkeypatch)
     for _ in range(2):
         line = congruence_line(c, rng)
+        bare = ProjLine(line.p0, line.p1)
+        assert bare.point is None and bare == line
         oracle = oracle_report(c, line)
         # A has rank n-1 at a node exactly where the focal form, the
         # oracle's gcd, does not vanish.
         node = next(u for u in range(n) if sum(x * u**k for k, x in enumerate(oracle[1])))
         report, shapes = work.run(focal_points_on_line, c, line)
-        assert shapes == [(n - 1, width(c))] * (node + 1)
+        assert shapes == [(n - 1, width(c))]
         assert report.gcd_degree == n - 1
         assert astuple(report) == without_form(oracle)
+        bare_report, shapes = work.run(focal_points_on_line, c, bare)
+        assert shapes == [(n - 1, width(c))] * (node + 1)
+        assert bare_report == report
+        assert astuple(bare_report) == without_form(oracle)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))

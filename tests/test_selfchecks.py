@@ -11,12 +11,10 @@ a profiler: a package function that no command enters must be on
 import ast
 import os
 import re
-import sys
 from collections import Counter
 from pathlib import Path
 
 import quadpoint
-from test_cli_golden import collect, collect_commands
 
 PACKAGE = Path(quadpoint.__file__).parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
@@ -171,28 +169,11 @@ def package_functions():
     return out
 
 
-def entered_by_golden_commands():
-    """{(file, first line)} of every code object that the golden command
-    lines enter, recorded with sys.setprofile."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        collect()
-        collect_commands()
-    finally:
-        sys.setprofile(previous)
-    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in entered}
-
-
-def test_every_package_function_is_reached_or_allowlisted():
+def test_every_package_function_is_reached_or_allowlisted(golden_runs):
+    # golden_runs.entered: every code object that the golden command
+    # lines enter, recorded with sys.setprofile (conftest.py).
     functions = package_functions()
-    entered = entered_by_golden_commands()
+    entered = golden_runs.entered
     allowed = dict(UNREACHED)
     for name in functions.values():
         module, _, qualname = name.partition(".")
