@@ -524,11 +524,13 @@ def main(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as err:
-        # An exact self-check failed (an inexact division, a solved line
-        # that is not isotropic or whose combined forms miss its probe
-        # or its solved point, a line that the focal slice refuses, or a
-        # Pfaffian of the wrong degree): a fault of the program, not of
-        # the input or of a verified property.
+        # An exact self-check failed (an inexact division in the line
+        # solve's elimination, a solved line that is not isotropic or
+        # whose combined forms miss its probe or its solved point, a
+        # solved line that the focal slice refuses, one off the
+        # congruence or one whose carried point is off it, or a Pfaffian
+        # of the wrong degree): a fault of the program, not of the input
+        # or of a verified property.
         print("error: internal check failed: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

@@ -15,7 +15,7 @@ import random
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .exact import (
@@ -68,15 +68,17 @@ class ProjLine:
     a determinantal congruence at n = 12 and bound 10^18 has a Plucker
     vector of about 15k bits that most callers never need.
 
-    point is the normalized probe point that a line solver solved the
+    point is the normalized probe point P that a line solver solved the
     line through (`_solve_through` sets it), or None for a line built
-    from two points.  Its coordinates are of the probe's size, while p0
-    and p1 carry about n-1 times the height of the congruence data, so
-    the focal slice certifies the line there.  It takes no part in
-    equality, hashing or repr.
+    from two points.  _kernel is the solver's record of what it proved
+    at P, a basis of the left kernel of A(P): (P, w) for the linear
+    kind, w the solved vector with span(P, w) = ker A(P)^T, and
+    (lambda,) for the determinantal kind; None on a line that no solver
+    returned.  The focal slice reads the line's minors off it.  Neither
+    takes part in equality, hashing or repr.
     """
 
-    __slots__ = ("p0", "p1", "point", "_plucker")
+    __slots__ = ("p0", "p1", "point", "_kernel", "_plucker")
 
     def __init__(self, p0: Sequence, p1: Sequence):
         a = normalize_point(p0)
@@ -90,6 +92,7 @@ class ProjLine:
         self.p0 = a
         self.p1 = b
         self.point = None
+        self._kernel = None
         self._plucker = None
 
     @property
@@ -237,7 +240,8 @@ def _solve_through(rows: Sequence, pt: tuple) -> tuple:
     the basis vector of f.  line spans u and w, p0 the one that is zero
     at max(f, g): rank_and_kernel(M)'s basis in its order, from one
     elimination with a column fewer and one back-substitution, and pt
-    lies on it by construction; the line carries pt as its `point`.
+    lies on it by construction; the line carries pt as its `point`, and
+    each solver records its kernel at pt on it once its checks pass.
     Below full row rank w and line are None.
     """
     f = max(i for i, x in enumerate(pt) if x)
@@ -285,14 +289,17 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     short side: A(P)^T * p0 = A(P)^T * p1 = 0, products of the rows of
     A(P)^T with p0 and p1.  P lies on the line by construction, and a
     skew form on a plane is fixed by its one value p0^T * A_i * p1, so
-    this holds exactly when every A_i vanishes on the line.
+    this holds exactly when every A_i vanishes on the line.  The line
+    records (P, w), w the solved vector: at rank n-1 they span
+    ker A(P)^T, the left kernel of A(P).
     """
     pt = normalize_point(point)
     columns = c.columns_at(pt)
-    rank, _, line = _solve_through(columns, pt)
+    rank, w, line = _solve_through(columns, pt)
     _require_off_focal(c, pt, rank)
     if not _vanish_on(columns, line):
         raise RuntimeError("solved line is not isotropic for every A_i")
+    line._kernel = (pt, w)
     return line
 
 
@@ -308,7 +315,8 @@ def line_through_point_determinantal(
     are `rank_and_kernel`'s primitive basis of the combined forms, the
     echelon basis of the line, and the line carries P as its `point`.
     The combined forms must vanish at P and at w, the solved vector,
-    which with P spans the line.
+    which with P spans the line.  The line records (lambda,), the
+    primitive left kernel vector of A(P).
     """
     pt = normalize_point(point)
     rank, kernel = rank_and_kernel(c.columns_at(pt))
@@ -324,6 +332,7 @@ def line_through_point_determinantal(
         )
     if any(sum(map(operator.mul, f, w)) for f in forms):
         raise RuntimeError("combined forms do not vanish on the solved line")
+    line._kernel = (lam,)
     return line
 
 
@@ -379,60 +388,76 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     row indices) are binary forms of degree n-1 or zero, and their gcd
     is the divisorial part of the focal scheme.
 
-    The slice eliminates A at one point Q of the line: the candidates
-    are the line's `point`, the probe point it was solved through, and
-    then the nodes p0 + u*p1, u = 0..n-1.  A carried point must lie on
-    span(p0, p1), an O(n) integer check, or ValueError names it.  At
-    each candidate one Bareiss elimination of the integer rows of
-    A(Q)^T gives every maximal minor at Q and the left kernel K of A(Q)
-    (`exact._maximal_minors`, Plucker duality).  At the first Q where a
-    minor is nonzero, A(Q) has rank n-1, and one integer check of K
-    against p0 and p1 certifies the line:
+    Theorem (constant kernel): if A has rank n-1 somewhere on the line
+    and its left kernel is one fixed space K wherever it has rank n-1,
+    the maximal minors, the Plucker coordinates of the annihilator of
+    K, are fixed multiples of one form F of degree n-1: the minor
+    without rows D is c_D * F, c_D the Plucker coordinate of K at D,
+    and F is nonzero.  The gcd is F up to scale and has degree n-1, the
+    focal length, and a minor vanishes identically exactly when its c_D
+    is 0.  The slice never builds F.
+
+    A line that a solver returned carries the premise (`ProjLine`'s
+    kernel record).  The solver proved rank n-1 at its probe point P
+    and a constant left kernel on span(P, w) = span(p0, p1): for the
+    linear kind K = span(P, w), and A(P)^T * w = 0 makes the line
+    isotropic for every A_i, so it lies in the left kernel of A at each
+    of its points; for the determinantal kind K = lambda, and the
+    combined forms lambda^T * A(x) vanish at P and at w, so on the whole
+    line.  The slice reads the minor support off that record and
+    eliminates nothing: the minor without row i is nonzero exactly when
+    lambda[i] != 0, the minor without rows i < j exactly when
+    P[i]*w[j] != P[j]*w[i].  A carried `point` must lie on span(p0, p1),
+    an O(n) integer check, or ValueError names it.
+
+    A line without a record (built from two points, or with a hand-set
+    `point`) is certified at the nodes Q = p0 + u*p1, u = 0..n-1, in
+    turn.  One Bareiss elimination of the integer rows of A(Q)^T gives
+    every maximal minor at Q and the left kernel K of A(Q)
+    (`exact._maximal_minors`, Plucker duality).  At the first node
+    where a minor is nonzero, A(Q) has rank n-1, and one integer check
+    of K against p0 and p1 gives the premise:
 
     - linear kind: A(Q)^T * p0 = A(Q)^T * p1 = 0, that is K = span(p0,
       p1).  Q lies on the line and a skew form on a plane is fixed by
       one value, so this holds exactly when the line is isotropic for
-      every A_i; then the line lies in the left kernel of A at each of
-      its points, and is that kernel wherever A has rank n-1.
+      every A_i.
     - determinantal kind: K = lambda, and the n-1 combined forms
-      lambda^T * A(x) vanish at p0 and at p1, so on the whole line:
-      lambda is in the left kernel of A at every point of the line,
-      and is that kernel wherever A has rank n-1.
+      lambda^T * A(x) vanish at p0 and at p1, so on the whole line.
 
-    Theorem: if the left kernel of A is one fixed space along the line
-    wherever A has rank n-1, the maximal minors, the Plucker coordinates
-    of its annihilator, are fixed multiples of one form F of degree n-1,
-    nonzero since a minor is nonzero at Q; the gcd is F up to scale and
-    has degree n-1, the focal length.  Every congruence line passes the
-    check: it is the line of points whose left kernel is K.  The slice
-    stops there, with every checked product on the short side (Q and K
-    have the probe's height, not that of p0 and p1), and never builds
-    F.  A line that fails the check is not a line of the congruence,
-    and ValueError names the line and Q (the point, or the node (1, u)).
-    If no node has rank n-1, every minor vanishes at n nodes and so
+    Every congruence line passes the check: it is the line of points
+    whose left kernel is K.  A line that fails it is not a line of the
+    congruence, and ValueError names the line and the node (1, u).  If
+    no node has rank n-1, every minor vanishes at n nodes and so
     identically: the line lies in the focal locus, and the report says
     so.  Nothing is probabilistic or modular.
     """
     if line.ambient_dim != c.n:
         raise ValueError("line lives in the wrong space")
-    carried = [] if line.point is None else [line.point]
-    if carried and not _lies_on(line, line.point):
+    if line.point is not None and not _lies_on(line, line.point):
         raise ValueError("point %s does not lie on %r" % (line.point, line))
-    nodes = (tuple(a + u * b for a, b in zip(line.p0, line.p1)) for u in range(c.n))
     linear = isinstance(c, LinearCongruence)
-    rows = range(c.n + 1 if linear else c.n)
-    deleted = [tuple(i for i in rows if i not in kept) for kept in combinations(rows, c.n - 1)]
-    # k counts the nodes; the carried point comes first, at k = -1.
-    for k, q in enumerate(chain(carried, nodes), -len(carried)):
-        columns = c.columns_at(q)
+    # The rows of A each minor deletes: A has n+1 (linear) or n rows, a
+    # minor keeps n-1 of them, and the complements of the kept subsets
+    # in lexicographic order are the deleted ones in reverse order.
+    deleted = list(combinations(range(c.n + 1), 2) if linear else combinations(range(c.n), 1))[::-1]
+    if line._kernel is not None:
+        if linear:
+            p, w = line._kernel
+            minors = [p[i] * w[j] - p[j] * w[i] for i, j in deleted]
+        else:
+            (lam,) = line._kernel
+            minors = [lam[i] for (i,) in deleted]
+        return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
+    for u in range(c.n):
+        columns = c.columns_at([a + u * b for a, b in zip(line.p0, line.p1)])
         minors, kernel = _maximal_minors(_integer_rows(columns)[0], deleted)
         if not any(minors):
             continue
         if not _vanish_on(columns if linear else _combined_forms(c, kernel[0]), line):
-            where = "node (1, %d)" % k if k >= 0 else "point %s" % (q,)
             raise ValueError(
-                "%r is not a line of the congruence: the left kernel of A at %s "
-                "does not annihilate both A(p0) and A(p1)" % (line, where)
+                "%r is not a line of the congruence: the left kernel of A at node (1, %d) "
+                "does not annihilate both A(p0) and A(p1)" % (line, u)
             )
         return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
     return FocalSliceReport((None,) * len(deleted), None, True)
@@ -598,13 +623,14 @@ def foci_check(
     a rank defect is a failed trial carrying the reason, as in
     order_check.  Both draw their probes from `_probes`, so the two
     reports probe the same points.  Every line sliced here was solved
-    by `line_through_point` and carries its probe point, so the slice
-    eliminates A once, at that point, whose height does not grow with
-    n.  There it repeats the solver's own checks: rank n-1 at P, and
-    the isotropy of the line (linear kind) or the combined forms
-    vanishing on it (determinantal kind); what it adds is that P lies
-    on span(p0, p1) and which minors are nonzero.  A line the slice
-    refuses is a fault of the program, and RuntimeError says so.
+    by `line_through_point` and carries the solver's record of the left
+    kernel of A(P), so a trial eliminates A(P)^T once, in the solve.
+    The solver proved rank n-1 at P and the isotropy of the line
+    (linear kind) or the combined forms vanishing on it (determinantal
+    kind), the premise of the slice's constant-kernel theorem; the
+    slice adds that the carried P lies on span(p0, p1) and reads which
+    minors are nonzero off the record.  A line the slice refuses is a
+    fault of the program, and RuntimeError says so.
     """
     expected = c.n - 1
     out = []

@@ -1,8 +1,8 @@
 """Test-side oracles: the defining matrix restricted to a line.
 
-The library slices a congruence along a line by eliminating A at one
-point of it, the probe point the line was solved through or else a
-node, and certifies the degree of the focal form without building it.
+The library slices a congruence along a line without building the
+focal form: it reads the minors of a solved line off the line solver's
+kernel record, and eliminates A at the nodes of any other line.
 These oracles build the restriction independently, straight from the
 skew matrices or the linear forms: `restricted` as a matrix of
 degree-1 binary forms a*s + b*t in the parametrization s*p0 + t*p1 of

@@ -711,8 +711,8 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
         assert run(capsys, argv) == (2, "", "error: %s\n" % message)
 
 
-def raise_plucker(*args):
-    raise ArithmeticError("inexact Plucker division")
+def raise_bareiss(*args):
+    raise ArithmeticError("inexact Bareiss division")
 
 
 SOLVED_LINE = congruence.line_through_point
@@ -740,7 +740,9 @@ def random_line(c, point):
 @pytest.mark.parametrize(
     "kind, owner, name, replacement, reason",
     (
-        ("linear", congruence, "_maximal_minors", raise_plucker, "inexact Plucker division"),
+        # An inexact division in the elimination of A(P)^T, which the
+        # line solvers run and the slice of a solved line reads.
+        ("linear", congruence, "rank_and_kernel", raise_bareiss, "inexact Bareiss division"),
         # A wrong kernel vector gives a line that is not isotropic, and
         # the line solver raises RuntimeError.
         (

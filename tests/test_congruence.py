@@ -85,11 +85,34 @@ def test_carried_point_takes_no_part_in_equality():
         assert line.point == normalize_point(point) == (3, -1, 4, 1, -5, 9)
         assert contains(line, line.point)
         bare = ProjLine(line.p0, line.p1)
-        assert bare.point is None
+        assert bare.point is None and bare._kernel is None
         assert (bare, hash(bare), repr(bare)) == (line, hash(line), repr(line))
         assert len({line, bare}) == 1
         bare.point = line.p0
         assert bare == line and hash(bare) == hash(line)
+
+
+def test_solve_record_is_a_basis_of_the_left_kernel():
+    # The record a solver leaves on its line is a basis of the left
+    # kernel of A(P): (P, w) for the linear kind, which spans the line,
+    # and (lambda,) for the determinantal kind.
+    rng = random.Random("solve record")
+    for make in (random_linear_congruence, random_determinantal_congruence):
+        for n in (3, 5, 8):
+            c = make(n, 1, 9)
+            for _ in range(5):
+                point = [rng.randint(-9, 9) for _ in range(n + 1)]
+                if is_focal_point(c, point):
+                    continue
+                line = line_through_point(c, point)
+                kernel = line._kernel
+                rows = RationalMatrix(c.columns_at(point))
+                assert rank_and_kernel(rows)[0] == n - 1
+                assert len(kernel) == rows.cols - (n - 1)
+                assert rank_and_kernel(RationalMatrix(kernel))[0] == len(kernel)
+                assert all(not any(rows.mat_vec(v)) for v in kernel)
+                if len(kernel) == 2:
+                    assert kernel[0] == line.point and all(contains(line, v) for v in kernel)
 
 
 def test_lies_on_matches_the_rank_oracle():

@@ -8,27 +8,33 @@ n nodes of `restriction.pencil`.  The oracle
 takes each minor by its own fraction-free elimination.  The
 congruences here have integer data, so the two agree value for value.
 
-`focal_points_on_line` serves the lines of the congruence.  It
-eliminates A at one point of the line, the probe point that a solved
-line carries, else the first node of rank n-1, and certifies that the
-left kernel there is the kernel along the whole line, which fixes the
-degrees without building the focal form.  A line that fails the
-certificate is not a congruence line and is refused with a ValueError
-naming the point or node; a line on which every minor vanishes is
-reported as a focal line.  `restriction.oracle_report` interpolates
-every minor and takes the gcd of all of them, so the three fields of
-every report must equal the oracle's.  `WorkRecorder` pins the
-eliminations of the slice.
+`focal_points_on_line` serves the lines of the congruence.  On a
+solved line it reads which minors vanish off the solver's record of
+the left kernel of A at the probe point, with no elimination; on a line
+without that record it eliminates A at the nodes up to the first of
+rank n-1 and certifies that the left kernel there is the kernel along
+the whole line.  Either way a constant left kernel fixes the degrees
+without building the focal form.  A line that fails the certificate is
+not a congruence line and is refused with a ValueError naming the
+node; a line on which every minor vanishes is reported as a focal line.
+`restriction.oracle_report` interpolates every minor and takes the gcd
+of all of them, so the three fields of every report must equal the
+oracle's.  `WorkRecorder` pins the eliminations of the slice and its
+evaluations of A.
 """
 
 import random
 from dataclasses import astuple
+from itertools import product
 from math import comb
 
 import pytest
 
 import quadpoint.exact as exact
 from quadpoint.congruence import (
+    DegeneracyError,
+    DeterminantalCongruence,
+    FocalPointError,
     LinearCongruence,
     ProjLine,
     foci_check,
@@ -139,11 +145,13 @@ def test_maximal_minors_refuses_other_shapes():
 class WorkRecorder:
     """Records every `_bareiss` call, through the one module binding of
     the elimination, as its (rows, columns), and a copy of each matrix
-    it was given in `matrices`."""
+    it was given in `matrices`; and in `points` the point of every call
+    of `columns_at`, the evaluation of A, on either kind."""
 
     def __init__(self, monkeypatch):
         self.shapes = []
         self.matrices = []
+        self.points = []
         bareiss = exact._bareiss
 
         def recorded(work):
@@ -152,11 +160,21 @@ class WorkRecorder:
             return bareiss(work)
 
         monkeypatch.setattr(exact, "_bareiss", recorded)
+        for cls in (LinearCongruence, DeterminantalCongruence):
+            monkeypatch.setattr(cls, "columns_at", self._evaluation(cls.columns_at))
+
+    def _evaluation(self, columns_at):
+        def recorded(c, point):
+            self.points.append(tuple(point))
+            return columns_at(c, point)
+
+        return recorded
 
     def run(self, call, *args):
         """(call(*args), the shapes it eliminated)."""
         self.shapes = []
         self.matrices = []
+        self.points = []
         return call(*args), self.shapes
 
 
@@ -165,28 +183,43 @@ def width(c):
     return c.n + 1 if isinstance(c, LinearCongruence) else c.n
 
 
+def nodes_of(line, count):
+    """The first `count` nodes p0 + u*p1 of the line."""
+    return [tuple(a + u * b for a, b in zip(line.p0, line.p1)) for u in range(count)]
+
+
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_one_elimination_per_node(make, monkeypatch):
-    # The slice eliminates once, however many minors there are (n+1
-    # choose 2 or n): a solved line carries its probe point, and the
-    # integer rows of A(P)^T, (n-1) x N, give every minor and the
-    # kernel, which is certified constant.  That fixes the degrees.
+    # A solved line carries the solver's kernel record, which gives
+    # every minor's support: its slice eliminates nothing and evaluates
+    # A nowhere.  Its copy without the record is eliminated once per
+    # node, however many minors there are (n+1 choose 2 or n), on the
+    # integer rows of A(Q)^T at the node Q, up to the first node of
+    # rank n-1.
     work = WorkRecorder(monkeypatch)
     for n in range(3, 11):
         c, line = probe_line(make, n, 3)
         report, shapes = work.run(focal_points_on_line, c, line)
-        assert shapes == [(n - 1, width(c))]
-        assert work.matrices == [exact._integer_rows(c.columns_at(line.point))[0]]
+        assert (shapes, work.points) == ([], [])
         assert report.gcd_degree == n - 1
+        bare_report, shapes = work.run(focal_points_on_line, c, ProjLine(line.p0, line.p1))
+        assert bare_report == report
+        nodes, matrices = list(work.points), work.matrices
+        assert shapes == [(n - 1, width(c))] * len(nodes)
+        assert nodes == nodes_of(line, len(nodes))
+        assert matrices == [exact._integer_rows(c.columns_at(q))[0] for q in nodes]
     # The Fraction congruences are eliminated on rows cleared of
     # denominators, one row at a time.
     for make_fractions in (fractional_linear, fractional_determinantal):
         c = make_fractions(5, random.Random("fraction rows"))
         line = congruence_line(c, random.Random("fraction line"))
         report, shapes = work.run(focal_points_on_line, c, line)
-        assert work.matrices == [exact._integer_rows(c.columns_at(line.point))[0]]
-        assert all(type(x) is int for row in work.matrices[0] for x in row)
-        assert report.gcd_degree == 4
+        assert (shapes, work.points) == ([], [])
+        bare_report, shapes = work.run(focal_points_on_line, c, ProjLine(line.p0, line.p1))
+        nodes, matrices = list(work.points), work.matrices
+        assert matrices == [exact._integer_rows(c.columns_at(q))[0] for q in nodes]
+        assert all(type(x) is int for m in matrices for row in m for x in row)
+        assert bare_report == report and report.gcd_degree == 4
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
@@ -211,6 +244,71 @@ def test_carried_point_off_the_line_is_refused(make, monkeypatch):
         line.point = off[:-1]
         with pytest.raises(ValueError, match="does not lie on"):
             focal_points_on_line(c, line)
+
+
+def unit_cube_points(n):
+    """The points of P^n with coordinates in {-1, 0, 1}, one per pair
+    +-p: many of them have zero coordinates, so some minors of the line
+    through them vanish."""
+    return [p for p in product((-1, 0, 1), repeat=n + 1) if any(p) and p > tuple(-x for x in p)]
+
+
+def solved_lines(c, points):
+    """The line through each non-focal point of `points`."""
+    lines = []
+    for point in points:
+        try:
+            lines.append(line_through_point(c, point))
+        except (FocalPointError, DegeneracyError):
+            continue
+    return lines
+
+
+def test_record_reads_vanishing_minors(monkeypatch):
+    # The solver's record gives which minors vanish identically: on the
+    # secant of the twisted cubic through (1, 0, 0, 1), and on the lines
+    # through the points of {-1, 0, 1}^(n+1), the report of the solved
+    # line equals that of its copy without the record and the oracle's,
+    # and the solved line is read with no elimination.
+    tc = twisted_cubic_congruence()
+    secant = line_through_point(tc, (1, 0, 0, 1))
+    assert secant == ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
+    cases = [(tc, secant)]
+    for make in KINDS:
+        for n in (3, 4):
+            c = make(n, 1, 9)
+            cases += [(c, line) for line in solved_lines(c, unit_cube_points(n))]
+    work = WorkRecorder(monkeypatch)
+    vanishing = 0
+    for c, line in cases:
+        report, shapes = work.run(focal_points_on_line, c, line)
+        assert shapes == []
+        assert report == focal_points_on_line(c, ProjLine(line.p0, line.p1))
+        assert astuple(report) == without_form(oracle_report(c, line))
+        vanishing += None in report.minor_degrees
+    assert astuple(focal_points_on_line(tc, secant)) == ((None, 2, None), 2, False)
+    assert vanishing > len(cases) // 4
+
+
+def test_point_moved_along_the_line_changes_nothing(monkeypatch):
+    # The record, not the carried point, gives the minors: a point moved
+    # along the line, onto either spanning point (one of them is the
+    # solved vector w), or onto a focal point of the line, leaves the
+    # report as it was, and the slice still eliminates nothing.
+    tc = twisted_cubic_congruence()
+    secant = line_through_point(tc, (1, 0, 0, 1))
+    cases = [(tc, secant, [(1, 0, 0, 0), (0, 0, 0, 1)])]
+    for make in KINDS:
+        for n in range(3, 9):
+            c, line = probe_line(make, n, 5)
+            cases.append((c, line, [line.p0, line.p1]))
+    work = WorkRecorder(monkeypatch)
+    for c, line, moves in cases:
+        report = focal_points_on_line(c, line)
+        for moved in moves + [tuple(2 * a - 3 * b for a, b in zip(line.p0, line.p1))]:
+            line.point = moved
+            assert work.run(focal_points_on_line, c, line) == (report, [])
+    assert astuple(focal_points_on_line(tc, secant)) == ((None, 2, None), 2, False)
 
 
 def random_line(n, seed):
@@ -315,9 +413,10 @@ CONGRUENCES = {
 def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
     # The certified report equals the oracle's report from every minor,
     # integral data or not, field for field, on a solved line and on its
-    # copy without the probe point.  The solved line is eliminated once,
-    # at its probe point; the copy is eliminated in full up to the
-    # first node of rank n-1 and no further.
+    # copy without the solver's record.  The solved line is read off its
+    # record, with no elimination and no evaluation of A; the copy is
+    # eliminated in full up to the first node of rank n-1 and no
+    # further.
     rng = random.Random("certified %s %d" % (kind, n))
     c = CONGRUENCES[kind](n, rng)
     work = WorkRecorder(monkeypatch)
@@ -330,7 +429,7 @@ def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
         # oracle's gcd, does not vanish.
         node = next(u for u in range(n) if sum(x * u**k for k, x in enumerate(oracle[1])))
         report, shapes = work.run(focal_points_on_line, c, line)
-        assert shapes == [(n - 1, width(c))]
+        assert (shapes, work.points) == ([], [])
         assert report.gcd_degree == n - 1
         assert astuple(report) == without_form(oracle)
         bare_report, shapes = work.run(focal_points_on_line, c, bare)
@@ -358,15 +457,17 @@ def test_class_path_matches_the_oracle(make, n):
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_foci_check_builds_no_focal_form(make, monkeypatch):
     # `verify foci` prints the gcd degree alone, which the certificate
-    # gives: its probes take no square elimination, only the
-    # eliminations of A(P)^T, of the line solver and of the slice's
-    # first node, none of them square.
+    # gives: its probes take no square elimination, only those of the
+    # line solver, (n-1) x n each.  A trial eliminates A(P)^T once, in
+    # the solve, and the determinantal solver its combined forms too;
+    # the slice eliminates nothing.
     work = WorkRecorder(monkeypatch)
+    per_trial = 1 if make is random_linear_congruence else 2
     for n in range(3, 11):
         c = make(n, 1, 9)
         trials, shapes = work.run(foci_check, c, 3, 1, 9)
         assert [t.gcd_degree for t in trials] == [n - 1] * 3
-        assert shapes and all(rows < cols for rows, cols in shapes)
+        assert shapes == [(n - 1, n)] * (3 * per_trial)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
