@@ -6,6 +6,15 @@ congruences given by an n x (n-1) matrix of linear forms whose minors
 vanish on the focal locus.  Everything runs over the rationals; the
 order-one property and the focal length on lines are checked by exact
 linear algebra, never numerically.
+
+A random construction is accepted by a genericity certificate modulo
+the fixed prime GENERICITY_PRIME, which is an exact proof: for integer
+rows, a rank that is full mod p is full over Q, because a minor that
+is nonzero mod p is a nonzero integer; and the primitive left kernel
+vector lambda of a determinantal A(P) reduces mod p to a nonzero
+multiple of the kernel vector mod p, since p cannot divide all of its
+coprime entries.  Only a draw that the certificate leaves undecided
+goes through the exact line solve (`_first_generic`).
 """
 
 from __future__ import annotations
@@ -27,10 +36,13 @@ from .exact import (
     pfaffian,
     primitive_vector,
     rank_and_kernel,
+    rank_and_kernel_mod,
     seeded_skew_matrix,
 )
 
 MAX_REDRAWS = 32
+# The prime of the genericity certificate, the Mersenne prime 2^61 - 1.
+GENERICITY_PRIME = (1 << 61) - 1
 
 
 class FocalPointError(ValueError):
@@ -651,9 +663,49 @@ def foci_check(
 # ----- random constructions -----
 
 
+def _generic_mod_p(c: Congruence, pt: tuple) -> bool:
+    """Whether Gauss-Jordan mod p = GENERICITY_PRIME proves that the
+    line solver of c succeeds at pt; False means only that it does not
+    prove it.  The rows of c must be integers, as every draw's are.
+
+    - Both kinds: A(P)^T has rank n-1 mod p.  A maximal minor that is
+      nonzero mod p is a nonzero integer, so A(P)^T has rank n-1 over
+      Q: P is off the focal locus.
+    - Determinantal kind: besides, with lambda_p the one kernel vector
+      of A(P)^T mod p, the combined forms lambda_p^T * A(x) have rank
+      n-1 mod p.  The primitive integer kernel vector lambda over Q
+      reduces mod p to a kernel vector that is not zero, since p does
+      not divide all of its coprime entries, so to c * lambda_p with
+      c != 0 mod p.  The combined forms of lambda then reduce to c
+      times those of lambda_p and have rank n-1 over Q too.
+
+    That is exactly what the solver checks before it returns a line:
+    its other checks are self-checks of the program that never fail.
+    """
+    p = GENERICITY_PRIME
+    rank, kernel = rank_and_kernel_mod(c.columns_at(pt), p)
+    if rank != c.n - 1:
+        return False
+    if isinstance(c, LinearCongruence):
+        return True
+    (lam,) = kernel
+    return rank_and_kernel_mod(_combined_forms(c, lam), p)[0] == c.n - 1
+
+
 def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
     """The first of MAX_REDRAWS candidates draw(attempt) through whose
     fixed probe point `solve` finds a unique line.
+
+    A candidate is accepted as soon as `_generic_mod_p` proves it
+    generic.  Theorem: for a fixed prime p and integer rows, full rank
+    mod p implies full rank over Q, and, for the determinantal kind,
+    the primitive lambda reduces mod p to a nonzero multiple of the
+    kernel vector mod p, so the combined forms keep their rank too.
+    The certificate proves only one side: when it is inconclusive, the
+    exact `solve` decides, and the accepted draw is the one the exact
+    solve alone would accept, for every seed and bound.  Neither path
+    is probabilistic.  A rejected draw is counted by the solver's
+    reason, and GenericityError reports the counts.
 
     A negative seed is refused: `random.Random` seeds an int by its
     absolute value, so the draws of seed -s would repeat those of s.
@@ -665,15 +717,23 @@ def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     probe = tuple(range(1, n + 2))
+    rejected = {"focal probe": 0, "degenerate forms": 0}
     for attempt in range(MAX_REDRAWS):
         candidate = draw(attempt)
+        if _generic_mod_p(candidate, probe):
+            return candidate
         try:
             solve(candidate, probe)
-        except (FocalPointError, DegeneracyError):
+        except FocalPointError:
+            rejected["focal probe"] += 1
+            continue
+        except DegeneracyError:
+            rejected["degenerate forms"] += 1
             continue
         return candidate
+    counts = ", ".join("%s %d" % item for item in rejected.items() if item[1])
     raise GenericityError(
-        "no generic %s congruence after %d draws" % (kind, MAX_REDRAWS)
+        "no generic %s congruence after %d draws (%s)" % (kind, MAX_REDRAWS, counts)
     )
 
 

@@ -9,7 +9,9 @@ row of denominators.  One elimination loop, the in-place Bareiss
 the last pivot (0 below full rank); `_kernel` adds integer
 back-substitution for the kernels, and `_maximal_minors` reads every
 maximal minor of a matrix with one or two more columns than rows off
-that kernel.
+that kernel.  `rank_and_kernel_mod` is the same job over GF(p), by
+Gauss-Jordan on the same integer rows reduced mod p: a lower bound on
+the rank over Q, whose entries never outgrow p.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
@@ -218,6 +220,48 @@ def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
     work, _ = _integer_rows(rows)
     rank, _, _, _, vectors = _kernel(work)
     return rank, tuple(map(primitive_vector, vectors))
+
+
+def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
+    """Rank over GF(p), p a prime, of the `_integer_rows` of the given
+    rows of exact rationals, together with a basis of their right
+    kernel mod p: one vector per free column f, with entries in
+    [0, p), 1 at f and 0 on the other free columns.
+
+    Gauss-Jordan elimination with every entry reduced mod p, so no
+    entry outgrows p.  A minor that is nonzero mod p is a nonzero
+    integer, so the rank mod p is at most the rank over Q, and equal
+    to it unless p divides every nonzero minor of that size.
+    """
+    work = [[x % p for x in row] for row in _integer_rows(rows)[0]]
+    nrows, ncols = len(work), len(work[0])
+    pivot_cols = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, nrows) if work[i][c]), None)
+        if piv is None:
+            continue
+        inv = pow(work[piv][c], -1, p)
+        row = [x * inv % p for x in work[piv]]
+        work[piv] = work[r]
+        work[r] = row
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], row)]
+        pivot_cols.append(c)
+        if r + 1 == nrows:
+            break
+    kernel = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(work, pivot_cols):
+            v[c] = -row[f] % p
+        kernel.append(tuple(v))
+    return len(pivot_cols), tuple(kernel)
 
 
 def _maximal_minors(work: list, deleted: Sequence[tuple]) -> tuple:

@@ -289,16 +289,108 @@ def test_redraws_exhausted(kind, monkeypatch, capsys):
         calls.append(point)
         raise FocalPointError("forced")
 
+    # The certificate mod p is left inconclusive, so every draw goes
+    # through the exact solve, which is forced to reject it.
+    monkeypatch.setattr(congruence, "_generic_mod_p", lambda c, point: False)
     monkeypatch.setattr(congruence, "line_through_point_linear", always_focal)
     monkeypatch.setattr(congruence, "line_through_point_determinantal", always_focal)
     make = getattr(congruence, "random_%s_congruence" % kind)
-    message = "no generic %s congruence after 32 draws" % kind
+    message = "no generic %s congruence after 32 draws (focal probe 32)" % kind
     with pytest.raises(GenericityError) as excinfo:
         make(4, 1)
     assert str(excinfo.value) == message
     assert len(calls) == MAX_REDRAWS == 32
     code = main(["construct", "--kind", kind, "--n", "4", "--seed", "1"])
     assert (code,) + tuple(capsys.readouterr()) == (1, "", "error: %s\n" % message)
+
+
+def test_redraws_exhausted_counts_each_reason(monkeypatch):
+    calls = []
+
+    def alternating(c, point):
+        calls.append(point)
+        raise (FocalPointError if len(calls) % 2 else DegeneracyError)("forced")
+
+    monkeypatch.setattr(congruence, "_generic_mod_p", lambda c, point: False)
+    monkeypatch.setattr(congruence, "line_through_point_determinantal", alternating)
+    with pytest.raises(GenericityError) as excinfo:
+        random_determinantal_congruence(4, 1)
+    assert str(excinfo.value) == (
+        "no generic determinantal congruence after 32 draws (focal probe 16, degenerate forms 16)"
+    )
+
+
+def exact_only_first_generic(n, seed, bound, kind, draw, solve):
+    """The redraw loop with no certificate, the reference: the exact
+    solve decides every draw."""
+    probe = tuple(range(1, n + 2))
+    for attempt in range(MAX_REDRAWS):
+        candidate = draw(attempt)
+        try:
+            solve(candidate, probe)
+        except (FocalPointError, DegeneracyError):
+            continue
+        return candidate
+    raise GenericityError(kind)
+
+
+def test_certificate_accepts_the_draw_the_exact_solve_accepts(monkeypatch):
+    # Modulo 3 the certificate is often inconclusive, so the exact
+    # fallback runs often; wherever the certificate passes it must be a
+    # proof, and the accepted draw, or the exhausted redraws, must be
+    # those of the exact solve alone.
+    solved = []
+
+    def counted(solve):
+        def wrapper(c, point):
+            try:
+                line = solve(c, point)
+            except (FocalPointError, DegeneracyError):
+                solved.append(False)
+                raise
+            solved.append(True)
+            return line
+
+        return wrapper
+
+    def outcome(make, n, seed, bound):
+        try:
+            return save_congruence(make(n, seed, bound))
+        except GenericityError:
+            return None
+
+    makers = (random_linear_congruence, random_determinantal_congruence)
+    cases = [
+        (make, n, seed, bound)
+        for make in makers
+        for n in range(3, 8)
+        for bound in (1, 9, 10**6)
+        for seed in range(40)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(congruence, "_first_generic", exact_only_first_generic)
+        expected = [outcome(*case) for case in cases]
+    monkeypatch.setattr(congruence, "GENERICITY_PRIME", 3)
+    for name in ("line_through_point_linear", "line_through_point_determinantal"):
+        monkeypatch.setattr(congruence, name, counted(getattr(congruence, name)))
+    assert [outcome(*case) for case in cases] == expected
+    # The fallback ran, and it both accepted and rejected draws.
+    assert True in solved and False in solved
+
+
+def test_certificate_decides_generic_draws_without_a_solve(monkeypatch):
+    # At the module's prime, a generic draw never reaches the exact
+    # solve, whose line is the heavy part of construction at large n.
+    def unreachable(c, point):
+        raise AssertionError("exact solve ran")
+
+    monkeypatch.setattr(congruence, "line_through_point_linear", unreachable)
+    monkeypatch.setattr(congruence, "line_through_point_determinantal", unreachable)
+    assert congruence.GENERICITY_PRIME == 2**61 - 1
+    for make in (random_linear_congruence, random_determinantal_congruence):
+        for n in (3, 5, 8, 12, 20):
+            for bound in (9, 10**18):
+                make(n, 1, bound)
 
 
 def test_congruence_validation():

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpoint.exact import (
     MultiPoly,
@@ -20,6 +22,7 @@ from quadpoint.exact import (
     pfaffian,
     primitive_vector,
     rank_and_kernel,
+    rank_and_kernel_mod,
     ring_determinant,
     seeded_skew_matrix,
 )
@@ -134,6 +137,72 @@ def test_rank_nullity_and_annihilation():
         if basis:
             span = RationalMatrix(basis)
             assert rank_and_kernel(span)[0] == len(basis)
+
+
+PRIMES = (2, 3, 5, 7, (1 << 61) - 1)
+exact_search = settings(database=None, derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def integer_rows(draw, entries=st.integers(-30, 30)):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def lifted_low_rank(draw):
+    """(A, B) of one shape, B = U * V of rank at most 2: the rows p*A + B
+    are B mod p, of rank at most 2 there, while over Q they mostly
+    have full rank."""
+    a = draw(integer_rows())
+    inner = draw(st.integers(1, 2))
+    u = [[draw(st.integers(-3, 3)) for _ in range(inner)] for _ in a]
+    v = [[draw(st.integers(-3, 3)) for _ in a[0]] for _ in range(inner)]
+    return a, [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in u]
+
+
+def assert_kernel_mod(rows, p, rank, kernel):
+    """rank + nullity = columns, and every kernel vector is reduced mod
+    p, has a unit at a free column no other vector has, and annihilates
+    every row mod p."""
+    ncols = len(rows[0])
+    assert rank + len(kernel) == ncols
+    units = [max(i for i, x in enumerate(v) if x) for v in kernel]
+    assert len(set(units)) == len(kernel)
+    for v, f in zip(kernel, units):
+        assert len(v) == ncols and all(0 <= x < p for x in v) and v[f] == 1
+        assert all(u[f] == 0 for u in kernel if u is not v)
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+
+
+@exact_search
+@given(integer_rows(), st.sampled_from(PRIMES))
+def test_rank_mod_p_is_at_most_the_rank_over_q(rows, p):
+    rank, kernel = rank_and_kernel_mod(rows, p)
+    assert rank <= rank_and_kernel(rows)[0]
+    assert_kernel_mod(rows, p, rank, kernel)
+
+
+@exact_search
+@given(lifted_low_rank(), st.sampled_from(PRIMES[:4]))
+def test_rank_mod_p_sees_only_the_residues(ab, p):
+    a, b = ab
+    rows = [[p * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    rank, kernel = rank_and_kernel_mod(rows, p)
+    assert (rank, kernel) == rank_and_kernel_mod(b, p)
+    assert rank <= min(2, rank_and_kernel(rows)[0])
+    assert_kernel_mod(rows, p, rank, kernel)
+
+
+def test_rank_lost_only_mod_p():
+    # det = -p(p-1): full rank over Q, rank 1 mod p, kernel (1, 1).
+    for p in PRIMES:
+        rows = [[1, p - 1], [1 + p, p - 1]]
+        assert rank_and_kernel(rows)[0] == 2
+        assert rank_and_kernel_mod(rows, p) == (1, ((1, 1),))
+    # Fractions are cleared row by row first: 1/2 * (1, 2) becomes (1, 2).
+    assert rank_and_kernel_mod([[Fraction(1, 2), 1]], 5) == (1, ((3, 1),))
+    assert rank_and_kernel_mod([[0, 0, 0]], 7) == (0, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_determinant_matches_permutation_oracle():
