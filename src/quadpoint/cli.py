@@ -527,10 +527,9 @@ def main(argv=None) -> int:
         # An exact self-check failed (an inexact division in the line
         # solve's elimination, a solved line that is not isotropic or
         # whose combined forms miss its probe or its solved point, a
-        # solved line that the focal slice refuses, one off the
-        # congruence or one whose carried point is off it, or a Pfaffian
-        # of the wrong degree): a fault of the program, not of the input
-        # or of a verified property.
+        # solved line that the focal slice refuses as off the
+        # congruence, or a Pfaffian of the wrong degree): a fault of the
+        # program, not of the input or of a verified property.
         print("error: internal check failed: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

@@ -30,8 +30,6 @@ from typing import Optional, Sequence
 from .exact import (
     MultiPoly,
     RationalMatrix,
-    _integer_rows,
-    _maximal_minors,
     _rational,
     pfaffian,
     primitive_vector,
@@ -80,17 +78,16 @@ class ProjLine:
     a determinantal congruence at n = 12 and bound 10^18 has a Plucker
     vector of about 15k bits that most callers never need.
 
-    point is the normalized probe point P that a line solver solved the
-    line through (`_solve_through` sets it), or None for a line built
-    from two points.  _kernel is the solver's record of what it proved
-    at P, a basis of the left kernel of A(P): (P, w) for the linear
-    kind, w the solved vector with span(P, w) = ker A(P)^T, and
-    (lambda,) for the determinantal kind; None on a line that no solver
-    returned.  The focal slice reads the line's minors off it.  Neither
-    takes part in equality, hashing or repr.
+    _kernel is a line solver's record of what it proved at the probe
+    point P it solved the line through, a basis of the left kernel of
+    A(P): (P, w) for the linear kind, P normalized and w the solved
+    vector with span(P, w) = ker A(P)^T, and (lambda,) for the
+    determinantal kind; None on a line that no solver returned.  The
+    focal slice reads the line's minors off it.  It takes no part in
+    equality, hashing or repr.
     """
 
-    __slots__ = ("p0", "p1", "point", "_kernel", "_plucker")
+    __slots__ = ("p0", "p1", "_kernel", "_plucker")
 
     def __init__(self, p0: Sequence, p1: Sequence):
         a = normalize_point(p0)
@@ -103,7 +100,6 @@ class ProjLine:
             raise ValueError("spanning points are proportional")
         self.p0 = a
         self.p1 = b
-        self.point = None
         self._kernel = None
         self._plucker = None
 
@@ -252,9 +248,9 @@ def _solve_through(rows: Sequence, pt: tuple) -> tuple:
     the basis vector of f.  line spans u and w, p0 the one that is zero
     at max(f, g): rank_and_kernel(M)'s basis in its order, from one
     elimination with a column fewer and one back-substitution, and pt
-    lies on it by construction; the line carries pt as its `point`, and
-    each solver records its kernel at pt on it once its checks pass.
-    Below full row rank w and line are None.
+    lies on it by construction; each solver records its kernel at pt on
+    the line once its checks pass.  Below full row rank w and line are
+    None.
     """
     f = max(i for i, x in enumerate(pt) if x)
     rank, kernel = rank_and_kernel([r[:f] + r[f + 1 :] for r in rows])
@@ -265,14 +261,7 @@ def _solve_through(rows: Sequence, pt: tuple) -> tuple:
     g = max(i for i, x in enumerate(w) if x)
     u = [w[g] * x - pt[g] * y for x, y in zip(pt, w)]
     line = ProjLine(u, w) if g > f else ProjLine(w, u)
-    line.point = pt
     return rank, w, line
-
-
-def _vanish_on(forms: Sequence, line: ProjLine) -> bool:
-    """Whether every linear form (a coefficient row) vanishes at both
-    spanning points of the line, that is on the whole line."""
-    return not any(sum(map(operator.mul, f, p)) for f in forms for p in (line.p0, line.p1))
 
 
 def _combined_forms(c: DeterminantalCongruence, lam: Sequence) -> list:
@@ -294,22 +283,22 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     finds it in one elimination through P.  The spanning points are
     `rank_and_kernel`'s primitive basis of the whole system: the
     echelon basis of the line, fixed by the line alone whatever point
-    of it is probed, and the parametrization s*p0 + t*p1 of the line;
-    the line carries P as its `point`.
+    of it is probed, and the parametrization s*p0 + t*p1 of the line.
 
     The line must be isotropic for every A_i, and the check runs on the
-    short side: A(P)^T * p0 = A(P)^T * p1 = 0, products of the rows of
-    A(P)^T with p0 and p1.  P lies on the line by construction, and a
-    skew form on a plane is fixed by its one value p0^T * A_i * p1, so
-    this holds exactly when every A_i vanishes on the line.  The line
-    records (P, w), w the solved vector: at rank n-1 they span
-    ker A(P)^T, the left kernel of A(P).
+    short side: A(P)^T * w = 0, w the solved vector, products of the
+    rows of A(P)^T with w.  A(P)^T * P = 0 by skew-symmetry, which
+    `LinearCongruence` checks, and P and w span the line, so this
+    holds exactly when A(P)^T annihilates the line; a skew form on a
+    plane is fixed by its one value P^T * A_i * w, so that is exactly
+    when every A_i vanishes on the line.  The line records (P, w): at
+    rank n-1 they span ker A(P)^T, the left kernel of A(P).
     """
     pt = normalize_point(point)
     columns = c.columns_at(pt)
     rank, w, line = _solve_through(columns, pt)
     _require_off_focal(c, pt, rank)
-    if not _vanish_on(columns, line):
+    if any(sum(map(operator.mul, col, w)) for col in columns):
         raise RuntimeError("solved line is not isotropic for every A_i")
     line._kernel = (pt, w)
     return line
@@ -325,10 +314,9 @@ def line_through_point_determinantal(
     combination of the columns of A, in one elimination through P
     (`_solve_through`).  As for the linear kind, the spanning points
     are `rank_and_kernel`'s primitive basis of the combined forms, the
-    echelon basis of the line, and the line carries P as its `point`.
-    The combined forms must vanish at P and at w, the solved vector,
-    which with P spans the line.  The line records (lambda,), the
-    primitive left kernel vector of A(P).
+    echelon basis of the line.  The combined forms must vanish at P
+    and at w, the solved vector, which with P spans the line.  The line
+    records (lambda,), the primitive left kernel vector of A(P).
     """
     pt = normalize_point(point)
     rank, kernel = rank_and_kernel(c.columns_at(pt))
@@ -376,20 +364,6 @@ class FocalSliceReport:
     focal_line: bool
 
 
-def _lies_on(line: ProjLine, q: Sequence) -> bool:
-    """Whether q lies on span(p0, p1), in O(n) integer products: with
-    d a nonzero 2 x 2 minor of (p0, p1), at columns i and j, the point
-    d*q - (q x p1)_ij * p0 - (p0 x q)_ij * p1 is zero at i and j, and it
-    is zero everywhere exactly when q lies on the line."""
-    a, b = line.p0, line.p1
-    if len(q) != len(a):
-        return False
-    i = next(k for k, x in enumerate(a) if x)
-    j = next(k for k in range(len(a)) if a[i] * b[k] - a[k] * b[i])
-    d, s, t = (u[i] * v[j] - u[j] * v[i] for u, v in ((a, b), (q, b), (a, q)))
-    return all(d * x == s * y + t * z for x, y, z in zip(q, a, b))
-
-
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     """Focal scheme cut on a congruence line, as the gcd of restricted
     minors.
@@ -419,60 +393,54 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
     line.  The slice reads the minor support off that record and
     eliminates nothing: the minor without row i is nonzero exactly when
     lambda[i] != 0, the minor without rows i < j exactly when
-    P[i]*w[j] != P[j]*w[i].  A carried `point` must lie on span(p0, p1),
-    an O(n) integer check, or ValueError names it.
+    P[i]*w[j] != P[j]*w[i].
 
-    A line without a record (built from two points, or with a hand-set
-    `point`) is certified at the nodes Q = p0 + u*p1, u = 0..n-1, in
-    turn.  One Bareiss elimination of the integer rows of A(Q)^T gives
-    every maximal minor at Q and the left kernel K of A(Q)
-    (`exact._maximal_minors`, Plucker duality).  At the first node
-    where a minor is nonzero, A(Q) has rank n-1, and one integer check
-    of K against p0 and p1 gives the premise:
-
-    - linear kind: A(Q)^T * p0 = A(Q)^T * p1 = 0, that is K = span(p0,
-      p1).  Q lies on the line and a skew form on a plane is fixed by
-      one value, so this holds exactly when the line is isotropic for
-      every A_i.
-    - determinantal kind: K = lambda, and the n-1 combined forms
-      lambda^T * A(x) vanish at p0 and at p1, so on the whole line.
-
-    Every congruence line passes the check: it is the line of points
-    whose left kernel is K.  A line that fails it is not a line of the
-    congruence, and ValueError names the line and the node (1, u).  If
-    no node has rank n-1, every minor vanishes at n nodes and so
-    identically: the line lies in the focal locus, and the report says
-    so.  Nothing is probabilistic or modular.
+    A line without a record (built from two points) gets one from the
+    line solver at the nodes Q = p0 + u*p1, u = 0..n-1, in turn.  A
+    focal node (A(Q) of rank below n-1) is skipped.  At the first other
+    node the congruence has exactly one line through Q, the solved
+    one, so the line is a congruence line exactly when it equals the
+    solved line (Plucker equality), and then the solved line's record
+    is its own.  A line that is not, and a node where the solver finds
+    no unique line (DegeneracyError), are refused: ValueError names the
+    line and the node (1, u).  If all n nodes are focal, every minor
+    vanishes at n points and so identically: the line lies in the focal
+    locus, and the report says so.  Nothing is probabilistic or modular.
     """
     if line.ambient_dim != c.n:
         raise ValueError("line lives in the wrong space")
-    if line.point is not None and not _lies_on(line, line.point):
-        raise ValueError("point %s does not lie on %r" % (line.point, line))
     linear = isinstance(c, LinearCongruence)
     # The rows of A each minor deletes: A has n+1 (linear) or n rows, a
     # minor keeps n-1 of them, and the complements of the kept subsets
     # in lexicographic order are the deleted ones in reverse order.
     deleted = list(combinations(range(c.n + 1), 2) if linear else combinations(range(c.n), 1))[::-1]
-    if line._kernel is not None:
-        if linear:
-            p, w = line._kernel
-            minors = [p[i] * w[j] - p[j] * w[i] for i, j in deleted]
-        else:
-            (lam,) = line._kernel
-            minors = [lam[i] for (i,) in deleted]
-        return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
-    for u in range(c.n):
-        columns = c.columns_at([a + u * b for a, b in zip(line.p0, line.p1)])
-        minors, kernel = _maximal_minors(_integer_rows(columns)[0], deleted)
-        if not any(minors):
-            continue
-        if not _vanish_on(columns if linear else _combined_forms(c, kernel[0]), line):
-            raise ValueError(
-                "%r is not a line of the congruence: the left kernel of A at node (1, %d) "
-                "does not annihilate both A(p0) and A(p1)" % (line, u)
-            )
-        return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
-    return FocalSliceReport((None,) * len(deleted), None, True)
+    kernel = line._kernel
+    if kernel is None:
+        for u in range(c.n):
+            try:
+                solved = line_through_point(c, [a + u * b for a, b in zip(line.p0, line.p1)])
+            except FocalPointError:
+                continue
+            except DegeneracyError as err:
+                raise ValueError(
+                    "%r has no unique congruence line at node (1, %d): %s" % (line, u, err)
+                ) from err
+            if solved != line:
+                raise ValueError(
+                    "%r is not a line of the congruence: the congruence line at node (1, %d) is %r"
+                    % (line, u, solved)
+                )
+            kernel = solved._kernel
+            break
+    if kernel is None:
+        return FocalSliceReport((None,) * len(deleted), None, True)
+    if linear:
+        p, w = kernel
+        minors = [p[i] * w[j] - p[j] * w[i] for i, j in deleted]
+    else:
+        (lam,) = kernel
+        minors = [lam[i] for (i,) in deleted]
+    return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
 
 
 # ----- Pfaffian of the linear family -----
@@ -639,10 +607,10 @@ def foci_check(
     kernel of A(P), so a trial eliminates A(P)^T once, in the solve.
     The solver proved rank n-1 at P and the isotropy of the line
     (linear kind) or the combined forms vanishing on it (determinantal
-    kind), the premise of the slice's constant-kernel theorem; the
-    slice adds that the carried P lies on span(p0, p1) and reads which
-    minors are nonzero off the record.  A line the slice refuses is a
-    fault of the program, and RuntimeError says so.
+    kind), the premise of the slice's constant-kernel theorem, and the
+    slice reads which minors are nonzero off the record.  The trial
+    keeps its probe point P.  A line the slice refuses is a fault of
+    the program, and RuntimeError says so.
     """
     expected = c.n - 1
     out = []

@@ -6,12 +6,11 @@ rationals, `int` or Fraction entries (a `RationalMatrix` iterates its
 rows); `_integer_rows` coerces and checks them once and clears each
 row of denominators.  One elimination loop, the in-place Bareiss
 `_bareiss`, serves both: `determinant` is the permutation sign times
-the last pivot (0 below full rank); `_kernel` adds integer
-back-substitution for the kernels, and `_maximal_minors` reads every
-maximal minor of a matrix with one or two more columns than rows off
-that kernel.  `rank_and_kernel_mod` is the same job over GF(p), by
-Gauss-Jordan on the same integer rows reduced mod p: a lower bound on
-the rank over Q, whose entries never outgrow p.
+the last pivot (0 below full rank), and `rank_and_kernel` adds integer
+back-substitution for a primitive kernel basis.  `rank_and_kernel_mod`
+is the same job over GF(p), by Gauss-Jordan on the same integer rows
+reduced mod p: a lower bound on the rank over Q, whose entries never
+outgrow p.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
@@ -181,19 +180,20 @@ def _bareiss(work: list) -> tuple:
     return pivot_cols, sign
 
 
-def _kernel(work: list) -> tuple:
-    """Eliminate the integer matrix `work` in place and solve for its
-    right kernel: (rank, sign, pivot, free_cols, vectors).
+def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
+    """Rank of the matrix with the given rows of exact rationals,
+    together with a primitive integer basis of its right kernel, one
+    vector per free column f, in ascending order of f.
 
-    sign is that of the row permutation and pivot the last Bareiss
-    pivot D (1 at rank 0).  For each free column f, in ascending order,
-    the unscaled kernel vector has v[f] = D and 0 on the other free
-    columns; integer back-substitution fills in the rest.  Cramer's rule
-    makes every entry a minor of the matrix, so each division is exact;
-    a remainder raises ArithmeticError.
+    After `_bareiss`, with D the last pivot (1 at rank 0), the vector
+    of f has v[f] = D and 0 on the other free columns; integer
+    back-substitution fills in the rest.  Cramer's rule makes every
+    entry a minor of the matrix, so each division is exact; a remainder
+    raises ArithmeticError.
     """
+    work, _ = _integer_rows(rows)
     ncols = len(work[0])
-    pivot_cols, sign = _bareiss(work)
+    pivot_cols, _ = _bareiss(work)
     rank = len(pivot_cols)
     pivot = work[rank - 1][pivot_cols[-1]] if rank else 1
     free_cols = [f for f in range(ncols) if f not in pivot_cols]
@@ -209,17 +209,8 @@ def _kernel(work: list) -> tuple:
             if rem:
                 raise ArithmeticError("inexact back-substitution")
             v[p] = q
-        vectors.append(v)
-    return rank, sign, pivot, free_cols, vectors
-
-
-def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
-    """Rank of the matrix with the given rows of exact rationals,
-    together with a primitive integer basis of its right kernel, one
-    vector per free column (see `_kernel`)."""
-    work, _ = _integer_rows(rows)
-    rank, _, _, _, vectors = _kernel(work)
-    return rank, tuple(map(primitive_vector, vectors))
+        vectors.append(primitive_vector(v))
+    return rank, tuple(vectors)
 
 
 def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
@@ -262,43 +253,6 @@ def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
             v[c] = -row[f] % p
         kernel.append(tuple(v))
     return len(pivot_cols), tuple(kernel)
-
-
-def _maximal_minors(work: list, deleted: Sequence[tuple]) -> tuple:
-    """(minors, kernel) of an integer r x N matrix of N - r = 1 or 2
-    more columns than rows, from one elimination of `work` (in place);
-    kernel is the unscaled right kernel basis of `_kernel`.
-
-    Entry k of minors is the determinant of the columns left after
-    deleting the ascending tuple deleted[k].  The maximal minors are
-    the Plucker coordinates of the right kernel up to one common
-    factor (Harris, Algebraic Geometry, lecture 6); with the unscaled
-    kernel of
-    `_kernel` (sign s, pivot D, free columns f or f1 < f2) the factor
-    is known, and Cramer's rule gives
-      N - r = 1: minor without column i = s (-1)^(i+f) v[i],
-      N - r = 2: minor without i < j
-                 = s (-1)^(i+j+f1+f2) (v1[i] v2[j] - v1[j] v2[i]) / D,
-    where the division is exact (a remainder raises ArithmeticError).
-    Every minor is 0 when the rank is below r.
-    """
-    rank, sign, pivot, free_cols, vectors = _kernel(work)
-    if rank < len(work):
-        return [0] * len(deleted), vectors
-    if len(free_cols) == 1:
-        (f,), (v,) = free_cols, vectors
-        minors = [-sign * v[i] if (i + f) & 1 else sign * v[i] for (i,) in deleted]
-        return minors, vectors
-    if len(free_cols) != 2:
-        raise ValueError("expected one or two more columns than rows")
-    (f1, f2), (v1, v2) = free_cols, vectors
-    out = []
-    for i, j in deleted:
-        q, rem = divmod(v1[i] * v2[j] - v1[j] * v2[i], pivot)
-        if rem:
-            raise ArithmeticError("inexact Plucker division")
-        out.append(-sign * q if (i + j + f1 + f2) & 1 else sign * q)
-    return out, vectors
 
 
 def determinant(rows: Iterable[Iterable]):

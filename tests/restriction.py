@@ -2,19 +2,17 @@
 
 The library slices a congruence along a line without building the
 focal form: it reads the minors of a solved line off the line solver's
-kernel record, and eliminates A at the nodes of any other line.
-These oracles build the restriction independently, straight from the
-skew matrices or the linear forms: `restricted` as a matrix of
-degree-1 binary forms a*s + b*t in the parametrization s*p0 + t*p1 of
-the line, and `direct_node_minors` as the node values of its maximal
-minors, one determinant per minor.  `pencil` and `at_node` give the
-same node values through the library's elimination kernel: the
-transposed pencil of A on the line, and its value at one node, for
-`exact._maximal_minors`.  `oracle_report` interpolates every minor from
-those node values (`_form_from_integer_values`) and takes the gcd of all
-of them: it returns (minor_degrees, gcd_form, gcd_degree, focal_line),
-the focal form included, and `without_form` drops the form to give the
-three fields of the library's `FocalSliceReport`.  `variable` is the
+kernel record, and gets that record for any other line from the line
+solver at its nodes.  These oracles build the restriction
+independently, straight from the skew matrices or the linear forms:
+`restricted` as a matrix of degree-1 binary forms a*s + b*t in the
+parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
+the node values of its maximal minors, one determinant per minor.
+`oracle_report` interpolates every minor from those node values
+(`_form_from_integer_values`) and takes the gcd of all of them: it
+returns (minor_degrees, gcd_form, gcd_degree, focal_line), the focal
+form included, and `without_form` drops the form to give the three
+fields of the library's `FocalSliceReport`.  `variable` is the
 coordinate polynomial the tests build other polynomials from, and
 `fractional_linear` and `fractional_determinantal` build congruences
 whose entries are Fractions, not all integral.
@@ -32,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from quadpoint.congruence import DeterminantalCongruence, LinearCongruence
-from quadpoint.exact import MultiPoly, _cleared, binary_gcd
+from quadpoint.exact import MultiPoly, binary_gcd
 
 
 def variable(nvars, i):
@@ -99,38 +97,6 @@ def restricted(c, line):
     ]
 
 
-def pencil(c, line):
-    """(pencil, deleted): the transposed pencil of A on the line and the
-    row tuples that the maximal minors delete.
-
-    Column j of the restriction is a_j*s + b_j*t with a_j, b_j the
-    columns of A(p0) and A(p1); pencil row j is a_j followed by b_j,
-    the pair cleared of denominators together, which scales every
-    maximal minor by the same positive constant and keeps the left
-    kernel of each half.  deleted[k] is the ascending tuple of the rows
-    of A that minor k leaves out, in the order of
-    `focal_points_on_line`.
-    """
-    if line.ambient_dim != c.n:
-        raise ValueError("line lives in the wrong space")
-    rows = [
-        _cleared(list(a + b))[0]
-        for a, b in zip(c.columns_at(line.p0), c.columns_at(line.p1))
-    ]
-    kept_rows = range(len(rows[0]) // 2)
-    deleted = [
-        tuple(i for i in kept_rows if i not in kept)
-        for kept in combinations(kept_rows, c.n - 1)
-    ]
-    return rows, deleted
-
-
-def at_node(rows, u):
-    """The pencil (a + u*b)^T at the node (1, u)."""
-    half = len(rows[0]) // 2
-    return [[x + u * y for x, y in zip(r[:half], r[half:])] for r in rows]
-
-
 def _determinant(rows):
     """Determinant by fraction-free (Bareiss) elimination, row pivoting
     only, of the rows cleared of denominators; the clearing factors are
@@ -166,9 +132,7 @@ def direct_node_minors(c, line):
     A(s*p0 + t*p1) at (1, u) is A evaluated at the point p0 + u*p1,
     built here from the skew matrices or the linear forms.  Minors keep
     n-1 rows, in ascending lexicographic order of the kept rows, and a
-    list is returned per node, as `exact._maximal_minors` returns them
-    at one node of `pencil`.  For integral congruence data
-    no scaling is involved and the two agree value for value.
+    list is returned per node.
     """
     size = c.n - 1
     out = []

@@ -20,7 +20,6 @@ from quadpoint.congruence import (
     GenericityError,
     LinearCongruence,
     ProjLine,
-    _lies_on,
     determinant_vanishes_identically,
     foci_check,
     focal_points_on_line,
@@ -77,19 +76,19 @@ def test_normalize_point():
 
 
 def test_carried_point_takes_no_part_in_equality():
-    # A solved line carries its normalized probe point; equality, hash
-    # and repr do not see it, and a line built from two points has none.
+    # A solved line carries the solver's kernel record, the linear one
+    # with the normalized probe point; equality, hash and repr do not
+    # see it, and a line built from two points has none.
     point = (6, -2, 8, 2, -10, 18)
     for make in (random_linear_congruence, random_determinantal_congruence):
         line = line_through_point(make(5, 1, 9), point)
-        assert line.point == normalize_point(point) == (3, -1, 4, 1, -5, 9)
-        assert contains(line, line.point)
+        assert line._kernel is not None
+        if make is random_linear_congruence:
+            assert line._kernel[0] == normalize_point(point) == (3, -1, 4, 1, -5, 9)
         bare = ProjLine(line.p0, line.p1)
-        assert bare.point is None and bare._kernel is None
+        assert bare._kernel is None
         assert (bare, hash(bare), repr(bare)) == (line, hash(line), repr(line))
         assert len({line, bare}) == 1
-        bare.point = line.p0
-        assert bare == line and hash(bare) == hash(line)
 
 
 def test_solve_record_is_a_basis_of_the_left_kernel():
@@ -112,24 +111,8 @@ def test_solve_record_is_a_basis_of_the_left_kernel():
                 assert rank_and_kernel(RationalMatrix(kernel))[0] == len(kernel)
                 assert all(not any(rows.mat_vec(v)) for v in kernel)
                 if len(kernel) == 2:
-                    assert kernel[0] == line.point and all(contains(line, v) for v in kernel)
-
-
-def test_lies_on_matches_the_rank_oracle():
-    # The O(n) membership test of the slice agrees with a rank test of
-    # the two spanning points and the point, on and off the line.
-    rng = random.Random("lies on")
-    for n in (3, 5, 8):
-        for _ in range(20):
-            line = ProjLine(*([rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(2)))
-            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
-            on = [s * x + t * y for x, y in zip(line.p0, line.p1)]
-            moved = rng.randrange(n + 1)
-            near = [x + (k == moved) for k, x in enumerate(on)]
-            for q in (on, near, line.p0, line.p1):
-                if any(q):
-                    assert _lies_on(line, q) is contains(line, q)
-            assert not _lies_on(line, on[1:])
+                    assert kernel[0] == normalize_point(point)
+                    assert all(contains(line, v) for v in kernel)
 
 
 def test_projline_equality_is_projective():

@@ -1,36 +1,32 @@
-"""The focal slice's node values against one determinant per minor,
-and its reports against an oracle.
+"""The focal slice's reports against an oracle, and its record read
+against one determinant per minor.
 
-`exact._maximal_minors` reads every maximal minor at a node off one
-integer kernel (Plucker duality); `node_minors` below applies it at all
-n nodes of `restriction.pencil`.  The oracle
-`restriction.direct_node_minors` evaluates A at the node's point and
-takes each minor by its own fraction-free elimination.  The
-congruences here have integer data, so the two agree value for value.
-
-`focal_points_on_line` serves the lines of the congruence.  On a
-solved line it reads which minors vanish off the solver's record of
-the left kernel of A at the probe point, with no elimination; on a line
-without that record it eliminates A at the nodes up to the first of
-rank n-1 and certifies that the left kernel there is the kernel along
-the whole line.  Either way a constant left kernel fixes the degrees
-without building the focal form.  A line that fails the certificate is
-not a congruence line and is refused with a ValueError naming the
-node; a line on which every minor vanishes is reported as a focal line.
+`focal_points_on_line` serves the lines of the congruence and reads
+which minors vanish off a line solver's record of the left kernel of A
+at the probe point, with no elimination.  A line without that record
+gets one from the solver at the nodes p0 + u*p1, skipping focal nodes;
+at the first other node the solved line must be the line itself, or
+the slice refuses it with a ValueError naming the node.  A line whose
+nodes are all focal is reported as a focal line.  The oracle
+`restriction.direct_node_minors` evaluates A at each node and takes
+every minor by its own fraction-free elimination: at each node those
+values are one common multiple of the record's signed Plucker
+coordinates, the constant-kernel theorem the slice relies on.
 `restriction.oracle_report` interpolates every minor and takes the gcd
 of all of them, so the three fields of every report must equal the
-oracle's.  `WorkRecorder` pins the eliminations of the slice and its
+oracle's.  `WorkRecorder` pins the line solves of the slice and its
 evaluations of A.
 """
 
 import random
 from dataclasses import astuple
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-import quadpoint.exact as exact
+import quadpoint.congruence as congruence
 from quadpoint.congruence import (
     DegeneracyError,
     DeterminantalCongruence,
@@ -44,14 +40,12 @@ from quadpoint.congruence import (
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly, _maximal_minors, seeded_skew_matrix
+from quadpoint.exact import MultiPoly, seeded_skew_matrix
 from restriction import (
-    at_node,
     direct_node_minors,
     fractional_determinantal,
     fractional_linear,
     oracle_report,
-    pencil,
     without_form,
 )
 
@@ -65,30 +59,58 @@ def probe_line(make, n, seed):
     return c, line_through_point(c, point)
 
 
-def node_minors(c, line):
-    """The values of every maximal minor at the nodes u = 0..n-1, one
-    full elimination of the pencil per node."""
-    rows, deleted = pencil(c, line)
-    return [_maximal_minors(at_node(rows, u), deleted)[0] for u in range(c.n)]
+def nodes_of(line, count):
+    """The first `count` nodes p0 + u*p1 of the line."""
+    return [tuple(a + u * b for a, b in zip(line.p0, line.p1)) for u in range(count)]
 
 
-def refusal(line, node):
-    """The message with which the slice refuses a line that fails the
-    kernel certificate at the node (1, node)."""
-    return (
-        "%r is not a line of the congruence: the left kernel of A at node "
-        "(1, %d) does not annihilate both A(p0) and A(p1)" % (line, node)
+def refusal(c, line, node):
+    """The message with which the slice refuses a line that is not a
+    line of the congruence, at the node (1, node) where it first finds
+    the one congruence line through a node."""
+    solved = line_through_point(c, nodes_of(line, node + 1)[node])
+    return "%r is not a line of the congruence: the congruence line at node (1, %d) is %r" % (
+        line,
+        node,
+        solved,
     )
+
+
+def signed_record(c, line):
+    """The record's Plucker coordinate c_D of the left kernel, times
+    (-1)^(sum of D), for each minor in the order of `direct_node_minors`:
+    D is the set of rows of A that the minor leaves out."""
+    rows = c.n + 1 if isinstance(c, LinearCongruence) else c.n
+    out = []
+    for kept in combinations(range(rows), c.n - 1):
+        deleted = [i for i in range(rows) if i not in kept]
+        if len(deleted) == 2:
+            (p, w), (i, j) = line._kernel, deleted
+            coordinate = p[i] * w[j] - p[j] * w[i]
+        else:
+            ((lam,), (i,)) = line._kernel, deleted
+            coordinate = lam[i]
+        out.append(-coordinate if sum(deleted) % 2 else coordinate)
+    return out
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 @pytest.mark.parametrize("n", range(3, 9))
 def test_every_node_value_matches_a_direct_determinant(make, n):
+    # Plucker duality on the solver's record: at every node the direct
+    # determinants are one common multiple F(1, u) of the signed
+    # coordinates of the record, so a minor vanishes identically exactly
+    # where its coordinate is 0, as the slice reads it.
     for seed in (1, 2):
         c, line = probe_line(make, n, seed)
-        values = node_minors(c, line)
+        coordinates = signed_record(c, line)
+        k = next(k for k, x in enumerate(coordinates) if x)
+        values = direct_node_minors(c, line)
         assert len(values) == n
-        assert values == direct_node_minors(c, line)
+        factors = [Fraction(node[k], coordinates[k]) for node in values]
+        assert any(factors)
+        for factor, node in zip(factors, values):
+            assert node == [factor * x for x in coordinates]
 
 
 def test_rank_deficient_nodes_of_the_twisted_cubic():
@@ -96,9 +118,7 @@ def test_rank_deficient_nodes_of_the_twisted_cubic():
     # rank 1, so every minor vanishes there.
     tc = twisted_cubic_congruence()
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
-    values = node_minors(tc, line)
-    assert values[0] == [0, 0, 0]
-    assert values == direct_node_minors(tc, line)
+    assert direct_node_minors(tc, line)[0] == [0, 0, 0]
     report = focal_points_on_line(tc, line)
     assert report.minor_degrees == (None, 2, None)
     assert astuple(report) == without_form(oracle_report(tc, line))
@@ -120,9 +140,7 @@ def vanishing_minors_line(n):
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_line_where_every_minor_vanishes(n):
     c, line = vanishing_minors_line(n)
-    values = node_minors(c, line)
-    assert values == [[0] * comb(n + 1, 2)] * n
-    assert values == direct_node_minors(c, line)
+    assert direct_node_minors(c, line) == [[0] * comb(n + 1, 2)] * n
     report = focal_points_on_line(c, line)
     assert report.focal_line and report.gcd_degree is None
     assert astuple(report) == without_form(oracle_report(c, line))
@@ -137,29 +155,22 @@ def test_slice_report_matches_the_oracle_at_larger_n(make, n):
     assert astuple(report) == without_form(oracle_report(c, line))
 
 
-def test_maximal_minors_refuses_other_shapes():
-    with pytest.raises(ValueError):
-        exact._maximal_minors([[1, 0, 0, 0]], [(1, 2, 3)])
-
-
 class WorkRecorder:
-    """Records every `_bareiss` call, through the one module binding of
-    the elimination, as its (rows, columns), and a copy of each matrix
-    it was given in `matrices`; and in `points` the point of every call
-    of `columns_at`, the evaluation of A, on either kind."""
+    """Records in `solves` the point of every call of the line solver
+    through `congruence.line_through_point`, the binding the slice
+    calls, and in `points` the point of every call of `columns_at`, the
+    evaluation of A, on either kind."""
 
     def __init__(self, monkeypatch):
-        self.shapes = []
-        self.matrices = []
+        self.solves = []
         self.points = []
-        bareiss = exact._bareiss
+        solve = congruence.line_through_point
 
-        def recorded(work):
-            self.shapes.append((len(work), len(work[0])))
-            self.matrices.append([list(row) for row in work])
-            return bareiss(work)
+        def recorded(c, point):
+            self.solves.append(tuple(point))
+            return solve(c, point)
 
-        monkeypatch.setattr(exact, "_bareiss", recorded)
+        monkeypatch.setattr(congruence, "line_through_point", recorded)
         for cls in (LinearCongruence, DeterminantalCongruence):
             monkeypatch.setattr(cls, "columns_at", self._evaluation(cls.columns_at))
 
@@ -171,79 +182,40 @@ class WorkRecorder:
         return recorded
 
     def run(self, call, *args):
-        """(call(*args), the shapes it eliminated)."""
-        self.shapes = []
-        self.matrices = []
+        """call(*args), with the records cleared before it."""
+        self.solves = []
         self.points = []
-        return call(*args), self.shapes
+        return call(*args)
 
 
-def width(c):
-    """N, the number of rows of A: the columns of the transposed pencil."""
-    return c.n + 1 if isinstance(c, LinearCongruence) else c.n
-
-
-def nodes_of(line, count):
-    """The first `count` nodes p0 + u*p1 of the line."""
-    return [tuple(a + u * b for a, b in zip(line.p0, line.p1)) for u in range(count)]
+def first_regular_node(c, line):
+    """The first node u of the line where A has rank n-1, by the
+    oracle's node values; None when there is none."""
+    values = direct_node_minors(c, line)
+    return next((u for u, node in enumerate(values) if any(node)), None)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
-def test_one_elimination_per_node(make, monkeypatch):
+def test_one_solve_per_node(make, monkeypatch):
     # A solved line carries the solver's kernel record, which gives
-    # every minor's support: its slice eliminates nothing and evaluates
-    # A nowhere.  Its copy without the record is eliminated once per
-    # node, however many minors there are (n+1 choose 2 or n), on the
-    # integer rows of A(Q)^T at the node Q, up to the first node of
-    # rank n-1.
+    # every minor's support: its slice solves nothing and evaluates A
+    # nowhere.  Its copy without the record is solved once per node,
+    # however many minors there are (n+1 choose 2 or n), up to the
+    # first node of rank n-1, and each solve evaluates A once, there.
     work = WorkRecorder(monkeypatch)
-    for n in range(3, 11):
-        c, line = probe_line(make, n, 3)
-        report, shapes = work.run(focal_points_on_line, c, line)
-        assert (shapes, work.points) == ([], [])
-        assert report.gcd_degree == n - 1
-        bare_report, shapes = work.run(focal_points_on_line, c, ProjLine(line.p0, line.p1))
+    cases = [probe_line(make, n, 3) for n in range(3, 11)]
+    # Rows of Fractions, not all integral.
+    fractions = fractional_linear if make is random_linear_congruence else fractional_determinantal
+    c = fractions(5, random.Random("fraction rows"))
+    cases.append((c, congruence_line(c, random.Random("fraction line"))))
+    for c, line in cases:
+        report = work.run(focal_points_on_line, c, line)
+        assert (work.solves, work.points) == ([], [])
+        assert report.gcd_degree == c.n - 1
+        bare_report = work.run(focal_points_on_line, c, ProjLine(line.p0, line.p1))
         assert bare_report == report
-        nodes, matrices = list(work.points), work.matrices
-        assert shapes == [(n - 1, width(c))] * len(nodes)
-        assert nodes == nodes_of(line, len(nodes))
-        assert matrices == [exact._integer_rows(c.columns_at(q))[0] for q in nodes]
-    # The Fraction congruences are eliminated on rows cleared of
-    # denominators, one row at a time.
-    for make_fractions in (fractional_linear, fractional_determinantal):
-        c = make_fractions(5, random.Random("fraction rows"))
-        line = congruence_line(c, random.Random("fraction line"))
-        report, shapes = work.run(focal_points_on_line, c, line)
-        assert (shapes, work.points) == ([], [])
-        bare_report, shapes = work.run(focal_points_on_line, c, ProjLine(line.p0, line.p1))
-        nodes, matrices = list(work.points), work.matrices
-        assert matrices == [exact._integer_rows(c.columns_at(q))[0] for q in nodes]
-        assert all(type(x) is int for m in matrices for row in m for x in row)
-        assert bare_report == report and report.gcd_degree == 4
-
-
-@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
-def test_carried_point_off_the_line_is_refused(make, monkeypatch):
-    # A line whose point was moved off it is refused before any
-    # elimination, with a ValueError that names the point; a point moved
-    # along the line changes nothing.
-    work = WorkRecorder(monkeypatch)
-    for n in range(3, 9):
-        c, line = probe_line(make, n, 4)
-        report = focal_points_on_line(c, line)
-        rng = random.Random("off the line %d" % n)
-        off = tuple(rng.randint(-9, 9) for _ in range(n + 1))
-        assert exact.rank_and_kernel([line.p0, line.p1, off])[0] == 3
-        line.point = off
-        with pytest.raises(ValueError) as excinfo:
-            work.run(focal_points_on_line, c, line)
-        assert work.shapes == []
-        assert str(excinfo.value) == "point %s does not lie on %r" % (off, line)
-        line.point = tuple(2 * a - 3 * b for a, b in zip(line.p0, line.p1))
-        assert focal_points_on_line(c, line) == report
-        line.point = off[:-1]
-        with pytest.raises(ValueError, match="does not lie on"):
-            focal_points_on_line(c, line)
+        assert work.solves == nodes_of(line, first_regular_node(c, line) + 1)
+        assert work.points == [congruence.normalize_point(q) for q in work.solves]
 
 
 def unit_cube_points(n):
@@ -269,7 +241,7 @@ def test_record_reads_vanishing_minors(monkeypatch):
     # secant of the twisted cubic through (1, 0, 0, 1), and on the lines
     # through the points of {-1, 0, 1}^(n+1), the report of the solved
     # line equals that of its copy without the record and the oracle's,
-    # and the solved line is read with no elimination.
+    # and the solved line is read with no solve.
     tc = twisted_cubic_congruence()
     secant = line_through_point(tc, (1, 0, 0, 1))
     assert secant == ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
@@ -281,34 +253,13 @@ def test_record_reads_vanishing_minors(monkeypatch):
     work = WorkRecorder(monkeypatch)
     vanishing = 0
     for c, line in cases:
-        report, shapes = work.run(focal_points_on_line, c, line)
-        assert shapes == []
+        report = work.run(focal_points_on_line, c, line)
+        assert (work.solves, work.points) == ([], [])
         assert report == focal_points_on_line(c, ProjLine(line.p0, line.p1))
         assert astuple(report) == without_form(oracle_report(c, line))
         vanishing += None in report.minor_degrees
     assert astuple(focal_points_on_line(tc, secant)) == ((None, 2, None), 2, False)
     assert vanishing > len(cases) // 4
-
-
-def test_point_moved_along_the_line_changes_nothing(monkeypatch):
-    # The record, not the carried point, gives the minors: a point moved
-    # along the line, onto either spanning point (one of them is the
-    # solved vector w), or onto a focal point of the line, leaves the
-    # report as it was, and the slice still eliminates nothing.
-    tc = twisted_cubic_congruence()
-    secant = line_through_point(tc, (1, 0, 0, 1))
-    cases = [(tc, secant, [(1, 0, 0, 0), (0, 0, 0, 1)])]
-    for make in KINDS:
-        for n in range(3, 9):
-            c, line = probe_line(make, n, 5)
-            cases.append((c, line, [line.p0, line.p1]))
-    work = WorkRecorder(monkeypatch)
-    for c, line, moves in cases:
-        report = focal_points_on_line(c, line)
-        for moved in moves + [tuple(2 * a - 3 * b for a, b in zip(line.p0, line.p1))]:
-            line.point = moved
-            assert work.run(focal_points_on_line, c, line) == (report, [])
-    assert astuple(focal_points_on_line(tc, secant)) == ((None, 2, None), 2, False)
 
 
 def random_line(n, seed):
@@ -343,9 +294,9 @@ def cubic_point_lines(count=12):
 
 def test_lines_off_the_congruence_are_refused(monkeypatch):
     # Random lines, and lines through a point of the twisted cubic: the
-    # left kernel at the first node of rank n-1, which the oracle's node
-    # values locate, fails the certificate, and the slice refuses the
-    # line there.
+    # congruence line through the first node of rank n-1, which the
+    # oracle's node values locate, is another line, and the slice
+    # refuses the line there.
     cases = [
         (make(n, seed, 9), random_line(n, seed))
         for make in KINDS
@@ -354,39 +305,70 @@ def test_lines_off_the_congruence_are_refused(monkeypatch):
     ]
     cases += [(twisted_cubic_congruence(), line) for line in cubic_point_lines()]
     for c, line in cases:
-        node = next(u for u, values in enumerate(direct_node_minors(c, line)) if any(values))
+        node = first_regular_node(c, line)
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, line)
-        assert str(excinfo.value) == refusal(line, node)
-    # A line on which every minor vanishes lies in the focal locus: it
-    # has no kernel to certify, and every node is eliminated in full.
+        assert str(excinfo.value) == refusal(c, line, node)
+    # A line on which every minor vanishes lies in the focal locus: no
+    # node has a congruence line to compare, and every node is tried.
     work = WorkRecorder(monkeypatch)
     for n in (3, 4, 5):
         c, line = vanishing_minors_line(n)
-        report, shapes = work.run(focal_points_on_line, c, line)
-        assert shapes == [(n - 1, width(c))] * n
+        report = work.run(focal_points_on_line, c, line)
+        assert work.solves == nodes_of(line, n)
         assert report.focal_line
         assert astuple(report) == without_form(oracle_report(c, line))
 
 
+def zero_row_congruence():
+    """A determinantal congruence at n = 4 whose row 0 is all zero forms.
+
+    e_0 spans the left kernel of A(P) wherever A has rank 3, so the
+    combined forms of every such point are zero: through a point off
+    the focal locus there is no unique congruence line.
+    """
+    rng = random.Random("zero row")
+    rows = [[(0,) * 5] * 3]
+    rows += [[[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)] for _ in range(3)]
+    return DeterminantalCongruence(4, rows)
+
+
+def test_degenerate_fibre_is_refused():
+    # The oracle finds rank 3 at node 0 of a random line, and there the
+    # solver finds no unique line: the slice refuses the line at that
+    # node, as `verify foci` fails each probe off the focal locus.
+    c = zero_row_congruence()
+    reason = "combined forms have rank 0 < 3"
+    line = random_line(4, 1)
+    assert first_regular_node(c, line) == 0
+    with pytest.raises(ValueError) as excinfo:
+        focal_points_on_line(c, line)
+    assert str(excinfo.value) == "%r has no unique congruence line at node (1, 0): %s" % (line, reason)
+    trials = foci_check(c, 5, 1, 9)
+    failed = [t for t in trials if not t.focal_probe]
+    assert failed and all(not t.ok and t.reason == reason for t in failed)
+
+
 def test_twisted_cubic_secants_with_a_focal_first_node(monkeypatch):
     # Both lines start at the curve point (1, 0, 0, 0), where A has rank
-    # 1, so node 0 is eliminated in full and gives no kernel to check.
+    # 1, so the solve at node 0 finds a focal point and the slice goes
+    # on to the next node.
     tc = twisted_cubic_congruence()
     work = WorkRecorder(monkeypatch)
-    # Node 1 is (1, 0, 0, 1), off the curve: the certificate holds
-    # there.  The oracle's focal form s*t vanishes at both curve points.
+    # Node 1 is (1, 0, 0, 1), off the curve, and the secant through it
+    # is the line.  The oracle's focal form s*t vanishes at both curve
+    # points.
     line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
-    report, shapes = work.run(focal_points_on_line, tc, line)
-    assert shapes == [(2, 3), (2, 3)]
+    report = work.run(focal_points_on_line, tc, line)
+    assert work.solves == [(1, 0, 0, 0), (1, 0, 0, 1)]
     oracle = oracle_report(tc, line)
     assert astuple(report) == without_form(oracle)
     assert oracle[1] == (0, 1, 0)
     # Node 1 is (1, 1, 1, 1), a second curve point: node 2 is the first
-    # of rank 2, eliminated in full, and the certificate holds there.
+    # of rank 2, and the secant through it is the line.
     line = ProjLine((1, 0, 0, 0), (0, 1, 1, 1))
-    report, shapes = work.run(focal_points_on_line, tc, line)
-    assert shapes == [(2, 3)] * 3
+    report = work.run(focal_points_on_line, tc, line)
+    assert work.solves == nodes_of(line, 3)
     assert astuple(report) == without_form(oracle_report(tc, line))
     assert report.minor_degrees == (2, 2, None) and report.gcd_degree == 2
 
@@ -414,26 +396,25 @@ def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
     # The certified report equals the oracle's report from every minor,
     # integral data or not, field for field, on a solved line and on its
     # copy without the solver's record.  The solved line is read off its
-    # record, with no elimination and no evaluation of A; the copy is
-    # eliminated in full up to the first node of rank n-1 and no
-    # further.
+    # record, with no solve and no evaluation of A; the copy is solved
+    # at each node up to the first of rank n-1 and no further.
     rng = random.Random("certified %s %d" % (kind, n))
     c = CONGRUENCES[kind](n, rng)
     work = WorkRecorder(monkeypatch)
     for _ in range(2):
         line = congruence_line(c, rng)
         bare = ProjLine(line.p0, line.p1)
-        assert bare.point is None and bare == line
+        assert bare._kernel is None and bare == line
         oracle = oracle_report(c, line)
         # A has rank n-1 at a node exactly where the focal form, the
         # oracle's gcd, does not vanish.
         node = next(u for u in range(n) if sum(x * u**k for k, x in enumerate(oracle[1])))
-        report, shapes = work.run(focal_points_on_line, c, line)
-        assert (shapes, work.points) == ([], [])
+        report = work.run(focal_points_on_line, c, line)
+        assert (work.solves, work.points) == ([], [])
         assert report.gcd_degree == n - 1
         assert astuple(report) == without_form(oracle)
-        bare_report, shapes = work.run(focal_points_on_line, c, bare)
-        assert shapes == [(n - 1, width(c))] * (node + 1)
+        bare_report = work.run(focal_points_on_line, c, bare)
+        assert work.solves == nodes_of(line, node + 1)
         assert bare_report == report
         assert astuple(bare_report) == without_form(oracle)
 
@@ -451,23 +432,22 @@ def test_class_path_matches_the_oracle(make, n):
         other = random_line(n, seed)
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, other)
-        assert str(excinfo.value) == refusal(other, 0)
+        assert str(excinfo.value) == refusal(c, other, 0)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_foci_check_builds_no_focal_form(make, monkeypatch):
-    # `verify foci` prints the gcd degree alone, which the certificate
-    # gives: its probes take no square elimination, only those of the
-    # line solver, (n-1) x n each.  A trial eliminates A(P)^T once, in
-    # the solve, and the determinantal solver its combined forms too;
-    # the slice eliminates nothing.
+    # `verify foci` prints the gcd degree alone, which the solver's
+    # record gives: a trial solves its line once, at its probe point,
+    # and evaluates A there alone; the slice solves nothing and
+    # evaluates A nowhere, so it takes no minor.
     work = WorkRecorder(monkeypatch)
-    per_trial = 1 if make is random_linear_congruence else 2
     for n in range(3, 11):
         c = make(n, 1, 9)
-        trials, shapes = work.run(foci_check, c, 3, 1, 9)
+        trials = work.run(foci_check, c, 3, 1, 9)
         assert [t.gcd_degree for t in trials] == [n - 1] * 3
-        assert shapes == [(n - 1, n)] * (3 * per_trial)
+        assert work.solves == [t.point for t in trials]
+        assert work.points == [congruence.normalize_point(t.point) for t in trials]
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
@@ -490,7 +470,7 @@ def test_slice_builds_no_multipoly(make, monkeypatch):
         other = random_line(n, 2)
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, other)
-        assert str(excinfo.value) == refusal(other, 0)
+        assert str(excinfo.value) == refusal(c, other, 0)
     assert calls == []
     assert MultiPoly(2, {(1, 0): 1}) and len(calls) == 1
     for n, report in reports:

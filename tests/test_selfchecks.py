@@ -38,7 +38,6 @@ UNREACHED = {
     "exact._upoly_normalize": "a step of binary_gcd",
     "exact._upoly_rem": "a step of binary_gcd",
     "exact.determinant": TRACED,
-    "exact._maximal_minors": "the slice of a line without a solve record; no command slices one",
     "exact.ring_determinant": TRACED,
     "exact.ring_determinant.expand": "the cofactor expansion of ring_determinant",
     "cli.console_main": "the quadpoint command; it runs only as a subprocess",
