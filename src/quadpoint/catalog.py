@@ -16,14 +16,14 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .formulas import (
-    SurfaceInvariants,
     ThreefoldInvariants,
-    apparent_triple_points,
-    curve_foursecants,
+    _curve_foursecants12,
+    _quadruple_points24,
+    _residual24,
+    _scroll_degree8,
+    _triple_points6,
     focal_degree_bound,
-    four_secants_through_point,
     foursecant_constraint_residual,
-    foursecant_scroll_degree,
     quadruple_points,
 )
 
@@ -43,10 +43,13 @@ TSV_FIELDS = (
 )
 TSV_COLUMNS = tuple(column for column, _ in TSV_FIELDS)
 _INT_FIELDS = TSV_FIELDS[1:8]
-_REQUIRED_FIELDS = TSV_FIELDS[1:5]
+# The scroll cell and the value it reads as.
+_SCROLL = {"": None, "0": False, "1": True}
 # Characters that would split a TSV cell or line: the tab, and every
 # line boundary of str.splitlines, which parse_catalog reads lines with.
 _CELL_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# The optional fields that a record of each dimension must have.
+_REQUIRED_BY_DIM = {3: ("chi_section", "chi"), 2: ("chi", "k_squared", "scroll")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +95,7 @@ class VarietyRecord:
             raise ValueError("%s: degree must be >= 1" % self.name)
         if self.pi < 0:
             raise ValueError("%s: sectional genus must be >= 0" % self.name)
-        required = {3: ("chi_section", "chi"), 2: ("chi", "k_squared", "scroll")}
-        for fieldname in required.get(self.dim, ()):
+        for fieldname in _REQUIRED_BY_DIM.get(self.dim, ()):
             if getattr(self, fieldname) is None:
                 raise ValueError("%s: missing field %s" % (self.name, fieldname))
 
@@ -101,29 +103,18 @@ class VarietyRecord:
 # ----- TSV parsing -----
 
 
-def _parse_int(token: str, line_no: int, column: str) -> Optional[int]:
-    if token == "":
-        return None
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(
-            "line %d, column %s: not an integer %r" % (line_no, column, token)
-        ) from None
-
-
 def parse_catalog(text: str) -> tuple:
     """Parse TSV catalog text into validated records.
 
     Schema: header `name n dim d pi chi_S chi_X K2 scroll tags`, tab
     separated, blank cells for inapplicable fields, scroll in {0,1},
-    tags comma separated.
+    tags comma separated.  One pass over the lines; a refusal names the
+    line and, for a cell, its column.
     """
     lines = text.splitlines()
     if not lines:
         raise ValueError("line 1: missing header")
-    header = tuple(lines[0].rstrip("\n").split("\t"))
-    if header != TSV_COLUMNS:
+    if tuple(lines[0].split("\t")) != TSV_COLUMNS:
         raise ValueError(
             "line 1: header must be %s" % "\t".join(TSV_COLUMNS)
         )
@@ -137,22 +128,34 @@ def parse_catalog(text: str) -> tuple:
                 "line %d: expected %d columns, got %d"
                 % (line_no, len(TSV_COLUMNS), len(cells))
             )
-        values = {fieldname: cell for (_, fieldname), cell in zip(TSV_FIELDS, cells)}
-        scroll_token = values["scroll"]
-        if scroll_token not in ("", "0", "1"):
+        name, n, dim, d, pi, chi_s, chi, k_squared, scroll, tags = cells
+        if scroll not in _SCROLL:
             raise ValueError(
-                "line %d, column scroll: expected 0 or 1, got %r"
-                % (line_no, scroll_token)
+                "line %d, column scroll: expected 0 or 1, got %r" % (line_no, scroll)
             )
-        for col, fieldname in _INT_FIELDS:
-            values[fieldname] = _parse_int(values[fieldname], line_no, col)
-        for col, fieldname in _REQUIRED_FIELDS:
-            if values[fieldname] is None:
-                raise ValueError("line %d, column %s: required" % (line_no, col))
-        values["scroll"] = None if scroll_token == "" else scroll_token == "1"
-        values["tags"] = tuple(t for t in values["tags"].split(",") if t)
         try:
-            record = VarietyRecord(**values)
+            n, dim, d, pi = int(n), int(dim), int(d), int(pi)
+            chi_s = int(chi_s) if chi_s else None
+            chi = int(chi) if chi else None
+            k_squared = int(k_squared) if k_squared else None
+        except ValueError:
+            # Name the first cell that is not an integer, in column
+            # order; else a required cell is blank, and the first one.
+            numbers = cells[1:8]
+            for (column, _), cell in zip(_INT_FIELDS, numbers):
+                try:
+                    int(cell or 0)
+                except ValueError:
+                    raise ValueError(
+                        "line %d, column %s: not an integer %r" % (line_no, column, cell)
+                    ) from None
+            column = _INT_FIELDS[numbers.index("")][0]
+            raise ValueError("line %d, column %s: required" % (line_no, column)) from None
+        tags = tuple(filter(None, tags.split(","))) if tags else ()
+        try:
+            record = VarietyRecord(
+                name, n, dim, d, pi, chi_s, chi, k_squared, _SCROLL[scroll], tags
+            )
         except ValueError as err:
             raise ValueError("line %d: %s" % (line_no, err)) from None
         records.append(record)
@@ -194,10 +197,18 @@ def rational_json(value: Fraction) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
+def _exact(numerator: int, denominator: int):
+    """numerator / denominator: an int when it is integral, else a Fraction."""
+    quotient, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else quotient
+
+
 @dataclass(frozen=True, slots=True)
 class RecordVerdict:
     """Per-record outcome: named boolean verdicts plus the computed
-    counts behind them; passed is the conjunction of all verdicts."""
+    counts behind them; passed is the conjunction of all verdicts.  A
+    computed count is an int when it is integral and a Fraction only
+    otherwise."""
 
     name: str
     verdicts: dict
@@ -222,20 +233,23 @@ def classify_threefolds(
     """Select threefolds in P^5 whose secant-line congruence can have
     order one: one apparent quadruple point, vanishing 4-secant
     residual, degree inside the focal window, and integral counts.
-    One RecordVerdict per record, in record order."""
+    One RecordVerdict per record, in record order; the counts are read
+    off the integer numerators of their closed forms."""
     entries = []
     for r in records:
         if r.dim != 3 or r.n != 5:
             raise ValueError("%s: classify_threefolds needs dim 3, n 5" % r.name)
-        q = quadruple_points(ThreefoldInvariants(r.d, r.pi, r.chi_section, r.chi))
-        a1 = foursecant_scroll_degree(r.d, r.pi, r.chi_section)
-        a2 = curve_foursecants(r.d, r.pi)
-        residual = foursecant_constraint_residual(r.d, r.pi, r.chi_section)
+        d, pi, chi_s = r.d, r.pi, r.chi_section
+        q = _exact(_quadruple_points24(d, pi, chi_s, r.chi), 24)
+        a1 = _exact(_scroll_degree8(d, pi, chi_s), 8)
+        a2 = _exact(_curve_foursecants12(d, pi), 12)
+        residual = _exact(_residual24(d, pi, chi_s), 24)
         verdicts = {
             "quadruple_point_one": q == 1,
             "residual_zero": residual == 0,
-            "degree_bound": focal_degree_bound(5, r.d, multiplicity),
-            "integral": all(v.denominator == 1 for v in (q, a1, a2)),
+            "degree_bound": focal_degree_bound(5, d, multiplicity),
+            # _exact returns an int exactly when the count is integral.
+            "integral": type(q) is type(a1) is type(a2) is int,
         }
         computed = {"q": q, "a1": a1, "a2": a2, "residual": residual}
         entries.append(RecordVerdict(r.name, verdicts, computed))
@@ -259,9 +273,7 @@ def classify_surfaces(records: Sequence[VarietyRecord]) -> tuple:
     for r in records:
         if r.dim != 2 or r.n != 4:
             raise ValueError("%s: classify_surfaces needs dim 2, n 4" % r.name)
-        triple = apparent_triple_points(
-            SurfaceInvariants(r.d, r.pi, r.chi, r.k_squared)
-        )
+        triple = _exact(_triple_points6(r.d, r.pi, r.chi, r.k_squared), 6)
         verdicts = {
             "triple_point_one": triple == 1,
             "degree_window": 4 <= r.d <= 8,

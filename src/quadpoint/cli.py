@@ -78,18 +78,18 @@ _MAX_SCAN = 1000
 
 
 def _emit(args, text_lines, json_obj, tsv_lines=None):
-    """Print the requested format only.  The lines may be lazy iterables
-    and json_obj a function returning the object, so that the formats
-    not asked for are never built."""
+    """Print the requested format only, with one print: the json object,
+    or the lines joined, each ending in a newline; no lines print
+    nothing.  The lines may be lazy iterables and json_obj a function
+    returning the object, so that the formats not asked for are never
+    built."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         print(json.dumps(json_obj() if callable(json_obj) else json_obj))
-    elif fmt == "tsv":
-        for line in tsv_lines if tsv_lines is not None else text_lines:
-            print(line)
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    lines = list(tsv_lines if fmt == "tsv" and tsv_lines is not None else text_lines)
+    if lines:
+        print("\n".join(lines))
 
 
 def _emit_fields(args, fields):
@@ -264,6 +264,13 @@ def _cmd_verify_foci(args):
             failure = "point %s: %s" % (t.point, t.reason)
             text.append("trial %d: failure: %s" % (i, failure))
             tsv.append("%d\tfailure\t%s" % (i, failure))
+        elif t.gcd_degree is None:
+            # The slice found the line inside the focal locus: every
+            # minor vanishes on it, so it has no gcd degree.
+            text.append(
+                "trial %d: focal line (expected gcd degree %d) MISMATCH" % (i, t.expected)
+            )
+            tsv.append("%d\tfocal line\tMISMATCH" % i)
         else:
             state = "ok" if t.ok else "MISMATCH"
             text.append(
@@ -337,8 +344,9 @@ def _cmd_classify(args):
 
     def text():
         for i, e in enumerate(entries):
-            if not e.passed:
-                yield "%s: fail [%s]" % (e.name, ", ".join(_failed(e)))
+            failed = _failed(e)
+            if failed:
+                yield "%s: fail [%s]" % (e.name, ", ".join(failed))
             elif i < len(threefolds):
                 md = multidegree_of_verdict(e)
                 yield "%s: pass multidegree (%s)" % (e.name, ",".join(map(str, md)))

@@ -59,16 +59,6 @@ class SurfaceInvariants:
         if self.d < 1:
             raise ValueError("degree must be >= 1")
 
-    @property
-    def hk(self) -> int:
-        """H.K by adjunction on a general curve section."""
-        return 2 * self.pi - 2 - self.d
-
-    @property
-    def c2(self) -> int:
-        """Topological Euler characteristic via Noether: c2 = 12*chi - K^2."""
-        return 12 * self.chi - self.k_squared
-
 
 # ----- double point formulas for threefolds in P^5 -----
 
@@ -90,15 +80,23 @@ def h_k_squared(t: ThreefoldInvariants) -> int:
 # ----- multiple point counts -----
 
 
+# A count that the catalog filter reads is written once, as a private
+# integer numerator named after its denominator (`_quadruple_points24`
+# is 24 q) and evaluated by Horner's rule in d; the public function
+# wraps it in a Fraction, and the filter divides it out itself.
+
+
+def _quadruple_points24(d: int, p: int, chi_s: int, chi: int) -> int:
+    return (
+        (((d - 6) * d + 11 - 12 * p) * d + 60 * p + 48 * chi_s - 54) * d
+        + 12 * p**2 - 84 * p + 144 * chi - 216 * chi_s + 72
+    )
+
+
 def quadruple_points(t: ThreefoldInvariants) -> Fraction:
     """Apparent quadruple points of a generic projection of a smooth
     threefold X in P^5 to P^4 (quadruple-point formula)."""
-    d, p, chi_s = t.d, t.pi, t.chi_section
-    return Fraction(
-        d**4 - 6 * d**3 + d**2 * (11 - 12 * p) + d * (60 * p + 48 * chi_s - 54)
-        + 12 * p**2 - 84 * p + 144 * t.chi - 216 * chi_s + 72,
-        24,
-    )
+    return Fraction(_quadruple_points24(t.d, t.pi, t.chi_section, t.chi), 24)
 
 
 def four_secants_through_point(d: int, pi: int, chi: int) -> Fraction:
@@ -109,23 +107,36 @@ def four_secants_through_point(d: int, pi: int, chi: int) -> Fraction:
     )
 
 
+def _scroll_degree8(d: int, pi: int, chi: int) -> int:
+    return (
+        (((d - 10) * d + 35 - 8 * pi) * d + 56 * pi + 16 * chi - 66) * d
+        + 4 * pi**2 - 100 * pi - 72 * chi + 96
+    )
+
+
 def foursecant_scroll_degree(d: int, pi: int, chi: int) -> Fraction:
     """Degree a_1 of the hypersurface of P^4 swept by the 4-secant lines
     of a smooth non-scroll surface."""
-    return Fraction(
-        d**4 - 10 * d**3 + d**2 * (35 - 8 * pi) + d * (56 * pi + 16 * chi - 66)
-        + 4 * pi**2 - 100 * pi - 72 * chi + 96,
-        8,
+    return Fraction(_scroll_degree8(d, pi, chi), 8)
+
+
+def _curve_foursecants12(d: int, pi: int) -> int:
+    return (
+        (((d - 12) * d + 53 - 6 * pi) * d + 42 * pi - 102) * d
+        + 6 * pi**2 - 78 * pi + 72
     )
 
 
 def curve_foursecants(d: int, pi: int) -> Fraction:
     """Number a_2 of 4-secant lines of a smooth curve of degree d and
     genus pi in P^3."""
-    return Fraction(
-        d**4 - 12 * d**3 + d**2 * (53 - 6 * pi) + d * (42 * pi - 102)
-        + 6 * pi**2 - 78 * pi + 72,
-        12,
+    return Fraction(_curve_foursecants12(d, pi), 12)
+
+
+def _residual24(d: int, pi: int, chi: int) -> int:
+    return (
+        (((3 * d - 46) * d + 249 - 24 * pi) * d + 264 * pi + 48 * chi - 710) * d
+        + 12 * pi**2 - 684 * pi - 408 * chi + 1272
     )
 
 
@@ -137,30 +148,29 @@ def foursecant_constraint_residual(d: int, pi: int, chi: int) -> Fraction:
     Identity: 4*four_secants_through_point - 1 - foursecant_scroll_degree
     equals minus this residual for every (d, pi, chi).
     """
-    return Fraction(
-        3 * d**4 - 46 * d**3 + d**2 * (249 - 24 * pi)
-        + d * (264 * pi + 48 * chi - 710)
-        + 12 * pi**2 - 684 * pi - 408 * chi + 1272,
-        24,
-    )
+    return Fraction(_residual24(d, pi, chi), 24)
 
 
-def _triple_point_formula(d: int, k_squared: int, c2: int, hk: int) -> Fraction:
-    return Fraction(
-        d * (d**2 - 12 * d + 44) + 4 * k_squared - 2 * c2 - 3 * hk * (d - 8), 6
-    )
+def _triple_points6(d: int, pi: int, chi: int, k_squared: int) -> int:
+    """6 times the triple-point formula, with H.K = 2*pi - 2 - d by
+    adjunction on a general curve section and the topological Euler
+    characteristic c2 = 12*chi - K^2 by Noether."""
+    hk = 2 * pi - 2 - d
+    c2 = 12 * chi - k_squared
+    return d * (d**2 - 12 * d + 44) + 4 * k_squared - 2 * c2 - 3 * hk * (d - 8)
 
 
 def apparent_triple_points(s: SurfaceInvariants) -> Fraction:
     """Apparent triple points of a generic projection of a smooth
     non-scroll surface in P^4 to P^3 (triple-point formula)."""
-    return _triple_point_formula(s.d, s.k_squared, s.c2, s.hk)
+    return Fraction(_triple_points6(s.d, s.pi, s.chi, s.k_squared), 6)
 
 
 def blowup_triple_points(s: SurfaceInvariants) -> Fraction:
     """Triple-point count for the blow-up of S at one point, projected
-    from the exceptional line: degree drops by one, K^2 by one, c2
-    grows by one, and H.K becomes 2*pi - d - 1.
+    from the exceptional line: degree drops by one and K^2 by one, with
+    pi and chi unchanged, so c2 grows by one and H.K becomes
+    2*pi - d - 1.
 
     Equals four_secants_through_point(d, pi, chi) whenever K^2 satisfies
     the double point formula for smooth surfaces in P^4 (see
@@ -169,9 +179,7 @@ def blowup_triple_points(s: SurfaceInvariants) -> Fraction:
     is taken on the bare invariants rather than on
     SurfaceInvariants(d - 1, ...), which would reject d = 1.
     """
-    return _triple_point_formula(
-        s.d - 1, s.k_squared - 1, s.c2 + 1, 2 * s.pi - s.d - 1
-    )
+    return Fraction(_triple_points6(s.d - 1, s.pi, s.chi, s.k_squared - 1), 6)
 
 
 def k_squared_from_double_point(d: int, pi: int, chi: int) -> int:

@@ -98,21 +98,15 @@ def restricted(c, line):
 
 
 def _determinant(rows):
-    """Determinant by fraction-free (Bareiss) elimination, row pivoting
-    only, of the rows cleared of denominators; the clearing factors are
-    divided out at the end."""
-    work, scale = [], Fraction(1)
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        k = math.lcm(*(x.denominator for x in row))
-        work.append([int(x * k) for x in row])
-        scale /= k
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, row pivoting only."""
+    work = [list(row) for row in rows]
     size = len(work)
     sign, previous = 1, 1
     for c in range(size):
         piv = next((i for i in range(c, size) if work[i][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             work[c], work[piv] = work[piv], work[c]
             sign = -sign
@@ -122,7 +116,7 @@ def _determinant(rows):
                 assert r == 0
                 work[i][k] = q
         previous = work[c][c]
-    return sign * previous * scale
+    return sign * previous
 
 
 def direct_node_minors(c, line):
@@ -130,9 +124,11 @@ def direct_node_minors(c, line):
     (s, t) = (1, u), u = 0..n-1, one determinant per minor.
 
     A(s*p0 + t*p1) at (1, u) is A evaluated at the point p0 + u*p1,
-    built here from the skew matrices or the linear forms.  Minors keep
-    n-1 rows, in ascending lexicographic order of the kept rows, and a
-    list is returned per node.
+    built here from the skew matrices or the linear forms.  Each row of
+    it is cleared of denominators once per node, and a minor is the
+    determinant of its cleared rows divided by their clearing factors.
+    Minors keep n-1 rows, in ascending lexicographic order of the kept
+    rows, and a list of Fractions is returned per node.
     """
     size = c.n - 1
     out = []
@@ -146,9 +142,14 @@ def direct_node_minors(c, line):
                 [sum(a * x for a, x in zip(coeffs, pt)) for coeffs in row]
                 for row in c.rows
             ]
+        scales = [math.lcm(*(x.denominator for x in row)) for row in at]
+        cleared = [[int(x * k) for x in row] for row, k in zip(at, scales)]
         out.append(
             [
-                _determinant([at[r] for r in kept])
+                Fraction(
+                    _determinant([cleared[r] for r in kept]),
+                    math.prod(scales[r] for r in kept),
+                )
                 for kept in combinations(range(len(at)), size)
             ]
         )

@@ -4,6 +4,7 @@ import pytest
 
 from quadpoint import catalog
 from quadpoint.catalog import (
+    TSV_COLUMNS,
     VarietyRecord,
     classify_surfaces,
     classify_threefolds,
@@ -73,6 +74,49 @@ def test_parse_diagnostics():
         with pytest.raises(ValueError, match=message):
             parse_catalog(HEADER + "\n" + row + "\n" + blank + "\n" + row + "\n")
     assert len(parse_catalog(HEADER + "\n" + row + "\n\n   \n" + row + "\n")) == 2
+
+
+ROW = ("x", "5", "3", "7", "4", "1", "1", "", "", "")
+
+
+def _row(**cells):
+    """ROW with some cells replaced, named by their TSV column."""
+    row = dict(zip(TSV_COLUMNS, ROW))
+    row.update(cells)
+    return "\t".join(row[column] for column in TSV_COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    (
+        ("", "line 1: missing header"),
+        (HEADER + "\textra\n", "line 1: header must be " + HEADER),
+        (HEADER + "\n" + _row() + "\tmore\n", "line 2: expected 10 columns, got 11"),
+        # The scroll cell is read before any integer cell, an integer
+        # cell before the required check, and columns in file order.
+        (HEADER + "\n" + _row(scroll="2", d="seven") + "\n", "line 2, column scroll: expected 0 or 1, got '2'"),
+        (HEADER + "\n" + _row(n="", chi_X="1.5") + "\n", "line 2, column chi_X: not an integer '1.5'"),
+        (HEADER + "\n" + _row(pi="p", K2="k") + "\n", "line 2, column pi: not an integer 'p'"),
+        (HEADER + "\n" + _row(K2=" ") + "\n", "line 2, column K2: not an integer ' '"),
+        (HEADER + "\n" + _row(dim="", d="") + "\n", "line 2, column dim: required"),
+        (HEADER + "\n" + _row(name="") + "\n", "line 2: record needs a name"),
+        (HEADER + "\n" + _row(n="2", dim="0") + "\n", "line 2: x: n must be >= 3"),
+        (HEADER + "\n" + _row(d="0") + "\n", "line 2: x: degree must be >= 1"),
+        (HEADER + "\n" + _row(pi="-1") + "\n", "line 2: x: sectional genus must be >= 0"),
+        (HEADER + "\n" + _row(chi_S="") + "\n", "line 2: x: missing field chi_section"),
+        (HEADER + "\n" + _row(n="4", dim="2", chi_S="", K2="1") + "\n", "line 2: x: missing field scroll"),
+        (HEADER + "\n\n" + _row() + "\n" + _row(dim="2") + "\n", "line 4: x: dim 2 is not n-2 = 3"),
+    ),
+    ids=(
+        "missing-header", "header", "columns", "scroll-first", "int-before-required",
+        "first-bad-int", "blank-int", "required", "name", "small-n", "degree", "genus",
+        "threefold-field", "surface-field", "line-number",
+    ),
+)
+def test_parse_refusals_name_line_and_column(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_catalog(text)
+    assert str(err.value) == message
 
 
 def test_header_only_catalog_is_empty():

@@ -772,6 +772,44 @@ def test_internal_check_failure_exits_three(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ("linear", "determinantal"))
+def test_focal_line_trial_fails_verification(capsys, tmp_path, monkeypatch, kind):
+    # A line solver that returns each probe's line without its kernel
+    # record and finds every point of such a line focal: the slice
+    # solves the line at its nodes, finds them all focal and reports a
+    # focal line, with no gcd degree.  That trial fails in every format.
+    path = tmp_path / "c.cong"
+    main(["construct", "--kind", kind, "--n", "4", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    bare = []
+
+    def bare_line(c, point):
+        if any(rank_and_kernel([line.p0, line.p1, point])[0] == 2 for line in bare):
+            raise congruence.FocalPointError("node on a returned line")
+        solved = SOLVED_LINE(c, point)
+        bare.append(congruence.ProjLine(solved.p0, solved.p1))
+        return bare[-1]
+
+    def verify(fmt):
+        bare.clear()
+        return run(capsys, ["verify", "foci", "--in", str(path), "--trials", "2", "--format", fmt])
+
+    monkeypatch.setattr(congruence, "line_through_point", bare_line)
+    assert verify("text") == (
+        1,
+        "".join("trial %d: focal line (expected gcd degree 3) MISMATCH\n" % i for i in range(2))
+        + "result = fail\n",
+        "",
+    )
+    assert verify("tsv") == (1, "".join("%d\tfocal line\tMISMATCH\n" % i for i in range(2)), "")
+    code, out, err = verify("json")
+    payload = json.loads(out)
+    assert (code, err, payload["pass"]) == (1, "", False)
+    assert [
+        (t["focal_probe"], t["gcd_degree"], t["ok"], "reason" in t) for t in payload["trials"]
+    ] == [(False, None, False, False)] * 2
+
+
 def fresh_call(argv):
     """(exit code, stdout) of one CLI call in a new interpreter."""
     src = str(Path(congruence.__file__).resolve().parents[1])

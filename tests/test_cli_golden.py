@@ -16,15 +16,22 @@ and likewise with `collect_commands` for `command_golden.json`.  The
 tests here read both collections from the session fixture
 `golden_runs` (conftest.py), which runs them once for this file and
 for the reachability check in `test_selfchecks.py`.
+
+`CLASSIFY_HASHES` pins `classify` on `seeded_catalog()`, about 3000
+rows, by the SHA-256 of its stdout in each format, taken before
+classify read its verdicts off integer numerators.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import tempfile
 from importlib import resources
 from pathlib import Path
 
+from quadpoint.catalog import TSV_COLUMNS
 from quadpoint.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "line_path_golden.json"
@@ -131,3 +138,57 @@ def test_command_stdout_matches_golden(golden_runs):
     assert list(found) == list(golden)
     for argv, expected in golden.items():
         assert found[argv] == expected, argv
+
+
+# Invariants that pass or nearly pass the filter: (d, pi, chi_S, chi_X)
+# of threefolds, (d, pi, chi, K2) of surfaces.
+PASSING_THREEFOLDS = ((7, 4, 1, 1), (9, 8, 2, 2), (10, 11, 5, 1), (6, 4, 2, 1), (7, 0, -1, -3), (10, 8, -4, 8))
+PASSING_SURFACES = ((4, 0, 1, 9), (6, 3, 1, -1), (4, 1, 1, 4))
+CLASSIFY_HASHES = {
+    "text": [1, "0a0cd5ce2d773e8e9939e1e9c6db56de49f051ea582c3ba488b64f82bd69c687"],
+    "json": [1, "de738c0ea11a552ef6ecd14aacc4795a880f7e0fb19eb3b04ba94073935cd645"],
+    "tsv": [1, "8db9ea3c40209bafbc82a891323fc58c2ffd49c111a645bd840b83d1a5cac0aa"],
+}
+
+
+def seeded_catalog(rows=3000):
+    """TSV text of a seeded catalog: threefolds in P^5 and surfaces in
+    P^4, a tenth of each drawn from records that pass or nearly pass,
+    the others with random invariants, most with non-integral counts;
+    a few tagged rows, curves that classify skips, and blank lines."""
+    rng = random.Random("classify golden catalog")
+    lines = ["\t".join(TSV_COLUMNS)]
+    for i in range(rows):
+        tags = rng.choice(("", "", "", "seeded", "seeded,random"))
+        kind = rng.random()
+        if kind < 0.48:
+            if rng.random() < 0.1:
+                d, pi, chi_s, chi_x = rng.choice(PASSING_THREEFOLDS)
+            else:
+                d, pi = rng.randint(1, 20), rng.randint(0, 30)
+                chi_s, chi_x = rng.randint(-15, 15), rng.randint(-15, 15)
+            cells = ("t%04d" % i, 5, 3, d, pi, chi_s, chi_x, "", "", tags)
+        elif kind < 0.96:
+            if rng.random() < 0.1:
+                (d, pi, chi, k2), scroll = rng.choice(PASSING_SURFACES), 0
+            else:
+                d, pi, chi, k2 = rng.randint(1, 12), rng.randint(0, 15), rng.randint(-3, 3), rng.randint(-10, 10)
+                scroll = int(rng.random() < 0.1)
+            cells = ("s%04d" % i, 4, 2, d, pi, "", chi, k2, scroll, tags)
+        elif kind < 0.98:
+            cells = ("c%04d" % i, 3, 1, rng.randint(1, 9), rng.randint(0, 5), "", "", "", "", tags)
+        else:
+            lines.append("")
+            continue
+        lines.append("\t".join(map(str, cells)))
+    return "\n".join(lines) + "\n"
+
+
+def test_classify_seeded_catalog_matches_golden_hashes(tmp_path):
+    path = tmp_path / "seeded.tsv"
+    path.write_text(seeded_catalog(), encoding="utf-8")
+    found = {}
+    for fmt in FORMATS:
+        code, out = _run(["classify", "--catalog", str(path), "--format", fmt])
+        found[fmt] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+    assert found == CLASSIFY_HASHES

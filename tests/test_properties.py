@@ -1,4 +1,5 @@
-"""Property tests of the exact layer and the two text formats.
+"""Property tests of the exact layer, the two text formats and the
+catalog classification.
 
 Hypothesis draws the inputs; every example is checked exactly.  The
 search is derandomized and keeps no example database, so a run is
@@ -16,7 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from quadpoint.catalog import VarietyRecord, parse_catalog, save_catalog  # noqa: E402
+from quadpoint.catalog import (  # noqa: E402
+    VarietyRecord,
+    classify_surfaces,
+    classify_threefolds,
+    parse_catalog,
+    save_catalog,
+)
 from quadpoint.congruence import (  # noqa: E402
     DeterminantalCongruence,
     LinearCongruence,
@@ -32,6 +39,16 @@ from quadpoint.exact import (  # noqa: E402
     determinant,
     pfaffian,
     primitive_vector,
+)
+from quadpoint.formulas import (  # noqa: E402
+    SurfaceInvariants,
+    ThreefoldInvariants,
+    apparent_triple_points,
+    curve_foursecants,
+    focal_degree_bound,
+    foursecant_constraint_residual,
+    foursecant_scroll_degree,
+    quadruple_points,
 )
 from restriction import binary_coeffs, binary_form, normalized, variable  # noqa: E402
 
@@ -177,6 +194,62 @@ def test_catalog_tsv_roundtrip(drawn):
     text = save_catalog(recs)
     assert parse_catalog(text) == tuple(recs)
     assert save_catalog(parse_catalog(text)) == text
+
+
+# Every count is an integer-valued polynomial, so integer invariants,
+# the only ones a catalog file holds, give integral counts.  Records
+# built in Python may hold rational invariants, with non-integral
+# counts: some of the drawn invariants are quarters.
+def invariant(low, high):
+    return st.integers(low, high) | st.builds(Fraction, st.integers(4 * low, 4 * high), st.just(4))
+
+
+threefold_records = st.builds(
+    lambda i, d, pi, chi_s, chi: VarietyRecord("t%d" % i, 5, 3, d, pi, chi_s, chi),
+    st.integers(0, 99), invariant(1, 30), invariant(0, 40), invariant(-30, 30), invariant(-30, 30),
+)
+surface_records = st.builds(
+    lambda i, d, pi, chi, k2, scroll: VarietyRecord("s%d" % i, 4, 2, d, pi, None, chi, k2, scroll),
+    st.integers(0, 99), invariant(1, 20), invariant(0, 30), invariant(-10, 10), invariant(-30, 30),
+    st.booleans(),
+)
+
+
+def exact_type(value):
+    """Whether a computed count is an int when integral and a Fraction
+    only otherwise."""
+    return type(value) is (int if value.denominator == 1 else Fraction)
+
+
+@settings(exact, max_examples=100)
+@given(st.lists(threefold_records, max_size=6), st.lists(surface_records, max_size=6), st.integers(1, 3))
+def test_classify_matches_the_fraction_formulas(threefolds, surfaces, multiplicity):
+    # The verdicts and counts equal those of the public Fraction
+    # functions on the invariant classes, non-integral counts included.
+    want = []
+    for r in threefolds:
+        q = quadruple_points(ThreefoldInvariants(r.d, r.pi, r.chi_section, r.chi))
+        a1 = foursecant_scroll_degree(r.d, r.pi, r.chi_section)
+        a2 = curve_foursecants(r.d, r.pi)
+        residual = foursecant_constraint_residual(r.d, r.pi, r.chi_section)
+        verdicts = {
+            "quadruple_point_one": q == 1,
+            "residual_zero": residual == 0,
+            "degree_bound": focal_degree_bound(5, r.d, multiplicity),
+            "integral": all(v.denominator == 1 for v in (q, a1, a2)),
+        }
+        want.append((r.name, verdicts, {"q": q, "a1": a1, "a2": a2, "residual": residual}))
+    for r in surfaces:
+        triple = apparent_triple_points(SurfaceInvariants(r.d, r.pi, r.chi, r.k_squared))
+        verdicts = {
+            "triple_point_one": triple == 1,
+            "degree_window": 4 <= r.d <= 8,
+            "not_scroll": not r.scroll,
+        }
+        want.append((r.name, verdicts, {"triple": triple}))
+    found = classify_threefolds(threefolds, multiplicity) + classify_surfaces(surfaces)
+    assert [(e.name, e.verdicts, e.computed) for e in found] == want
+    assert all(exact_type(v) for e in found for v in e.computed.values())
 
 
 @st.composite
