@@ -234,7 +234,18 @@ def classify_threefolds(
     order one: one apparent quadruple point, vanishing 4-secant
     residual, degree inside the focal window, and integral counts.
     One RecordVerdict per record, in record order; the counts are read
-    off the integer numerators of their closed forms."""
+    off the integer numerators of their closed forms.
+
+    Theorem: q, a1, a2 and the residual (and the triple-point count of
+    `classify_surfaces`) are integer-valued polynomials in integer
+    invariants.  A polynomial of degree k_i in each variable is integral
+    on Z^m once it is integral on a box of k_i + 1 consecutive integers
+    per variable (expand it in products of binomials), and each count
+    is, on d 1..5 (1..4 for the triple points), 0..2 for pi and 0..1 for
+    each chi and K^2.  So `integral` holds for every record read from a
+    catalog file, whose invariants are integers, and fails only for a
+    record built with rational invariants; it stays in the verdicts,
+    which the json output prints."""
     entries = []
     for r in records:
         if r.dim != 3 or r.n != 5:

@@ -79,12 +79,12 @@ class ProjLine:
     vector of about 15k bits that most callers never need.
 
     _kernel is a line solver's record of what it proved at the probe
-    point P it solved the line through, a basis of the left kernel of
-    A(P): (P, w) for the linear kind, P normalized and w the solved
-    vector with span(P, w) = ker A(P)^T, and (lambda,) for the
-    determinantal kind; None on a line that no solver returned.  The
-    focal slice reads the line's minors off it.  It takes no part in
-    equality, hashing or repr.
+    point P it solved the line through: the congruence c and a basis of
+    the left kernel of A(P), that is (c, P, w) for the linear kind, P
+    normalized and w the solved vector with span(P, w) = ker A(P)^T,
+    and (c, lambda) for the determinantal kind; None on a line that no
+    solver returned.  The focal slice reads the line's minors off it,
+    for c alone.  It takes no part in equality, hashing or repr.
     """
 
     __slots__ = ("p0", "p1", "_kernel", "_plucker")
@@ -102,10 +102,6 @@ class ProjLine:
         self.p1 = b
         self._kernel = None
         self._plucker = None
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.p0) - 1
 
     def _key(self) -> tuple:
         if self._plucker is None:
@@ -291,8 +287,8 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     `LinearCongruence` checks, and P and w span the line, so this
     holds exactly when A(P)^T annihilates the line; a skew form on a
     plane is fixed by its one value P^T * A_i * w, so that is exactly
-    when every A_i vanishes on the line.  The line records (P, w): at
-    rank n-1 they span ker A(P)^T, the left kernel of A(P).
+    when every A_i vanishes on the line.  The line records (c, P, w):
+    at rank n-1, P and w span ker A(P)^T, the left kernel of A(P).
     """
     pt = normalize_point(point)
     columns = c.columns_at(pt)
@@ -300,7 +296,7 @@ def line_through_point_linear(c: LinearCongruence, point: Sequence) -> ProjLine:
     _require_off_focal(c, pt, rank)
     if any(sum(map(operator.mul, col, w)) for col in columns):
         raise RuntimeError("solved line is not isotropic for every A_i")
-    line._kernel = (pt, w)
+    line._kernel = (c, pt, w)
     return line
 
 
@@ -316,7 +312,7 @@ def line_through_point_determinantal(
     are `rank_and_kernel`'s primitive basis of the combined forms, the
     echelon basis of the line.  The combined forms must vanish at P
     and at w, the solved vector, which with P spans the line.  The line
-    records (lambda,), the primitive left kernel vector of A(P).
+    records (c, lambda), lambda the primitive left kernel vector of A(P).
     """
     pt = normalize_point(point)
     rank, kernel = rank_and_kernel(c.columns_at(pt))
@@ -332,7 +328,7 @@ def line_through_point_determinantal(
         )
     if any(sum(map(operator.mul, f, w)) for f in forms):
         raise RuntimeError("combined forms do not vanish on the solved line")
-    line._kernel = (lam,)
+    line._kernel = (c, lam)
     return line
 
 
@@ -351,96 +347,47 @@ class FocalSliceReport:
 
     minor_degrees lists the degree of each restricted maximal minor in
     a fixed order: n-1 for a nonzero minor, None for an identically
-    zero one.  gcd_degree is the degree of the gcd of the nonzero
-    minors as binary forms in the line coordinates (s, t).  Every
-    nonzero minor is a constant multiple of one form of degree n-1, so
-    the gcd degree equals n-1, the focal length.  If every minor
-    vanishes, the line lies inside the focal locus, focal_line is set
-    and the gcd degree is None.
+    zero one.  gcd_degree, the degree of the gcd of the nonzero minors
+    as binary forms in the line coordinates (s, t), and focal_line,
+    whether every minor vanishes, are fixed by the constant-kernel
+    theorem (`foci_check`) on every line the slice serves: n-1, the
+    focal length, and False.  They stay because the benchmark reads
+    them.
     """
 
     minor_degrees: tuple
-    gcd_degree: Optional[int]
+    gcd_degree: int
     focal_line: bool
 
 
 def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
-    """Focal scheme cut on a congruence line, as the gcd of restricted
-    minors.
+    """The focal scheme cut on a line that a solver of c returned, read
+    off the solver's kernel record (`ProjLine`).
 
     Restricted to the line, the defining matrix is the pencil
-    s*A(p0) + t*A(p1), since A(P) is linear in P.  Its maximal minors
-    (choices of n-1 rows, in ascending lexicographic order of the kept
-    row indices) are binary forms of degree n-1 or zero, and their gcd
-    is the divisorial part of the focal scheme.
-
-    Theorem (constant kernel): if A has rank n-1 somewhere on the line
-    and its left kernel is one fixed space K wherever it has rank n-1,
-    the maximal minors, the Plucker coordinates of the annihilator of
-    K, are fixed multiples of one form F of degree n-1: the minor
-    without rows D is c_D * F, c_D the Plucker coordinate of K at D,
-    and F is nonzero.  The gcd is F up to scale and has degree n-1, the
-    focal length, and a minor vanishes identically exactly when its c_D
-    is 0.  The slice never builds F.
-
-    A line that a solver returned carries the premise (`ProjLine`'s
-    kernel record).  The solver proved rank n-1 at its probe point P
-    and a constant left kernel on span(P, w) = span(p0, p1): for the
-    linear kind K = span(P, w), and A(P)^T * w = 0 makes the line
-    isotropic for every A_i, so it lies in the left kernel of A at each
-    of its points; for the determinantal kind K = lambda, and the
-    combined forms lambda^T * A(x) vanish at P and at w, so on the whole
-    line.  The slice reads the minor support off that record and
-    eliminates nothing: the minor without row i is nonzero exactly when
-    lambda[i] != 0, the minor without rows i < j exactly when
-    P[i]*w[j] != P[j]*w[i].
-
-    A line without a record (built from two points) gets one from the
-    line solver at the nodes Q = p0 + u*p1, u = 0..n-1, in turn.  A
-    focal node (A(Q) of rank below n-1) is skipped.  At the first other
-    node the congruence has exactly one line through Q, the solved
-    one, so the line is a congruence line exactly when it equals the
-    solved line (Plucker equality), and then the solved line's record
-    is its own.  A line that is not, and a node where the solver finds
-    no unique line (DegeneracyError), are refused: ValueError names the
-    line and the node (1, u).  If all n nodes are focal, every minor
-    vanishes at n points and so identically: the line lies in the focal
-    locus, and the report says so.  Nothing is probabilistic or modular.
+    s*A(p0) + t*A(p1).  Its maximal minors (choices of n-1 rows, in
+    ascending lexicographic order of the kept row indices) are, by the
+    constant-kernel theorem, c_D * F for one form F of degree n-1, c_D
+    the Plucker coordinate at D, the rows the minor deletes, of the
+    recorded left kernel.  So the minor without row i is nonzero
+    exactly when lambda[i] != 0, the minor without rows i < j exactly
+    when P[i]*w[j] != P[j]*w[i], and the gcd degree is n-1.  The slice
+    eliminates nothing and never builds F.  A line without a record, or
+    with the record of another congruence, is refused: ValueError names
+    the line.
     """
-    if line.ambient_dim != c.n:
-        raise ValueError("line lives in the wrong space")
-    linear = isinstance(c, LinearCongruence)
-    # The rows of A each minor deletes: A has n+1 (linear) or n rows, a
-    # minor keeps n-1 of them, and the complements of the kept subsets
-    # in lexicographic order are the deleted ones in reverse order.
-    deleted = list(combinations(range(c.n + 1), 2) if linear else combinations(range(c.n), 1))[::-1]
     kernel = line._kernel
-    if kernel is None:
-        for u in range(c.n):
-            try:
-                solved = line_through_point(c, [a + u * b for a, b in zip(line.p0, line.p1)])
-            except FocalPointError:
-                continue
-            except DegeneracyError as err:
-                raise ValueError(
-                    "%r has no unique congruence line at node (1, %d): %s" % (line, u, err)
-                ) from err
-            if solved != line:
-                raise ValueError(
-                    "%r is not a line of the congruence: the congruence line at node (1, %d) is %r"
-                    % (line, u, solved)
-                )
-            kernel = solved._kernel
-            break
-    if kernel is None:
-        return FocalSliceReport((None,) * len(deleted), None, True)
-    if linear:
-        p, w = kernel
-        minors = [p[i] * w[j] - p[j] * w[i] for i, j in deleted]
+    if kernel is None or kernel[0] is not c:
+        raise ValueError("%r is not a line that this congruence's solver returned" % (line,))
+    # A has n+1 (linear) or n rows, a minor keeps n-1 of them, and the
+    # complements of the kept subsets in lexicographic order are the
+    # deleted ones in reverse order.
+    if isinstance(c, LinearCongruence):
+        _, p, w = kernel
+        minors = [p[i] * w[j] - p[j] * w[i] for i, j in combinations(range(c.n + 1), 2)]
     else:
-        (lam,) = kernel
-        minors = [lam[i] for (i,) in deleted]
-    return FocalSliceReport(tuple(c.n - 1 if m else None for m in minors), c.n - 1, False)
+        _, minors = kernel
+    return FocalSliceReport(tuple(c.n - 1 if m else None for m in reversed(minors)), c.n - 1, False)
 
 
 # ----- Pfaffian of the linear family -----
@@ -597,34 +544,39 @@ class FociTrial:
 def foci_check(
     c: Congruence, trials: int = 10, seed: int = 0, bound: int = 9
 ) -> tuple:
-    """Slice the congruence along `trials` probe lines and report the
-    gcd degree of the restricted minors for each; probes that land on
-    the focal locus are marked and skipped, and a probe whose line hits
-    a rank defect is a failed trial carrying the reason, as in
+    """The gcd degree of the restricted maximal minors on the line
+    through each of `trials` probe points; probes that land on the
+    focal locus are marked and skipped, and a probe whose line hits a
+    rank defect is a failed trial carrying the reason, as in
     order_check.  Both draw their probes from `_probes`, so the two
-    reports probe the same points.  Every line sliced here was solved
-    by `line_through_point` and carries the solver's record of the left
-    kernel of A(P), so a trial eliminates A(P)^T once, in the solve.
-    The solver proved rank n-1 at P and the isotropy of the line
-    (linear kind) or the combined forms vanishing on it (determinantal
-    kind), the premise of the slice's constant-kernel theorem, and the
-    slice reads which minors are nonzero off the record.  The trial
-    keeps its probe point P.  A line the slice refuses is a fault of
-    the program, and RuntimeError says so.
+    reports probe the same points, and a trial keeps its probe point.
+
+    A trial whose line solves has gcd degree n-1, the focal length, by
+    a theorem whose premise the solve proved; nothing is sliced.
+
+    Theorem (constant kernel): if A has rank n-1 somewhere on a line
+    and its left kernel is one fixed space K wherever it has rank n-1,
+    the maximal minors of A restricted to the line, the Plucker
+    coordinates of the annihilator of K, are fixed multiples of one
+    form F of degree n-1: the minor without rows D is c_D * F, c_D the
+    Plucker coordinate of K at D, and F is nonzero.  Their gcd is F up
+    to scale and has degree n-1, and a minor vanishes identically
+    exactly when its c_D is 0.
+
+    The solver proved the premise: rank n-1 at the probe point P, and a
+    constant left kernel on span(P, w) = span(p0, p1), w the solved
+    vector.  For the linear kind K = span(P, w), and A(P)^T * w = 0
+    makes the line isotropic for every A_i, so it lies in the left
+    kernel of A at each of its points; for the determinantal kind
+    K = lambda, and the combined forms lambda^T * A(x) vanish at P and
+    at w, so on the whole line.
     """
     expected = c.n - 1
     out = []
     for point, line, reason in _probes(c, trials, seed, bound):
-        if line is None:
-            out.append(FociTrial(point, reason is None, None, expected, reason))
-            continue
-        try:
-            report = focal_points_on_line(c, line)
-        except ValueError as err:
-            raise RuntimeError(
-                "solved line through %s refused: %s" % (point, err)
-            ) from err
-        out.append(FociTrial(point, False, report.gcd_degree, expected))
+        solved = line is not None
+        focal = not solved and reason is None
+        out.append(FociTrial(point, focal, expected if solved else None, expected, reason))
     return tuple(out)
 
 

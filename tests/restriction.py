@@ -1,11 +1,11 @@
 """Test-side oracles: the defining matrix restricted to a line.
 
 The library slices a congruence along a line without building the
-focal form: it reads the minors of a solved line off the line solver's
-kernel record, and gets that record for any other line from the line
-solver at its nodes.  These oracles build the restriction
-independently, straight from the skew matrices or the linear forms:
-`restricted` as a matrix of degree-1 binary forms a*s + b*t in the
+focal form: it reads the minors of a line that one of its solvers
+returned off the solver's kernel record, and refuses any other line.
+These oracles build the restriction of A to any line independently,
+straight from the skew matrices or the linear forms: `restricted` as
+a matrix of degree-1 binary forms a*s + b*t in the
 parametrization s*p0 + t*p1 of the line, and `direct_node_minors` as
 the node values of its maximal minors, one determinant per minor.
 `oracle_report` interpolates every minor from those node values

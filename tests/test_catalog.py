@@ -1,8 +1,9 @@
 import json
+from itertools import product
 
 import pytest
 
-from quadpoint import catalog
+from quadpoint import catalog, formulas
 from quadpoint.catalog import (
     TSV_COLUMNS,
     VarietyRecord,
@@ -146,6 +147,44 @@ def test_classify_threefolds_builtin():
     assert ci.computed["q"] == 0
     assert not ci.verdicts["quadruple_point_one"]
     assert not all(e.passed for e in report)
+
+
+# Each integer numerator that classify reads a count off, its
+# denominator, and its variables.
+NUMERATORS = (
+    (formulas._quadruple_points24, 24, ("d", "pi", "chi_S", "chi_X")),
+    (formulas._scroll_degree8, 8, ("d", "pi", "chi_S")),
+    (formulas._curve_foursecants12, 12, ("d", "pi")),
+    (formulas._residual24, 24, ("d", "pi", "chi_S")),
+    (formulas._triple_points6, 6, ("d", "pi", "chi", "K2")),
+)
+
+
+def test_counts_are_integer_valued_polynomials():
+    # A polynomial f of degree at most k_i in each variable x_i is a
+    # rational combination of the products of binomials C(x_i - a_i, j_i),
+    # j_i <= k_i, with coefficients the iterated forward differences of f
+    # on the box a_i .. a_i + k_i.  When f is integral on that box, the
+    # coefficients are integers, and the binomials are integers at every
+    # integer point, so f is integral on all of Z^m.  Here every count
+    # passes on its box: d from 1, the other invariants from 0, degree
+    # + 1 values each.  So integer invariants give integral counts.
+    sympy = pytest.importorskip("sympy")
+    d_degrees = []
+    for numerator, denominator, names in NUMERATORS:
+        symbols = sympy.symbols(names)
+        degrees = sympy.Poly(numerator(*symbols), *symbols).degree_list()
+        starts = [int(name == "d") for name in names]
+        boxes = [range(a, a + k + 1) for a, k in zip(starts, degrees)]
+        assert all(numerator(*point) % denominator == 0 for point in product(*boxes)), names
+        d_degrees.append(degrees[0])
+    # Degree 4 in d for the threefold counts, 3 for the triple points.
+    assert d_degrees == [4, 4, 4, 4, 3]
+    records = [
+        VarietyRecord("t", 5, 3, d, pi, chi_s, chi)
+        for d, pi, chi_s, chi in product(range(1, 6), range(3), range(2), range(2))
+    ]
+    assert all(v.verdicts["integral"] for v in classify_threefolds(records))
 
 
 def test_classify_threefolds_rejects_wrong_shape():

@@ -722,24 +722,11 @@ def off_kernel(rows):
     return rank, ((first[0] + 1,) + first[1:],) + kernel[1:]
 
 
-SOLVED_LINE = congruence.line_through_point
-RANDOM_LINE = congruence.ProjLine((1, 0, 0, 0, 0), (0, 1, 2, 3, 4))
-
-
-def random_line(c, point):
-    """line_through_point returning a fixed line of neither congruence
-    for a probe point; a point of that line, a node at which the focal
-    slice solves it, gets its true congruence line."""
-    if rank_and_kernel([RANDOM_LINE.p0, RANDOM_LINE.p1, point])[0] == 2:
-        return SOLVED_LINE(c, point)
-    return RANDOM_LINE
-
-
 @pytest.mark.parametrize(
     "kind, owner, name, replacement, reason",
     (
         # An inexact division in the elimination of A(P)^T, which the
-        # line solvers run and the slice of a solved line reads.
+        # line solvers run.
         ("linear", congruence, "rank_and_kernel", raise_bareiss, "inexact Bareiss division"),
         # A wrong kernel vector gives a line that is not isotropic, and
         # the line solver raises RuntimeError.
@@ -750,13 +737,8 @@ def random_line(c, point):
             off_kernel,
             "solved line is not isotropic for every A_i",
         ),
-        # A solved line that the focal slice refuses is a fault of the
-        # program too, not of the input file: a line that is not one of
-        # the congruence, of either kind.
-        ("linear", congruence, "line_through_point", random_line, "solved line through ("),
-        ("determinantal", congruence, "line_through_point", random_line, "solved line through ("),
     ),
-    ids=("kernel", "line-solver", "refused-line", "refused-line-determinantal"),
+    ids=("kernel", "line-solver"),
 )
 def test_internal_check_failure_exits_three(
     capsys, tmp_path, monkeypatch, kind, owner, name, replacement, reason
@@ -770,44 +752,6 @@ def test_internal_check_failure_exits_three(
     assert err.startswith("error: internal check failed: %s" % reason)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("kind", ("linear", "determinantal"))
-def test_focal_line_trial_fails_verification(capsys, tmp_path, monkeypatch, kind):
-    # A line solver that returns each probe's line without its kernel
-    # record and finds every point of such a line focal: the slice
-    # solves the line at its nodes, finds them all focal and reports a
-    # focal line, with no gcd degree.  That trial fails in every format.
-    path = tmp_path / "c.cong"
-    main(["construct", "--kind", kind, "--n", "4", "--seed", "1", "--out", str(path)])
-    capsys.readouterr()
-    bare = []
-
-    def bare_line(c, point):
-        if any(rank_and_kernel([line.p0, line.p1, point])[0] == 2 for line in bare):
-            raise congruence.FocalPointError("node on a returned line")
-        solved = SOLVED_LINE(c, point)
-        bare.append(congruence.ProjLine(solved.p0, solved.p1))
-        return bare[-1]
-
-    def verify(fmt):
-        bare.clear()
-        return run(capsys, ["verify", "foci", "--in", str(path), "--trials", "2", "--format", fmt])
-
-    monkeypatch.setattr(congruence, "line_through_point", bare_line)
-    assert verify("text") == (
-        1,
-        "".join("trial %d: focal line (expected gcd degree 3) MISMATCH\n" % i for i in range(2))
-        + "result = fail\n",
-        "",
-    )
-    assert verify("tsv") == (1, "".join("%d\tfocal line\tMISMATCH\n" % i for i in range(2)), "")
-    code, out, err = verify("json")
-    payload = json.loads(out)
-    assert (code, err, payload["pass"]) == (1, "", False)
-    assert [
-        (t["focal_probe"], t["gcd_degree"], t["ok"], "reason" in t) for t in payload["trials"]
-    ] == [(False, None, False, False)] * 2
 
 
 def fresh_call(argv):

@@ -31,6 +31,7 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import quadpoint.congruence as congruence
 from quadpoint.catalog import TSV_COLUMNS
 from quadpoint.cli import main
 
@@ -46,9 +47,10 @@ def _run(argv):
     return [code, out.getvalue()]
 
 
-def collect():
-    """{command line: [exit code, stdout]}; `{dir}` stands for the
-    directory that holds the files the construct lines wrote."""
+def collect(subs=("order", "foci")):
+    """{command line: [exit code, stdout]}, with the `verify` commands
+    in `subs`; `{dir}` stands for the directory that holds the files
+    the construct lines wrote."""
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in ("linear", "determinantal"):
@@ -58,7 +60,7 @@ def collect():
                     code, text = results[" ".join(construct)] = _run(construct)
                     path = str(Path(tmp) / ("%s-%d-%s.cong" % (kind, n, seed)))
                     Path(path).write_text(text, encoding="utf-8")
-                    for sub in ("order", "foci"):
+                    for sub in subs:
                         for fmt in ("text", "json"):
                             argv = ["verify", sub, "--in", path, "--seed", seed, "--format", fmt]
                             results[" ".join(argv).replace(tmp, "{dir}")] = _run(argv)
@@ -132,6 +134,21 @@ def test_line_path_stdout_matches_golden(golden_runs):
         assert found[argv] == expected, argv
 
 
+def test_verify_foci_slices_no_line(monkeypatch):
+    # A solved trial's gcd degree is n-1 by the constant-kernel theorem,
+    # which foci_check states: with the slice made to raise, every
+    # golden `verify foci` command line, both kinds, prints its golden
+    # stdout.
+    def refuse(c, line):
+        raise AssertionError("verify foci sliced %r" % (line,))
+
+    monkeypatch.setattr(congruence, "focal_points_on_line", refuse)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    found = collect(subs=("foci",))
+    assert len(found) == 48 and sum(" foci " in argv for argv in found) == 32
+    assert found == {argv: golden[argv] for argv in found}
+
+
 def test_command_stdout_matches_golden(golden_runs):
     golden = json.loads(COMMAND_GOLDEN.read_text(encoding="utf-8"))
     found = golden_runs.commands
@@ -154,8 +171,8 @@ CLASSIFY_HASHES = {
 def seeded_catalog(rows=3000):
     """TSV text of a seeded catalog: threefolds in P^5 and surfaces in
     P^4, a tenth of each drawn from records that pass or nearly pass,
-    the others with random invariants, most with non-integral counts;
-    a few tagged rows, curves that classify skips, and blank lines."""
+    the others with random invariants, most of which fail; a few
+    tagged rows, curves that classify skips, and blank lines."""
     rng = random.Random("classify golden catalog")
     lines = ["\t".join(TSV_COLUMNS)]
     for i in range(rows):

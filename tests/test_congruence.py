@@ -76,15 +76,17 @@ def test_normalize_point():
 
 
 def test_carried_point_takes_no_part_in_equality():
-    # A solved line carries the solver's kernel record, the linear one
-    # with the normalized probe point; equality, hash and repr do not
-    # see it, and a line built from two points has none.
+    # A solved line carries the solver's kernel record, which names the
+    # congruence, the linear one with the normalized probe point;
+    # equality, hash and repr do not see it, and a line built from two
+    # points has none.
     point = (6, -2, 8, 2, -10, 18)
     for make in (random_linear_congruence, random_determinantal_congruence):
-        line = line_through_point(make(5, 1, 9), point)
-        assert line._kernel is not None
+        c = make(5, 1, 9)
+        line = line_through_point(c, point)
+        assert line._kernel[0] is c
         if make is random_linear_congruence:
-            assert line._kernel[0] == normalize_point(point) == (3, -1, 4, 1, -5, 9)
+            assert line._kernel[1] == normalize_point(point) == (3, -1, 4, 1, -5, 9)
         bare = ProjLine(line.p0, line.p1)
         assert bare._kernel is None
         assert (bare, hash(bare), repr(bare)) == (line, hash(line), repr(line))
@@ -92,9 +94,10 @@ def test_carried_point_takes_no_part_in_equality():
 
 
 def test_solve_record_is_a_basis_of_the_left_kernel():
-    # The record a solver leaves on its line is a basis of the left
-    # kernel of A(P): (P, w) for the linear kind, which spans the line,
-    # and (lambda,) for the determinantal kind.
+    # The record a solver leaves on its line is the congruence and a
+    # basis of the left kernel of A(P): (c, P, w) for the linear kind,
+    # P and w spanning the line, and (c, lambda) for the determinantal
+    # kind.
     rng = random.Random("solve record")
     for make in (random_linear_congruence, random_determinantal_congruence):
         for n in (3, 5, 8):
@@ -104,7 +107,8 @@ def test_solve_record_is_a_basis_of_the_left_kernel():
                 if is_focal_point(c, point):
                     continue
                 line = line_through_point(c, point)
-                kernel = line._kernel
+                assert line._kernel[0] is c
+                kernel = line._kernel[1:]
                 rows = RationalMatrix(c.columns_at(point))
                 assert rank_and_kernel(rows)[0] == n - 1
                 assert len(kernel) == rows.cols - (n - 1)
@@ -177,7 +181,8 @@ def test_twisted_cubic_line_and_lambda():
 
 def test_twisted_cubic_focal_slice():
     tc = twisted_cubic_congruence()
-    line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
+    line = line_through_point_determinantal(tc, (1, 0, 0, 1))
+    assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 0, 0, 1))
     rep = focal_points_on_line(tc, line)
     assert rep.minor_degrees == (None, 2, None)
     assert rep.gcd_degree == 2
@@ -217,14 +222,15 @@ def test_secant_line_gcd_roots_are_curve_points():
 
 def test_line_outside_congruence_has_trivial_gcd():
     # A general line misses the twisted cubic: the oracle's minors on it
-    # share no factor.  It is not a secant, so the slice refuses it at
-    # its first node, where A has full rank.
+    # share no factor.  It is not a secant, and no solver returned it,
+    # so the slice refuses it.
     tc = twisted_cubic_congruence()
     line = ProjLine((1, 2, 0, 1), (0, 1, 1, 3))
     _, _, gcd_degree, focal_line = oracle_report(tc, line)
     assert gcd_degree == 0
     assert not focal_line
-    message = r"^ProjLine\(.*\) is not a line of the congruence: .* at node \(1, 0\) "
+    assert line_through_point_determinantal(tc, line.p0) != line
+    message = r"^ProjLine\(.*\) is not a line that this congruence's solver returned$"
     with pytest.raises(ValueError, match=message):
         focal_points_on_line(tc, line)
 
@@ -406,7 +412,8 @@ def test_rational_scaling_keeps_lines_and_slices():
     # Scaling each A_i (linear) or each row of linear forms
     # (determinantal) by a positive rational scales rows of A(P) and of
     # the combined forms, so the kernels, the line and the focal slice
-    # (minors up to a positive factor, normalised gcd) are unchanged.
+    # (minors up to a positive factor, normalised gcd) are unchanged:
+    # each line is solved, and sliced, on its own congruence.
     rng = random.Random(8)
     for n in (3, 4, 5, 6):
         factors = [Fraction(rng.randrange(1, p), p) for p in rng.choices((2, 3, 5, 97), k=n)]
@@ -429,7 +436,7 @@ def test_rational_scaling_keeps_lines_and_slices():
                 other = line_through_point(scaled, point)
                 assert (other.p0, other.p1) == (line.p0, line.p1)
                 assert other == line
-                report = focal_points_on_line(scaled, line)
+                report = focal_points_on_line(scaled, other)
                 assert report == focal_points_on_line(c, line)
                 assert report.gcd_degree == n - 1
 
@@ -573,17 +580,18 @@ def test_focal_gcd_degree_on_congruence_lines():
 
 
 def test_gcd_invariant_under_reparametrization():
-    # Swapping the spanning points swaps s and t: the slice's degree
-    # stays n-1, and the oracle's focal form comes out reversed.
+    # Swapping the spanning points swaps s and t: the oracle's gcd
+    # degree stays n-1, the slice's, and its focal form comes out
+    # reversed.
     for n in (3, 4, 5):
         c = random_linear_congruence(n, 5, 9)
         line = line_through_point_linear(c, tuple(range(2, n + 3)))
         swapped_line = ProjLine(line.p1, line.p0)
-        rep = focal_points_on_line(c, line)
-        swapped = focal_points_on_line(c, swapped_line)
-        assert rep.gcd_degree == swapped.gcd_degree == n - 1
-        form = oracle_report(c, line)[1]
-        assert oracle_report(c, swapped_line)[1] == normalized(form[::-1])
+        assert focal_points_on_line(c, line).gcd_degree == n - 1
+        _, form, degree, _ = oracle_report(c, line)
+        _, swapped, swapped_degree, _ = oracle_report(c, swapped_line)
+        assert degree == swapped_degree == n - 1
+        assert swapped == normalized(form[::-1])
 
 
 def test_random_points_rarely_focal():

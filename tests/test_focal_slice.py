@@ -1,14 +1,15 @@
 """The focal slice against a cofactor-expansion oracle.
 
-`focal_points_on_line` certifies the degrees of the restricted maximal
-minors of a congruence line from one node.  The oracle here rebuilds
-every minor symbolically with `ring_determinant` over the restricted
-binary forms and takes `binary_gcd` of their coefficients, so each
-report field can be compared exactly; it must also agree, focal form
-included, with the interpolating oracle `restriction.oracle_report`.
-A random line is not a line of the congruence: the slice refuses it,
-and the oracle shows that its minors share no factor, since a general
-line misses the focal locus, which has codimension 2.
+`focal_points_on_line` reads the degrees of the restricted maximal
+minors of a solved congruence line off the line solver's record.  The
+oracle here rebuilds every minor symbolically with `ring_determinant`
+over the restricted binary forms and takes `binary_gcd` of their
+coefficients, so each report field can be compared exactly; it must
+also agree, focal form included, with the interpolating oracle
+`restriction.oracle_report`.  A random line is not a line of the
+congruence: the slice refuses it, and the oracle shows that its minors
+share no factor, since a general line misses the focal locus, which
+has codimension 2.
 """
 
 import random
@@ -18,6 +19,7 @@ import pytest
 
 from quadpoint.congruence import (
     DeterminantalCongruence,
+    FocalPointError,
     ProjLine,
     focal_points_on_line,
     line_through_point,
@@ -67,11 +69,12 @@ def assert_matches_oracle(c, line):
 
 
 def assert_refused(c, line):
-    """The slice refuses a random line at its first node, where A has
-    full rank, and the oracle's minors on it have a constant gcd."""
-    message = r"is not a line of the congruence: .* at node \(1, 0\) "
-    with pytest.raises(ValueError, match=message):
+    """The slice refuses a random line, which no solver returned, and
+    the oracle's minors on it have a constant gcd."""
+    message = "%r is not a line that this congruence's solver returned" % (line,)
+    with pytest.raises(ValueError) as excinfo:
         focal_points_on_line(c, line)
+    assert str(excinfo.value) == message
     assert cofactor_slice(c, line)[2] == 0
 
 
@@ -127,6 +130,9 @@ def test_slice_matches_oracle_with_fraction_entries(build):
 
 
 def test_identical_columns_give_a_focal_line():
+    # Two equal columns make every maximal minor vanish: both oracles
+    # report any line as a focal line, every point is a focal point, so
+    # no solver returns a line, and the slice refuses the line.
     for n in (3, 4, 5):
         rng = random.Random(n)
         column = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)]
@@ -136,10 +142,15 @@ def test_identical_columns_give_a_focal_line():
             for i in range(n)
         ]
         c = DeterminantalCongruence(n, rows)
-        rep = assert_matches_oracle(c, random_line(rng, n))
-        assert rep.focal_line
-        assert rep.minor_degrees == (None,) * n
-        assert rep.gcd_degree is None
+        line = random_line(rng, n)
+        oracle = cofactor_slice(c, line)
+        assert oracle == ((None,) * n, (), None, True)
+        assert oracle_report(c, line) == oracle
+        for point in (line.p0, line.p1):
+            with pytest.raises(FocalPointError):
+                line_through_point(c, point)
+        with pytest.raises(ValueError, match="is not a line that this congruence's solver"):
+            focal_points_on_line(c, line)
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM))

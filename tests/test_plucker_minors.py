@@ -1,21 +1,19 @@
 """The focal slice's reports against an oracle, and its record read
 against one determinant per minor.
 
-`focal_points_on_line` serves the lines of the congruence and reads
-which minors vanish off a line solver's record of the left kernel of A
-at the probe point, with no elimination.  A line without that record
-gets one from the solver at the nodes p0 + u*p1, skipping focal nodes;
-at the first other node the solved line must be the line itself, or
-the slice refuses it with a ValueError naming the node.  A line whose
-nodes are all focal is reported as a focal line.  The oracle
-`restriction.direct_node_minors` evaluates A at each node and takes
-every minor by its own fraction-free elimination: at each node those
-values are one common multiple of the record's signed Plucker
-coordinates, the constant-kernel theorem the slice relies on.
-`restriction.oracle_report` interpolates every minor and takes the gcd
-of all of them, so the three fields of every report must equal the
-oracle's.  `WorkRecorder` pins the line solves of the slice and its
-evaluations of A.
+`focal_points_on_line` serves only the lines that a line solver of the
+same congruence returned, and reads which minors vanish off the
+solver's record of the left kernel of A at the probe point, with no
+elimination.  Any other line, one built from two points or one solved
+on another congruence, is refused with a ValueError naming the line.
+The oracle `restriction.direct_node_minors` evaluates A at the nodes
+p0 + u*p1 and takes every minor by its own fraction-free elimination:
+at each node those values are one common multiple of the record's
+signed Plucker coordinates, the constant-kernel theorem the slice and
+`foci_check` rely on.  `restriction.oracle_report` interpolates every
+minor and takes the gcd of all of them, so the three fields of every
+report must equal the oracle's.  `WorkRecorder` pins the line solves
+and the evaluations of A.
 """
 
 import random
@@ -36,8 +34,10 @@ from quadpoint.congruence import (
     foci_check,
     focal_points_on_line,
     line_through_point,
+    load_congruence,
     random_determinantal_congruence,
     random_linear_congruence,
+    save_congruence,
     twisted_cubic_congruence,
 )
 from quadpoint.exact import MultiPoly, seeded_skew_matrix
@@ -64,16 +64,10 @@ def nodes_of(line, count):
     return [tuple(a + u * b for a, b in zip(line.p0, line.p1)) for u in range(count)]
 
 
-def refusal(c, line, node):
-    """The message with which the slice refuses a line that is not a
-    line of the congruence, at the node (1, node) where it first finds
-    the one congruence line through a node."""
-    solved = line_through_point(c, nodes_of(line, node + 1)[node])
-    return "%r is not a line of the congruence: the congruence line at node (1, %d) is %r" % (
-        line,
-        node,
-        solved,
-    )
+def refusal(line):
+    """The message with which the slice refuses a line that no line
+    solver of the congruence returned."""
+    return "%r is not a line that this congruence's solver returned" % (line,)
 
 
 def signed_record(c, line):
@@ -85,10 +79,10 @@ def signed_record(c, line):
     for kept in combinations(range(rows), c.n - 1):
         deleted = [i for i in range(rows) if i not in kept]
         if len(deleted) == 2:
-            (p, w), (i, j) = line._kernel, deleted
+            (_, p, w), (i, j) = line._kernel, deleted
             coordinate = p[i] * w[j] - p[j] * w[i]
         else:
-            ((lam,), (i,)) = line._kernel, deleted
+            (_, lam), (i,) = line._kernel, deleted
             coordinate = lam[i]
         out.append(-coordinate if sum(deleted) % 2 else coordinate)
     return out
@@ -114,10 +108,11 @@ def test_every_node_value_matches_a_direct_determinant(make, n):
 
 
 def test_rank_deficient_nodes_of_the_twisted_cubic():
-    # At u = 0 the node is the curve point (1, 0, 0, 0), where A has
-    # rank 1, so every minor vanishes there.
+    # The secant through (1, 0, 0, 1) starts at the curve point
+    # (1, 0, 0, 0): at u = 0, where A has rank 1, every minor vanishes.
     tc = twisted_cubic_congruence()
-    line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
+    line = line_through_point(tc, (1, 0, 0, 1))
+    assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 0, 0, 1))
     assert direct_node_minors(tc, line)[0] == [0, 0, 0]
     report = focal_points_on_line(tc, line)
     assert report.minor_degrees == (None, 2, None)
@@ -139,11 +134,18 @@ def vanishing_minors_line(n):
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_line_where_every_minor_vanishes(n):
+    # The line lies in the focal locus: the oracle reports a focal line,
+    # every node is a focal point, so no line solver returns the line,
+    # and the slice refuses it.
     c, line = vanishing_minors_line(n)
     assert direct_node_minors(c, line) == [[0] * comb(n + 1, 2)] * n
-    report = focal_points_on_line(c, line)
-    assert report.focal_line and report.gcd_degree is None
-    assert astuple(report) == without_form(oracle_report(c, line))
+    assert without_form(oracle_report(c, line)) == ((None,) * comb(n + 1, 2), None, True)
+    for node in nodes_of(line, n):
+        with pytest.raises(FocalPointError):
+            line_through_point(c, node)
+    with pytest.raises(ValueError) as excinfo:
+        focal_points_on_line(c, line)
+    assert str(excinfo.value) == refusal(line)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
@@ -157,7 +159,7 @@ def test_slice_report_matches_the_oracle_at_larger_n(make, n):
 
 class WorkRecorder:
     """Records in `solves` the point of every call of the line solver
-    through `congruence.line_through_point`, the binding the slice
+    through `congruence.line_through_point`, the binding `_probes`
     calls, and in `points` the point of every call of `columns_at`, the
     evaluation of A, on either kind."""
 
@@ -195,29 +197,6 @@ def first_regular_node(c, line):
     return next((u for u, node in enumerate(values) if any(node)), None)
 
 
-@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
-def test_one_solve_per_node(make, monkeypatch):
-    # A solved line carries the solver's kernel record, which gives
-    # every minor's support: its slice solves nothing and evaluates A
-    # nowhere.  Its copy without the record is solved once per node,
-    # however many minors there are (n+1 choose 2 or n), up to the
-    # first node of rank n-1, and each solve evaluates A once, there.
-    work = WorkRecorder(monkeypatch)
-    cases = [probe_line(make, n, 3) for n in range(3, 11)]
-    # Rows of Fractions, not all integral.
-    fractions = fractional_linear if make is random_linear_congruence else fractional_determinantal
-    c = fractions(5, random.Random("fraction rows"))
-    cases.append((c, congruence_line(c, random.Random("fraction line"))))
-    for c, line in cases:
-        report = work.run(focal_points_on_line, c, line)
-        assert (work.solves, work.points) == ([], [])
-        assert report.gcd_degree == c.n - 1
-        bare_report = work.run(focal_points_on_line, c, ProjLine(line.p0, line.p1))
-        assert bare_report == report
-        assert work.solves == nodes_of(line, first_regular_node(c, line) + 1)
-        assert work.points == [congruence.normalize_point(q) for q in work.solves]
-
-
 def unit_cube_points(n):
     """The points of P^n with coordinates in {-1, 0, 1}, one per pair
     +-p: many of them have zero coordinates, so some minors of the line
@@ -240,8 +219,7 @@ def test_record_reads_vanishing_minors(monkeypatch):
     # The solver's record gives which minors vanish identically: on the
     # secant of the twisted cubic through (1, 0, 0, 1), and on the lines
     # through the points of {-1, 0, 1}^(n+1), the report of the solved
-    # line equals that of its copy without the record and the oracle's,
-    # and the solved line is read with no solve.
+    # line equals the oracle's, and it is read with no solve.
     tc = twisted_cubic_congruence()
     secant = line_through_point(tc, (1, 0, 0, 1))
     assert secant == ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
@@ -255,7 +233,6 @@ def test_record_reads_vanishing_minors(monkeypatch):
     for c, line in cases:
         report = work.run(focal_points_on_line, c, line)
         assert (work.solves, work.points) == ([], [])
-        assert report == focal_points_on_line(c, ProjLine(line.p0, line.p1))
         assert astuple(report) == without_form(oracle_report(c, line))
         vanishing += None in report.minor_degrees
     assert astuple(focal_points_on_line(tc, secant)) == ((None, 2, None), 2, False)
@@ -292,11 +269,11 @@ def cubic_point_lines(count=12):
     return lines
 
 
-def test_lines_off_the_congruence_are_refused(monkeypatch):
-    # Random lines, and lines through a point of the twisted cubic: the
-    # congruence line through the first node of rank n-1, which the
-    # oracle's node values locate, is another line, and the slice
-    # refuses the line there.
+def test_lines_off_the_congruence_are_refused():
+    # Random lines, and lines through a point of the twisted cubic, are
+    # not lines of the congruence: the congruence line through the first
+    # node of rank n-1, which the oracle's node values locate, is another
+    # line.  No solver returned them, and the slice refuses them.
     cases = [
         (make(n, seed, 9), random_line(n, seed))
         for make in KINDS
@@ -306,18 +283,44 @@ def test_lines_off_the_congruence_are_refused(monkeypatch):
     cases += [(twisted_cubic_congruence(), line) for line in cubic_point_lines()]
     for c, line in cases:
         node = first_regular_node(c, line)
+        assert line_through_point(c, nodes_of(line, node + 1)[node]) != line
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, line)
-        assert str(excinfo.value) == refusal(c, line, node)
-    # A line on which every minor vanishes lies in the focal locus: no
-    # node has a congruence line to compare, and every node is tried.
-    work = WorkRecorder(monkeypatch)
-    for n in (3, 4, 5):
-        c, line = vanishing_minors_line(n)
-        report = work.run(focal_points_on_line, c, line)
-        assert work.solves == nodes_of(line, n)
-        assert report.focal_line
-        assert astuple(report) == without_form(oracle_report(c, line))
+        assert str(excinfo.value) == refusal(line)
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_bare_projline_is_refused(make):
+    # A ProjLine built from the spanning points of a solved line equals
+    # that line but carries no solver's record: the slice refuses it
+    # and names it.
+    for n in range(3, 9):
+        c, line = probe_line(make, n, 1)
+        bare = ProjLine(line.p0, line.p1)
+        assert bare == line and bare._kernel is None
+        with pytest.raises(ValueError) as excinfo:
+            focal_points_on_line(c, bare)
+        assert str(excinfo.value) == refusal(bare)
+        assert focal_points_on_line(c, line).gcd_degree == n - 1
+
+
+@pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
+def test_record_of_another_congruence_is_refused(make):
+    # A record names the congruence whose solver left it.  The seed-1
+    # n = 5 line through (1, 2, 3, 4, 5, 6), sliced against the seed-2
+    # congruence, is refused; so is a line sliced against an equal copy
+    # of its congruence, which is another object.
+    c1, c2 = make(5, 1, 9), make(5, 2, 9)
+    line = line_through_point(c1, (1, 2, 3, 4, 5, 6))
+    copy = load_congruence(save_congruence(c1))
+    for other in (c2, copy):
+        with pytest.raises(ValueError) as excinfo:
+            focal_points_on_line(other, line)
+        assert str(excinfo.value) == refusal(line)
+    assert focal_points_on_line(c1, line).gcd_degree == 4
+    assert focal_points_on_line(copy, line_through_point(copy, (1, 2, 3, 4, 5, 6))) == (
+        focal_points_on_line(c1, line)
+    )
 
 
 def zero_row_congruence():
@@ -335,40 +338,43 @@ def zero_row_congruence():
 
 def test_degenerate_fibre_is_refused():
     # The oracle finds rank 3 at node 0 of a random line, and there the
-    # solver finds no unique line: the slice refuses the line at that
-    # node, as `verify foci` fails each probe off the focal locus.
+    # solver finds no unique line; `verify foci` fails each probe off
+    # the focal locus with the solver's reason.
     c = zero_row_congruence()
     reason = "combined forms have rank 0 < 3"
     line = random_line(4, 1)
     assert first_regular_node(c, line) == 0
-    with pytest.raises(ValueError) as excinfo:
-        focal_points_on_line(c, line)
-    assert str(excinfo.value) == "%r has no unique congruence line at node (1, 0): %s" % (line, reason)
+    with pytest.raises(DegeneracyError, match=reason):
+        line_through_point(c, line.p0)
     trials = foci_check(c, 5, 1, 9)
     failed = [t for t in trials if not t.focal_probe]
     assert failed and all(not t.ok and t.reason == reason for t in failed)
+    assert all(t.gcd_degree is None for t in trials)
 
 
-def test_twisted_cubic_secants_with_a_focal_first_node(monkeypatch):
-    # Both lines start at the curve point (1, 0, 0, 0), where A has rank
-    # 1, so the solve at node 0 finds a focal point and the slice goes
-    # on to the next node.
+def test_twisted_cubic_secants_with_a_focal_first_node():
+    # Both secants start at the curve point (1, 0, 0, 0), where A has
+    # rank 1.  The solve at that node finds a focal point; the solve
+    # at the first node of rank 2 returns the secant, with the curve
+    # point as p0, and its slice equals the oracle's.
     tc = twisted_cubic_congruence()
-    work = WorkRecorder(monkeypatch)
-    # Node 1 is (1, 0, 0, 1), off the curve, and the secant through it
-    # is the line.  The oracle's focal form s*t vanishes at both curve
-    # points.
-    line = ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
-    report = work.run(focal_points_on_line, tc, line)
-    assert work.solves == [(1, 0, 0, 0), (1, 0, 0, 1)]
+    with pytest.raises(FocalPointError):
+        line_through_point(tc, (1, 0, 0, 0))
+    # Node 1 is (1, 0, 0, 1), off the curve.  The oracle's focal form
+    # s*t vanishes at both curve points.
+    line = line_through_point(tc, (1, 0, 0, 1))
+    assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 0, 0, 1))
     oracle = oracle_report(tc, line)
-    assert astuple(report) == without_form(oracle)
+    assert astuple(focal_points_on_line(tc, line)) == without_form(oracle)
     assert oracle[1] == (0, 1, 0)
-    # Node 1 is (1, 1, 1, 1), a second curve point: node 2 is the first
-    # of rank 2, and the secant through it is the line.
-    line = ProjLine((1, 0, 0, 0), (0, 1, 1, 1))
-    report = work.run(focal_points_on_line, tc, line)
-    assert work.solves == nodes_of(line, 3)
+    # Node 1 is (1, 1, 1, 1), a second curve point: node 2, (1, 2, 2, 2),
+    # is the first of rank 2.
+    assert first_regular_node(tc, ProjLine((1, 0, 0, 0), (0, 1, 1, 1))) == 2
+    with pytest.raises(FocalPointError):
+        line_through_point(tc, (1, 1, 1, 1))
+    line = line_through_point(tc, (1, 2, 2, 2))
+    assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 1, 1, 1))
+    report = focal_points_on_line(tc, line)
     assert astuple(report) == without_form(oracle_report(tc, line))
     assert report.minor_degrees == (2, 2, None) and report.gcd_degree == 2
 
@@ -394,36 +400,24 @@ CONGRUENCES = {
 @pytest.mark.parametrize("n", range(3, 11))
 def test_certified_report_equals_the_class_path(kind, n, monkeypatch):
     # The certified report equals the oracle's report from every minor,
-    # integral data or not, field for field, on a solved line and on its
-    # copy without the solver's record.  The solved line is read off its
-    # record, with no solve and no evaluation of A; the copy is solved
-    # at each node up to the first of rank n-1 and no further.
+    # integral data or not, field for field, on a solved line.  It is
+    # read off the solver's record, with no solve and no evaluation of A.
     rng = random.Random("certified %s %d" % (kind, n))
     c = CONGRUENCES[kind](n, rng)
     work = WorkRecorder(monkeypatch)
     for _ in range(2):
         line = congruence_line(c, rng)
-        bare = ProjLine(line.p0, line.p1)
-        assert bare._kernel is None and bare == line
         oracle = oracle_report(c, line)
-        # A has rank n-1 at a node exactly where the focal form, the
-        # oracle's gcd, does not vanish.
-        node = next(u for u in range(n) if sum(x * u**k for k, x in enumerate(oracle[1])))
         report = work.run(focal_points_on_line, c, line)
         assert (work.solves, work.points) == ([], [])
         assert report.gcd_degree == n - 1
         assert astuple(report) == without_form(oracle)
-        bare_report = work.run(focal_points_on_line, c, bare)
-        assert work.solves == nodes_of(line, node + 1)
-        assert bare_report == report
-        assert astuple(bare_report) == without_form(oracle)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 @pytest.mark.parametrize("n", range(3, 9))
 def test_class_path_matches_the_oracle(make, n):
-    # A congruence line matches the oracle; a random line is refused at
-    # its first node.
+    # A congruence line matches the oracle; a random line is refused.
     for seed in (1, 2):
         c, line = probe_line(make, n, seed)
         report = focal_points_on_line(c, line)
@@ -432,15 +426,19 @@ def test_class_path_matches_the_oracle(make, n):
         other = random_line(n, seed)
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, other)
-        assert str(excinfo.value) == refusal(c, other, 0)
+        assert str(excinfo.value) == refusal(other)
 
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_foci_check_builds_no_focal_form(make, monkeypatch):
-    # `verify foci` prints the gcd degree alone, which the solver's
-    # record gives: a trial solves its line once, at its probe point,
-    # and evaluates A there alone; the slice solves nothing and
-    # evaluates A nowhere, so it takes no minor.
+    # `verify foci` prints the gcd degree alone, which the
+    # constant-kernel theorem gives on a solved line: a trial solves its
+    # line once, at its probe point, evaluates A there alone and calls
+    # no slice, so it takes no minor.
+    def refuse(c, line):
+        raise AssertionError("foci_check sliced %r" % (line,))
+
+    monkeypatch.setattr(congruence, "focal_points_on_line", refuse)
     work = WorkRecorder(monkeypatch)
     for n in range(3, 11):
         c = make(n, 1, 9)
@@ -452,9 +450,8 @@ def test_foci_check_builds_no_focal_form(make, monkeypatch):
 
 @pytest.mark.parametrize("make", KINDS, ids=("linear", "determinantal"))
 def test_slice_builds_no_multipoly(make, monkeypatch):
-    # The slice works on integer rows: it never builds a polynomial
-    # object, on a congruence line or on the way to refusing a random
-    # line.
+    # The slice never builds a polynomial object, on a congruence line
+    # or on the way to refusing a random line.
     calls = []
     inner = MultiPoly.__init__
 
@@ -470,7 +467,7 @@ def test_slice_builds_no_multipoly(make, monkeypatch):
         other = random_line(n, 2)
         with pytest.raises(ValueError) as excinfo:
             focal_points_on_line(c, other)
-        assert str(excinfo.value) == refusal(c, other, 0)
+        assert str(excinfo.value) == refusal(other)
     assert calls == []
     assert MultiPoly(2, {(1, 0): 1}) and len(calls) == 1
     for n, report in reports:

@@ -42,6 +42,7 @@ UNREACHED = {
     "exact.ring_determinant.expand": "the cofactor expansion of ring_determinant",
     "cli.console_main": "the quadpoint command; it runs only as a subprocess",
     "congruence.twisted_cubic_congruence": "a known answer that perfbench slices",
+    "congruence.focal_points_on_line": "perfbench slices with it",
     "catalog.save_catalog": "perfbench writes its seeded catalog with it",
     "catalog.save_catalog.cells": "a step of save_catalog",
     "exact.RationalMatrix.row": "perfbench reads matrix rows with it",
