@@ -10,10 +10,9 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .formulas import (
     ThreefoldInvariants,
@@ -52,8 +51,20 @@ _CELL_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 _REQUIRED_BY_DIM = {3: ("chi_section", "chi"), 2: ("chi", "k_squared", "scroll")}
 
 
-@dataclass(frozen=True, slots=True)
-class VarietyRecord:
+class _VarietyFields(NamedTuple):
+    name: str
+    n: int
+    dim: int
+    d: int
+    pi: int
+    chi_section: Optional[int]
+    chi: Optional[int]
+    k_squared: Optional[int]
+    scroll: Optional[bool]
+    tags: tuple
+
+
+class VarietyRecord(_VarietyFields):
     """One codimension-two variety with the invariants its dimension needs.
 
     chi_section is chi(O) of the general hyperplane section (threefolds
@@ -61,65 +72,61 @@ class VarietyRecord:
     that are scrolls, for which the triple point count does not apply.
     """
 
-    name: str
-    n: int
-    dim: int
-    d: int
-    pi: int
-    chi_section: Optional[int] = None
-    chi: Optional[int] = None
-    k_squared: Optional[int] = None
-    scroll: Optional[bool] = None
-    tags: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, name, n, dim, d, pi,
+        chi_section=None, chi=None, k_squared=None, scroll=None, tags=(),
+    ):
         # A name or tag must read back from the TSV that save_catalog
         # writes: no tab or line break, and a tag is nonempty with no comma.
-        if not self.name:
+        if not name:
             raise ValueError("record needs a name")
-        if not _CELL_BREAKS.isdisjoint(self.name):
-            raise ValueError("%r: name contains a tab or line break" % self.name)
-        for tag in self.tags:
+        if not _CELL_BREAKS.isdisjoint(name):
+            raise ValueError("%r: name contains a tab or line break" % name)
+        for tag in tags:
             if not tag or "," in tag or not _CELL_BREAKS.isdisjoint(tag):
                 raise ValueError(
                     "%r: tag %r is empty or contains a comma, tab or line break"
-                    % (self.name, tag)
+                    % (name, tag)
                 )
-        if self.n < 3:
-            raise ValueError("%s: n must be >= 3" % self.name)
-        if self.dim != self.n - 2:
-            raise ValueError(
-                "%s: dim %d is not n-2 = %d" % (self.name, self.dim, self.n - 2)
-            )
-        if self.d < 1:
-            raise ValueError("%s: degree must be >= 1" % self.name)
-        if self.pi < 0:
-            raise ValueError("%s: sectional genus must be >= 0" % self.name)
-        for fieldname in _REQUIRED_BY_DIM.get(self.dim, ()):
+        if n < 3:
+            raise ValueError("%s: n must be >= 3" % name)
+        if dim != n - 2:
+            raise ValueError("%s: dim %d is not n-2 = %d" % (name, dim, n - 2))
+        if d < 1:
+            raise ValueError("%s: degree must be >= 1" % name)
+        if pi < 0:
+            raise ValueError("%s: sectional genus must be >= 0" % name)
+        self = tuple.__new__(
+            cls, (name, n, dim, d, pi, chi_section, chi, k_squared, scroll, tags)
+        )
+        for fieldname in _REQUIRED_BY_DIM.get(dim, ()):
             if getattr(self, fieldname) is None:
-                raise ValueError("%s: missing field %s" % (self.name, fieldname))
+                raise ValueError("%s: missing field %s" % (name, fieldname))
+        return self
 
 
 # ----- TSV parsing -----
 
 
-def parse_catalog(text: str) -> tuple:
-    """Parse TSV catalog text into validated records.
+def _rows(text: str) -> Iterator[VarietyRecord]:
+    """The validated records of TSV catalog text, one at a time.
 
     Schema: header `name n dim d pi chi_S chi_X K2 scroll tags`, tab
     separated, blank cells for inapplicable fields, scroll in {0,1},
     tags comma separated.  One pass over the lines; a refusal names the
-    line and, for a cell, its column.
+    line and, for a cell, its column, and comes when that line is read.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = iter(text.splitlines())
+    header = next(lines, None)
+    if header is None:
         raise ValueError("line 1: missing header")
-    if tuple(lines[0].split("\t")) != TSV_COLUMNS:
+    if tuple(header.split("\t")) != TSV_COLUMNS:
         raise ValueError(
             "line 1: header must be %s" % "\t".join(TSV_COLUMNS)
         )
-    records = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         if "\t" not in line and not line.strip():
             continue
         cells = line.split("\t")
@@ -158,8 +165,13 @@ def parse_catalog(text: str) -> tuple:
             )
         except ValueError as err:
             raise ValueError("line %d: %s" % (line_no, err)) from None
-        records.append(record)
-    return tuple(records)
+        yield record
+
+
+def parse_catalog(text: str) -> tuple:
+    """Parse TSV catalog text into a tuple of validated records (see
+    `_rows` for the schema and the refusals)."""
+    return tuple(_rows(text))
 
 
 def save_catalog(records: Sequence[VarietyRecord]) -> str:
@@ -176,9 +188,11 @@ def save_catalog(records: Sequence[VarietyRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_catalog(path) -> tuple:
+def load_catalog(path) -> Iterator[VarietyRecord]:
+    """The records of a TSV catalog file, parsed one at a time as they
+    are iterated; the file is read and closed before this returns."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_catalog(handle.read())
+        return _rows(handle.read())
 
 
 def load_builtin_catalog() -> tuple:
@@ -203,8 +217,7 @@ def _exact(numerator: int, denominator: int):
     return Fraction(numerator, denominator) if remainder else quotient
 
 
-@dataclass(frozen=True, slots=True)
-class RecordVerdict:
+class RecordVerdict(NamedTuple):
     """Per-record outcome: named boolean verdicts plus the computed
     counts behind them; passed is the conjunction of all verdicts.  A
     computed count is an int when it is integral and a Fraction only
@@ -227,17 +240,15 @@ class RecordVerdict:
         }
 
 
-def classify_threefolds(
-    records: Sequence[VarietyRecord], multiplicity: int = 1
-) -> tuple:
-    """Select threefolds in P^5 whose secant-line congruence can have
-    order one: one apparent quadruple point, vanishing 4-secant
-    residual, degree inside the focal window, and integral counts.
-    One RecordVerdict per record, in record order; the counts are read
-    off the integer numerators of their closed forms.
+def _threefold_verdict(r: VarietyRecord, multiplicity: int) -> RecordVerdict:
+    """The verdict on one threefold in P^5: can its secant-line
+    congruence have order one?  That needs one apparent quadruple
+    point, vanishing 4-secant residual, degree inside the focal window,
+    and integral counts.  The counts are read off the integer
+    numerators of their closed forms.
 
     Theorem: q, a1, a2 and the residual (and the triple-point count of
-    `classify_surfaces`) are integer-valued polynomials in integer
+    `_surface_verdict`) are integer-valued polynomials in integer
     invariants.  A polynomial of degree k_i in each variable is integral
     on Z^m once it is integral on a box of k_i + 1 consecutive integers
     per variable (expand it in products of binomials), and each count
@@ -246,25 +257,31 @@ def classify_threefolds(
     catalog file, whose invariants are integers, and fails only for a
     record built with rational invariants; it stays in the verdicts,
     which the json output prints."""
-    entries = []
-    for r in records:
-        if r.dim != 3 or r.n != 5:
-            raise ValueError("%s: classify_threefolds needs dim 3, n 5" % r.name)
-        d, pi, chi_s = r.d, r.pi, r.chi_section
-        q = _exact(_quadruple_points24(d, pi, chi_s, r.chi), 24)
-        a1 = _exact(_scroll_degree8(d, pi, chi_s), 8)
-        a2 = _exact(_curve_foursecants12(d, pi), 12)
-        residual = _exact(_residual24(d, pi, chi_s), 24)
-        verdicts = {
-            "quadruple_point_one": q == 1,
-            "residual_zero": residual == 0,
-            "degree_bound": focal_degree_bound(5, d, multiplicity),
-            # _exact returns an int exactly when the count is integral.
-            "integral": type(q) is type(a1) is type(a2) is int,
-        }
-        computed = {"q": q, "a1": a1, "a2": a2, "residual": residual}
-        entries.append(RecordVerdict(r.name, verdicts, computed))
-    return tuple(entries)
+    if r.dim != 3 or r.n != 5:
+        raise ValueError("%s: classify_threefolds needs dim 3, n 5" % r.name)
+    d, pi, chi_s = r.d, r.pi, r.chi_section
+    q = _exact(_quadruple_points24(d, pi, chi_s, r.chi), 24)
+    a1 = _exact(_scroll_degree8(d, pi, chi_s), 8)
+    a2 = _exact(_curve_foursecants12(d, pi), 12)
+    residual = _exact(_residual24(d, pi, chi_s), 24)
+    verdicts = {
+        "quadruple_point_one": q == 1,
+        "residual_zero": residual == 0,
+        "degree_bound": focal_degree_bound(5, d, multiplicity),
+        # _exact returns an int exactly when the count is integral.
+        "integral": type(q) is type(a1) is type(a2) is int,
+    }
+    computed = {"q": q, "a1": a1, "a2": a2, "residual": residual}
+    return RecordVerdict(r.name, verdicts, computed)
+
+
+def classify_threefolds(
+    records: Sequence[VarietyRecord], multiplicity: int = 1
+) -> tuple:
+    """Select threefolds in P^5 whose secant-line congruence can have
+    order one: one RecordVerdict per record, in record order, by
+    `_threefold_verdict`."""
+    return tuple(_threefold_verdict(r, multiplicity) for r in records)
 
 
 def multidegree_of_verdict(v: RecordVerdict) -> tuple:
@@ -276,22 +293,25 @@ def multidegree_of_verdict(v: RecordVerdict) -> tuple:
     return (1, int(a1), int(a2))
 
 
+def _surface_verdict(r: VarietyRecord) -> RecordVerdict:
+    """The verdict on one surface in P^4: not a scroll, exactly one
+    apparent triple point, and degree in the admissible window 4..8."""
+    if r.dim != 2 or r.n != 4:
+        raise ValueError("%s: classify_surfaces needs dim 2, n 4" % r.name)
+    triple = _exact(_triple_points6(r.d, r.pi, r.chi, r.k_squared), 6)
+    verdicts = {
+        "triple_point_one": triple == 1,
+        "degree_window": 4 <= r.d <= 8,
+        "not_scroll": not r.scroll,
+    }
+    return RecordVerdict(r.name, verdicts, {"triple": triple})
+
+
 def classify_surfaces(records: Sequence[VarietyRecord]) -> tuple:
     """Select non-scroll surfaces in P^4 with exactly one apparent
-    triple point and degree in the admissible window 4..8.  One
-    RecordVerdict per record, in record order."""
-    entries = []
-    for r in records:
-        if r.dim != 2 or r.n != 4:
-            raise ValueError("%s: classify_surfaces needs dim 2, n 4" % r.name)
-        triple = _exact(_triple_points6(r.d, r.pi, r.chi, r.k_squared), 6)
-        verdicts = {
-            "triple_point_one": triple == 1,
-            "degree_window": 4 <= r.d <= 8,
-            "not_scroll": not r.scroll,
-        }
-        entries.append(RecordVerdict(r.name, verdicts, {"triple": triple}))
-    return tuple(entries)
+    triple point and degree in the admissible window 4..8: one
+    RecordVerdict per record, in record order, by `_surface_verdict`."""
+    return tuple(map(_surface_verdict, records))
 
 
 # ----- exclusion scan -----

@@ -14,8 +14,8 @@ import json
 import sys
 
 from .catalog import (
-    classify_surfaces,
-    classify_threefolds,
+    _surface_verdict,
+    _threefold_verdict,
     load_builtin_catalog,
     load_catalog,
     multidegree_of_verdict,
@@ -80,14 +80,12 @@ _MAX_SCAN = 1000
 def _emit(args, text_lines, json_obj, tsv_lines=None):
     """Print the requested format only, with one print: the json object,
     or the lines joined, each ending in a newline; no lines print
-    nothing.  The lines may be lazy iterables and json_obj a function
-    returning the object, so that the formats not asked for are never
-    built."""
+    nothing."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
-        print(json.dumps(json_obj() if callable(json_obj) else json_obj))
+        print(json.dumps(json_obj))
         return
-    lines = list(tsv_lines if fmt == "tsv" and tsv_lines is not None else text_lines)
+    lines = tsv_lines if fmt == "tsv" and tsv_lines is not None else text_lines
     if lines:
         print("\n".join(lines))
 
@@ -322,34 +320,45 @@ def _cmd_classify(args):
         records = load_builtin_catalog()
     else:
         records = load_catalog(args.catalog)
-    threefolds = surfaces = ()
-    if args.dim in (None, 3):
-        selected = [r for r in records if r.dim == 3 and r.n == 5]
-        threefolds = classify_threefolds(selected, args.multiplicity)
-    if args.dim in (None, 2):
-        selected = [r for r in records if r.dim == 2 and r.n == 4]
-        surfaces = classify_surfaces(selected)
+    # One record in flight: each is classified and rendered before the
+    # next one is read, and only the rendered strings are kept.  The
+    # threefolds print before the surfaces, and nothing prints before
+    # the last row is read, so a refused row leaves stdout empty.
+    fmt = args.format
+    threefolds, surfaces = [], []
+    all_pass = True
+    for r in records:
+        if r.dim == 3 and r.n == 5 and args.dim in (None, 3):
+            e, out = _threefold_verdict(r, args.multiplicity), threefolds
+        elif r.dim == 2 and r.n == 4 and args.dim in (None, 2):
+            e, out = _surface_verdict(r), surfaces
+        else:
+            continue
+        passed = e.passed
+        all_pass = all_pass and passed
+        if fmt == "json":
+            out.append(json.dumps(e.jsonable()))
+        elif fmt == "tsv":
+            verdict = "pass" if passed else "fail"
+            out.append("%s\t%s\t%s" % (e.name, verdict, ",".join(_failed(e))))
+        elif not passed:
+            out.append("%s: fail [%s]" % (e.name, ", ".join(_failed(e))))
+        elif out is threefolds:
+            md = multidegree_of_verdict(e)
+            out.append("%s: pass multidegree (%s)" % (e.name, ",".join(map(str, md))))
+        else:
+            out.append("%s: pass" % e.name)
     entries = threefolds + surfaces
     # A run that classifies no record checks nothing.
-    all_pass = bool(entries) and all(e.passed for e in entries)
-
-    def text():
-        for i, e in enumerate(entries):
-            failed = _failed(e)
-            if failed:
-                yield "%s: fail [%s]" % (e.name, ", ".join(failed))
-            elif i < len(threefolds):
-                md = multidegree_of_verdict(e)
-                yield "%s: pass multidegree (%s)" % (e.name, ",".join(map(str, md)))
-            else:
-                yield "%s: pass" % e.name
-        yield "result = %s" % ("pass" if all_pass else "fail")
-
-    tsv = (
-        "%s\t%s\t%s" % (e.name, "pass" if e.passed else "fail", ",".join(_failed(e)))
-        for e in entries
-    )
-    _emit(args, text(), lambda: [e.jsonable() for e in entries], tsv)
+    all_pass = all_pass and bool(entries)
+    if fmt == "json":
+        # json.dumps of the list, byte for byte.
+        print("[%s]" % ", ".join(entries))
+    else:
+        if fmt == "text":
+            entries.append("result = %s" % ("pass" if all_pass else "fail"))
+        if entries:
+            print("\n".join(entries))
     return 0 if all_pass else 1
 
 

@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from quadpoint.congruence import (
     twisted_cubic_congruence,
 )
 from quadpoint.exact import MultiPoly, rank_and_kernel
+from test_cli_golden import seeded_catalog
 
 
 def run(capsys, argv):
@@ -325,6 +328,52 @@ def test_classify_refuses_multiplicity_below_one(capsys, tmp_path):
             for catalog in ("builtin", missing):
                 argv = ["classify", "--catalog", catalog, "--multiplicity", value] + dim
                 assert run(capsys, argv) == (2, "", "error: multiplicity must be >= 1\n")
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_classify_refused_row_leaves_stdout_empty(capsys, tmp_path, where):
+    # classify renders each record before it reads the next, but prints
+    # only after the last row: a refused row prints nothing in any
+    # format, wherever it stands and whichever dimension is selected.
+    rows = [
+        "a\t5\t3\t7\t4\t1\t1\t\t\t",
+        "b\t4\t2\t6\t3\t\t1\t-1\t0\t",
+        "c\t5\t3\t9\t1\t1\t1\t\t\t",
+        "d\t4\t2\t4\t0\t\t1\t9\t0\t",
+    ]
+    bad = "x\t5\t3\t7\t-1\t1\t1\t\t\t"
+    at = 2 if where == "middle" else len(rows)
+    rows.insert(at, bad)
+    path = tmp_path / "refused.tsv"
+    path.write_text("\n".join(["\t".join(TSV_COLUMNS)] + rows) + "\n", encoding="utf-8")
+    message = "error: line %d: x: sectional genus must be >= 0\n" % (at + 2)
+    for fmt in ("text", "json", "tsv"):
+        for dim in ([], ["--dim", "2"], ["--dim", "3"]):
+            argv = ["classify", "--catalog", str(path), "--format", fmt] + dim
+            assert run(capsys, argv) == (2, "", message)
+
+
+def test_classify_memory_follows_the_text(tmp_path):
+    # classify keeps one record and one verdict in flight and only the
+    # rendered strings until it prints, so its traced peak is a small
+    # multiple of the input and output text.  Keeping every record and
+    # verdict alive until the print costs 9-13 times that sum at 20 000
+    # rows.
+    text = seeded_catalog(rows=20000)
+    path = tmp_path / "seeded.tsv"
+    path.write_text(text, encoding="utf-8")
+    for fmt in ("text", "json", "tsv"):
+        out = tmp_path / ("out.%s" % fmt)
+        with open(out, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+            tracemalloc.start()
+            try:
+                code = main(["classify", "--catalog", str(path), "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 1
+        size = len(text) + len(out.read_text(encoding="utf-8"))
+        assert peak < 5 * size, (fmt, peak, size)
 
 
 def test_scan_text_and_tsv(capsys):

@@ -6,10 +6,15 @@ search is derandomized and keeps no example database, so a run is
 reproducible and leaves no files behind.
 """
 
+import contextlib
+import io
+import json
 import math
 import re
 import string
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +23,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from quadpoint.catalog import (  # noqa: E402
+    TSV_COLUMNS,
     VarietyRecord,
     classify_surfaces,
     classify_threefolds,
+    multidegree_of_verdict,
     parse_catalog,
     save_catalog,
 )
+from quadpoint.cli import main  # noqa: E402
 from quadpoint.congruence import (  # noqa: E402
     DeterminantalCongruence,
     LinearCongruence,
@@ -250,6 +258,93 @@ def test_classify_matches_the_fraction_formulas(threefolds, surfaces, multiplici
     found = classify_threefolds(threefolds, multiplicity) + classify_surfaces(surfaces)
     assert [(e.name, e.verdicts, e.computed) for e in found] == want
     assert all(exact_type(v) for e in found for v in e.computed.values())
+
+
+# Catalog rows for the one-pass classify: failing rows drawn at random,
+# invariants that pass, curves that classify skips, blank lines, and
+# names with non-ASCII characters, which json escapes.  Degrees 3 and 4
+# fail the focal window at multiplicity 1 only.
+catalog_names = st.text("ab_-. ,0123456789éßλ日\U0001d4b3", min_size=1, max_size=6)
+passing_threefolds = st.sampled_from(((7, 4, 1, 1), (9, 8, 2, 2), (10, 11, 5, 1)))
+random_threefolds = st.tuples(
+    st.integers(3, 4) | st.integers(1, 20),
+    st.integers(0, 30),
+    st.integers(-15, 15),
+    st.integers(-15, 15),
+)
+random_surfaces = st.tuples(
+    st.integers(1, 12), st.integers(0, 15), st.integers(-3, 3), st.integers(-10, 10)
+)
+
+
+@st.composite
+def catalog_line(draw):
+    kind = draw(st.sampled_from(("threefold", "surface", "curve", "blank")))
+    if kind == "blank":
+        return ""
+    name = draw(catalog_names)
+    if kind == "threefold":
+        d, pi, chi_s, chi = draw(passing_threefolds | random_threefolds)
+        cells = (name, 5, 3, d, pi, chi_s, chi, "", "", "")
+    elif kind == "surface":
+        d, pi, chi, k2 = draw(st.just((4, 0, 1, 9)) | random_surfaces)
+        cells = (name, 4, 2, d, pi, "", chi, k2, int(draw(st.booleans())), "")
+    else:
+        cells = (name, 3, 1, draw(st.integers(1, 9)), draw(st.integers(0, 5)), "", "", "", "", "")
+    return "\t".join(map(str, cells))
+
+
+def classify_reference(text, fmt, dim, multiplicity):
+    """classify's (exit code, stdout), rendered from the tuple API over
+    the whole parsed catalog."""
+    records = parse_catalog(text)
+    threefolds = surfaces = ()
+    if dim in (None, 3):
+        threefolds = classify_threefolds([r for r in records if r.dim == 3], multiplicity)
+    if dim in (None, 2):
+        surfaces = classify_surfaces([r for r in records if r.dim == 2])
+    entries = threefolds + surfaces
+    all_pass = bool(entries) and all(e.passed for e in entries)
+    code = 0 if all_pass else 1
+    if fmt == "json":
+        return code, json.dumps([e.jsonable() for e in entries]) + "\n"
+    lines = []
+    for i, e in enumerate(entries):
+        failed = [k for k, v in e.verdicts.items() if not v]
+        if fmt == "tsv":
+            lines.append("%s\t%s\t%s" % (e.name, "pass" if e.passed else "fail", ",".join(failed)))
+        elif failed:
+            lines.append("%s: fail [%s]" % (e.name, ", ".join(failed)))
+        elif i < len(threefolds):
+            md = multidegree_of_verdict(e)
+            lines.append("%s: pass multidegree (%s)" % (e.name, ",".join(map(str, md))))
+        else:
+            lines.append("%s: pass" % e.name)
+    if fmt == "text":
+        lines.append("result = %s" % ("pass" if all_pass else "fail"))
+    return code, "".join(line + "\n" for line in lines)
+
+
+@settings(exact, max_examples=25)
+@given(st.lists(catalog_line(), min_size=1, max_size=12))
+def test_classify_command_matches_the_tuple_api(lines):
+    # The command classifies one record at a time; the public functions
+    # take and return whole tuples.  Both give the same verdicts, in the
+    # same order, in every format, for every --dim and --multiplicity.
+    text = "\n".join(["\t".join(TSV_COLUMNS)] + lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.tsv"
+        path.write_text(text, encoding="utf-8")
+        for fmt in ("text", "json", "tsv"):
+            for dim in (None, 2, 3):
+                for multiplicity in (1, 2, 3):
+                    argv = ["classify", "--catalog", str(path), "--format", fmt]
+                    argv += ["--multiplicity", str(multiplicity)]
+                    argv += [] if dim is None else ["--dim", str(dim)]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(argv)
+                    assert (code, out.getvalue()) == classify_reference(text, fmt, dim, multiplicity)
 
 
 @st.composite

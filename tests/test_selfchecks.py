@@ -33,6 +33,10 @@ ACCEPTANCE_ONLY = (
 # enters, each with the reason it stays; the names in ACCEPTANCE_ONLY
 # join them.
 TRACED = "only tests call it; perfbench/tracing.py looks it up by name"
+CLASSIFY = (
+    "tests and acceptance criterion 12 call it; perfbench/tracing.py looks it up "
+    "by name; the CLI runs the same per-record function"
+)
 UNREACHED = {
     "exact.binary_gcd": TRACED,
     "exact._upoly_normalize": "a step of binary_gcd",
@@ -45,6 +49,8 @@ UNREACHED = {
     "congruence.focal_points_on_line": "perfbench slices with it",
     "catalog.save_catalog": "perfbench writes its seeded catalog with it",
     "catalog.save_catalog.cells": "a step of save_catalog",
+    "catalog.classify_threefolds": CLASSIFY,
+    "catalog.classify_surfaces": CLASSIFY,
     "exact.RationalMatrix.row": "perfbench reads matrix rows with it",
     "congruence.load_congruence.fail": "the error path; every golden input file is valid",
     "congruence.ProjLine.__eq__": "set() of probe lines compares only lines of equal hash",
