@@ -515,6 +515,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The `quadpoint` command, in process too: the exit code of argv.
+
+    The same argv writes the same bytes on every host (`schubert pow`
+    prints a sigma): an open stdout that can be reconfigured is switched
+    to UTF-8 for the command, then back.  Any other stream, such as an
+    `io.StringIO`, takes the text as it is.
+    """
+    out = sys.stdout
+    reconfigure = getattr(out, "reconfigure", None)
+    if reconfigure is None or out.closed:
+        return _run(argv)
+    encoding, errors = out.encoding, out.errors
+    reconfigure(encoding="utf-8")
+    try:
+        return _run(argv)
+    finally:
+        reconfigure(encoding=encoding, errors=errors)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -544,16 +564,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def console_main() -> int:
-    """The `quadpoint` command and `python -m quadpoint.cli`: main with
-    stdout in UTF-8 whatever the locale, so that the same argv writes
-    the same bytes on every host (`schubert pow` prints a sigma).  main
-    itself writes to whatever sys.stdout is; a closed stdout is None,
-    and print writes nothing to it."""
-    if sys.stdout is not None:
-        sys.stdout.reconfigure(encoding="utf-8")
-    return main()
-
-
 if __name__ == "__main__":
-    sys.exit(console_main())
+    sys.exit(main())

@@ -30,7 +30,9 @@ from typing import Optional, Sequence
 from .exact import (
     MultiPoly,
     RationalMatrix,
+    _exact_tuple,
     _rational,
+    _uniform_draws,
     pfaffian,
     primitive_vector,
     rank_and_kernel,
@@ -59,10 +61,11 @@ def normalize_point(point: Sequence) -> tuple:
     """Canonical integer representative of a point of P^n.
 
     Clears denominators, divides by content, makes the first nonzero
-    coordinate positive.
+    coordinate positive; a point already in that form comes back as it
+    is.
     """
-    pt = tuple(_rational(c) for c in point)
-    if len(pt) < 2 or all(c == 0 for c in pt):
+    pt = _exact_tuple(point)
+    if len(pt) < 2 or not any(pt):
         raise ValueError("point must be a nonzero homogeneous tuple")
     return primitive_vector(pt)
 
@@ -182,7 +185,7 @@ class DeterminantalCongruence:
         for i, row in enumerate(rows):
             entries = []
             for j, coeffs in enumerate(row):
-                ct = tuple(_rational(c) for c in coeffs)
+                ct = _exact_tuple(coeffs)
                 if len(ct) != n + 1:
                     raise ValueError(
                         "entry (%d,%d) needs %d coefficients" % (i, j, n + 1)
@@ -584,7 +587,7 @@ def foci_check(
 
 
 def _generic_mod_p(c: Congruence, pt: tuple) -> bool:
-    """Whether Gauss-Jordan mod p = GENERICITY_PRIME proves that the
+    """Whether ranks modulo p = GENERICITY_PRIME prove that the
     line solver of c succeeds at pt; False means only that it does not
     prove it.  The rows of c must be integers, as every draw's are.
 
@@ -677,14 +680,11 @@ def random_determinantal_congruence(
     passes a genericity probe (unique lambda and a genuine line)."""
 
     def draw(attempt):
+        # Entry (i, j) holds draws k*(n+1) .. k*(n+1)+n, k = i*(n-1) + j.
         rng = random.Random(_derived_seed(seed, attempt, 0))
-        rows = [
-            [
-                [rng.randint(-bound, bound) for _ in range(n + 1)]
-                for _ in range(n - 1)
-            ]
-            for _ in range(n)
-        ]
+        flat = _uniform_draws(rng, bound, n * (n - 1) * (n + 1))
+        forms = [tuple(flat[k : k + n + 1]) for k in range(0, len(flat), n + 1)]
+        rows = [forms[i : i + n - 1] for i in range(0, len(forms), n - 1)]
         return DeterminantalCongruence(n, rows)
 
     return _first_generic(
@@ -713,36 +713,41 @@ def save_congruence(c: Congruence) -> str:
         for idx, m in enumerate(c.matrices):
             lines.append("matrix %d" % idx)
             for row in m:
-                lines.append(" ".join(str(v) for v in row))
+                lines.append(" ".join([str(v) for v in row]))
     else:
         for idx, row in enumerate(c.rows):
             lines.append("row %d" % idx)
             for coeffs in row:
-                lines.append(" ".join(str(v) for v in coeffs))
+                lines.append(" ".join([str(v) for v in coeffs]))
     return "\n".join(lines) + "\n"
 
 
-def _parse_entry(tok: str):
-    """One entry of a congruence file, read as Fraction(tok) reads it.
+def _parse_entries(line: str, tokens: list) -> tuple:
+    """The entries of a congruence file line, split into tokens, as
+    Fraction reads each token and `_rational` stores it; a refused token
+    raises ValueError or ZeroDivisionError.
 
-    A plain ASCII integer, which is every entry that save_congruence
-    writes for integral data, goes to `int`, several times cheaper than
-    Fraction; every other token goes to Fraction, so the same tokens are
-    accepted and refused.
+    Exponents are refused, since Fraction expands one such as
+    1e999999999 in full before any size check could run, and so are
+    underscores, which Fraction reads as digit separators from Python
+    3.11 on.  On an ASCII line without '/' or '.', as save_congruence
+    writes integers, Fraction and `int` accept the same tokens, the
+    signed decimal integers, so `int` reads the line in one pass.
     """
-    digits = tok[1:] if tok[0] in "+-" else tok
-    if digits.isascii() and digits.isdigit():
-        return int(tok)
-    return Fraction(tok)
+    if "e" in line.lower() or "_" in line:
+        raise ValueError("exponent or underscore")
+    if line.isascii() and "/" not in line and "." not in line:
+        return tuple(map(int, tokens))
+    return tuple(_rational(Fraction(tok)) for tok in tokens)
 
 
 def load_congruence(text: str) -> Congruence:
     """Parse the save_congruence format; diagnostics carry line numbers."""
     lines = text.splitlines()
     raw = [
-        (no, line.strip())
-        for no, line in enumerate(lines, start=1)
-        if line.strip() and not line.strip().startswith("#")
+        (no, line)
+        for no, line in enumerate(map(str.strip, lines), start=1)
+        if line and not line.startswith("#")
     ]
     # A short file is reported at its last line; an empty one has line 1.
     last = max(len(lines), 1)
@@ -768,45 +773,34 @@ def load_congruence(text: str) -> Congruence:
     if n < 3:
         fail(no, "n must be >= 3")
 
-    body = raw[2:]
-    pos = 0
-
-    def next_line(expect: str):
-        nonlocal pos
-        if pos >= len(body):
-            fail(last, "unexpected end of file: expected %s" % expect)
-        item = body[pos]
-        pos += 1
-        return item
-
-    def parse_vector(expect_len: int):
-        no, line = next_line("%d entries" % expect_len)
-        tokens = line.split()
-        if len(tokens) != expect_len:
-            fail(no, "expected %d entries, got %d" % (expect_len, len(tokens)))
-        try:
-            # Fraction expands an exponent such as 1e999999999 in full
-            # before any size check could run, so exponents are refused.
-            # An underscore, which Fraction reads as a digit separator
-            # from Python 3.11 on, is refused on every version.
-            if "e" in line.lower() or "_" in line:
-                raise ValueError("exponent or underscore")
-            return [_parse_entry(tok) for tok in tokens]
-        except (ValueError, ZeroDivisionError):
-            fail(no, "non-rational entry in %r" % line)
-
     # Linear: n-1 skew matrices of n+1 rows; determinantal: n rows of
     # n-1 linear forms; every line holds n+1 entries.
     cls, word, blocks, size = {
         "linear": (LinearCongruence, "matrix", n - 1, n + 1),
         "determinantal": (DeterminantalCongruence, "row", n, n - 1),
     }[kind]
+    body = raw[2:]
+    pos = 0
     data = []
     for idx in range(blocks):
-        no, header = next_line("'%s %d'" % (word, idx))
+        if pos == len(body):
+            fail(last, "unexpected end of file: expected '%s %d'" % (word, idx))
+        no, header = body[pos]
         if header.split() != [word, str(idx)]:
             fail(no, "expected '%s %d', got %r" % (word, idx, header))
-        data.append([parse_vector(n + 1) for _ in range(size)])
+        block = []
+        for no, line in body[pos + 1 : pos + 1 + size]:
+            tokens = line.split()
+            if len(tokens) != n + 1:
+                fail(no, "expected %d entries, got %d" % (n + 1, len(tokens)))
+            try:
+                block.append(_parse_entries(line, tokens))
+            except (ValueError, ZeroDivisionError):
+                fail(no, "non-rational entry in %r" % line)
+        if len(block) < size:
+            fail(last, "unexpected end of file: expected %d entries" % (n + 1))
+        pos += 1 + size
+        data.append(block)
     result = cls(n, data)
     if pos != len(body):
         no, line = body[pos]

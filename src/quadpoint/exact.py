@@ -8,9 +8,9 @@ row of denominators.  One elimination loop, the in-place Bareiss
 `_bareiss`, serves both: `determinant` is the permutation sign times
 the last pivot (0 below full rank), and `rank_and_kernel` adds integer
 back-substitution for a primitive kernel basis.  `rank_and_kernel_mod`
-is the same job over GF(p), by Gauss-Jordan on the same integer rows
-reduced mod p: a lower bound on the rank over Q, whose entries never
-outgrow p.
+is the same job over GF(p), by forward elimination and
+back-substitution on the same integer rows reduced mod p: a lower
+bound on the rank over Q, whose entries never outgrow p.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
@@ -21,11 +21,14 @@ Integral data and all elimination stay in Python `int`: matrix entries,
 polynomial coefficients and points that are integers are stored as
 `int`, and `fractions.Fraction` appears only for input that is not
 integral.  Every division is exact (checked, or a `Fraction`); no
-operation introduces floating point.
+operation introduces floating point.  Data that is already plain
+`int` is recognised by one type scan (`_exact_tuple`) and passes
+through as it is; only other entries go through `_rational` one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -46,36 +49,51 @@ def _rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _cleared(values: list) -> tuple:
-    """(integer list, multiplier): exact rationals times the lcm of their
-    denominators; an all-integer list comes back as it is, multiplier 1."""
-    mult = math.lcm(*(x.denominator for x in values))
-    if mult == 1:
+_INT = frozenset((int,))
+
+
+def _exact_tuple(values: Iterable) -> tuple:
+    """The values as a tuple of exact rationals (see `_rational`).  One
+    type scan finds a sequence of plain `int`s, which passes through as
+    it is; bools, int subclasses and other types go through `_rational`."""
+    values = tuple(values)
+    if set(map(type, values)) <= _INT:
+        return values
+    return tuple(map(_rational, values))
+
+
+def _cleared(values: Sequence) -> tuple:
+    """(integers, multiplier): exact rationals (see `_exact_tuple`) times
+    the lcm of their denominators; plain ints come back as they are,
+    multiplier 1."""
+    if set(map(type, values)) <= _INT:
         return values, 1
+    mult = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (mult // x.denominator) for x in values], mult
 
 
 def primitive_vector(vec: Sequence) -> tuple:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive.
 
-    Canonical representative for projective points and kernel vectors.
+    Canonical representative for projective points and kernel vectors;
+    a vector already in that form comes back unchanged.
     """
-    ints, _ = _cleared([_rational(x) for x in vec])
+    ints, _ = _cleared(_exact_tuple(vec))
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     if next(x for x in ints if x) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
 def _rational_rows(rows: Iterable[Iterable]) -> tuple:
     """The rows as a tuple of equally long, nonempty tuples of exact
-    rationals (see `_rational`)."""
-    data = tuple(tuple(map(_rational, row)) for row in rows)
+    rationals (see `_exact_tuple`)."""
+    data = tuple(map(_exact_tuple, rows))
     if not data or not data[0]:
         raise ValueError("matrix must have at least one row and one column")
-    if any(len(row) != len(data[0]) for row in data):
+    if len(set(map(len, data))) != 1:
         raise ValueError("ragged rows")
     return data
 
@@ -101,19 +119,19 @@ class RationalMatrix:
         return self._rows[i]
 
     def mat_vec(self, v: Sequence) -> tuple:
-        vf = [_rational(x) for x in v]
+        vf = _exact_tuple(v)
         if len(vf) != self.cols:
             raise ValueError("dimension mismatch")
         return tuple(sum(map(operator.mul, r, vf)) for r in self._rows)
 
     def is_skew_symmetric(self) -> bool:
+        """Whether entry (i, j) equals minus entry (j, i) for all i, j:
+        the entries row by row against those of the transpose negated."""
         if self.rows != self.cols:
             return False
-        return all(
-            self._rows[i][j] == -self._rows[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
+        flat = itertools.chain.from_iterable
+        entries, transposed = flat(self._rows), flat(zip(*self._rows))
+        return all(map(operator.eq, entries, map(operator.neg, transposed)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
@@ -219,10 +237,13 @@ def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
     kernel mod p: one vector per free column f, with entries in
     [0, p), 1 at f and 0 on the other free columns.
 
-    Gauss-Jordan elimination with every entry reduced mod p, so no
-    entry outgrows p.  A minor that is nonzero mod p is a nonzero
-    integer, so the rank mod p is at most the rank over Q, and equal
-    to it unless p divides every nonzero minor of that size.
+    Forward elimination to an echelon form whose pivots are 1, every
+    entry reduced mod p so that none outgrows p, then back-substitution
+    for each free column.  That basis vector is fixed by the row space
+    alone, so it is the one Gauss-Jordan elimination would read off.  A
+    minor that is nonzero mod p is a nonzero integer, so the rank mod p
+    is at most the rank over Q, and equal to it unless p divides every
+    nonzero minor of that size.
     """
     work = [[x % p for x in row] for row in _integer_rows(rows)[0]]
     nrows, ncols = len(work), len(work[0])
@@ -236,10 +257,12 @@ def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
         row = [x * inv % p for x in work[piv]]
         work[piv] = work[r]
         work[r] = row
-        for i in range(nrows):
+        # Rows below r are zero before column c, so only the tail changes.
+        tail = row[c:]
+        for i in range(r + 1, nrows):
             f = work[i][c]
-            if f and i != r:
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], row)]
+            if f:
+                work[i][c:] = [(x - f * y) % p for x, y in zip(work[i][c:], tail)]
         pivot_cols.append(c)
         if r + 1 == nrows:
             break
@@ -249,8 +272,9 @@ def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
             continue
         v = [0] * ncols
         v[f] = 1
-        for row, c in zip(work, pivot_cols):
-            v[c] = -row[f] % p
+        # Row i is zero before its pivot c, 1 at c, and v[c] is still 0.
+        for i in range(len(pivot_cols) - 1, -1, -1):
+            v[pivot_cols[i]] = -sum(map(operator.mul, work[i], v)) % p
         kernel.append(tuple(v))
     return len(pivot_cols), tuple(kernel)
 
@@ -509,6 +533,26 @@ def binary_gcd(forms: Sequence[Sequence]) -> tuple:
     return tuple(_rational(Fraction(c, lead)) for c in core) + (0,) * min(s_vals)
 
 
+def _uniform_draws(rng: random.Random, bound: int, count: int) -> list:
+    """count draws of rng.randint(-bound, bound), in order.
+
+    The same values from the same generator state: this replays the
+    rejection loop by which `random.Random.randint` draws below its
+    width 2*bound + 1 (`_randbelow_with_getrandbits`, unchanged from
+    CPython 3.10 to 3.13), without its per-call argument checks.
+    """
+    width = 2 * bound + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(r - bound)
+    return out
+
+
 def seeded_skew_matrix(seed: int, size: int, bound: int) -> RationalMatrix:
     """Skew-symmetric integer size x size matrix whose entries above the
     diagonal are uniform in [-bound, bound], drawn row by row.
@@ -520,11 +564,13 @@ def seeded_skew_matrix(seed: int, size: int, bound: int) -> RationalMatrix:
         raise ValueError("bound must be >= 1")
     if size < 1:
         raise ValueError("matrix must be nonempty")
-    rng = random.Random(seed)
-    data = [[0] * size for _ in range(size)]
+    draws = _uniform_draws(random.Random(seed), bound, size * (size - 1) // 2)
+    upper, pos = [], 0
     for i in range(size):
-        for j in range(i + 1, size):
-            v = rng.randint(-bound, bound)
-            data[i][j] = v
-            data[j][i] = -v
-    return RationalMatrix(data)
+        upper.append([0] * (i + 1) + draws[pos : pos + size - 1 - i])
+        pos += size - 1 - i
+    # Row i is minus column i of the upper triangle before i, then row i.
+    return RationalMatrix(
+        list(map(operator.neg, col[:i])) + row[i:]
+        for i, (row, col) in enumerate(zip(upper, zip(*upper)))
+    )

@@ -10,7 +10,6 @@ the end; integrality is checked, never obtained by rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -23,41 +22,41 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class ThreefoldInvariants:
+_THREEFOLD_FIELDS = [("d", int), ("pi", int), ("chi_section", int), ("chi", int)]
+_SURFACE_FIELDS = [("d", int), ("pi", int), ("chi", int), ("k_squared", int)]
+
+
+class ThreefoldInvariants(NamedTuple("ThreefoldInvariants", _THREEFOLD_FIELDS)):
     """Basic invariants of a smooth threefold X in P^5.
 
     d: degree; pi: sectional genus; chi_section: chi(O) of the general
-    hyperplane-section surface; chi: chi(O) of X itself.
+    hyperplane-section surface; chi: chi(O) of X itself.  An immutable
+    named tuple, checked when it is made.
     """
 
-    d: int
-    pi: int
-    chi_section: int
-    chi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int, pi: int, chi_section: int, chi: int):
+        if d < 1:
             raise ValueError("degree must be >= 1")
-        if self.pi < 0:
+        if pi < 0:
             raise ValueError("sectional genus must be >= 0")
+        return super().__new__(cls, d, pi, chi_section, chi)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple("SurfaceInvariants", _SURFACE_FIELDS)):
     """Basic invariants of a smooth surface S in P^4.
 
-    d: degree; pi: sectional genus; chi: chi(O_S); k_squared: K.K.
+    d: degree; pi: sectional genus; chi: chi(O_S); k_squared: K.K.  An
+    immutable named tuple, checked when it is made.
     """
 
-    d: int
-    pi: int
-    chi: int
-    k_squared: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int, pi: int, chi: int, k_squared: int):
+        if d < 1:
             raise ValueError("degree must be >= 1")
+        return super().__new__(cls, d, pi, chi, k_squared)
 
 
 # ----- double point formulas for threefolds in P^5 -----

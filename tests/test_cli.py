@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -809,9 +810,9 @@ def fresh_call(argv):
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from quadpoint.cli import main; sys.exit(main(sys.argv[1:]))"]
         + argv,
-        # The child writes stdout (schubert pow prints sigma) in UTF-8
-        # whatever the locale, and the parent reads it as UTF-8.
-        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"),
+        # main writes stdout (schubert pow prints sigma) in UTF-8
+        # whatever the locale asks for, and the parent reads it as UTF-8.
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="latin-1"),
         capture_output=True,
         encoding="utf-8",
     )
@@ -848,7 +849,25 @@ def test_command_writes_utf8_in_every_locale(capsys, encoding):
     assert (child.returncode, child.stdout, child.stderr) == (0, out.encode("utf-8"), b"")
     # The installed console script runs the same entry point.
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert 'quadpoint = "quadpoint.cli:console_main"' in pyproject.read_text(encoding="utf-8")
+    assert 'quadpoint = "quadpoint.cli:main"' in pyproject.read_text(encoding="utf-8")
+
+
+def test_in_process_call_writes_utf8_to_a_latin1_stream():
+    # An in-process caller whose stdout is a latin-1 text stream gets the
+    # command's UTF-8 bytes and exit 0, and its stream back in latin-1.
+    argv = ["schubert", "pow", "--n", "5", "--l", "4"]
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="latin-1")
+    with contextlib.redirect_stdout(stream):
+        code = main(argv)
+    assert (code, stream.encoding, stream.errors) == (0, "latin-1", "strict")
+    stream.flush()
+    assert raw.getvalue() == "σ[4,0] + 3σ[3,1] + 2σ[2,2]\n".encode("utf-8")
+    # A text-only stream takes the text as it is.
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == "σ[4,0] + 3σ[3,1] + 2σ[2,2]\n"
 
 
 def test_command_with_closed_stdout_exits_zero():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -39,6 +40,7 @@ from quadpoint.exact import (
     MultiPoly,
     RationalMatrix,
     _bareiss,
+    _uniform_draws,
     rank_and_kernel,
     ring_determinant,
     seeded_skew_matrix,
@@ -254,6 +256,43 @@ def test_determinantal_construction_shapes():
     assert len(c.rows) == 4
     assert all(len(r) == 3 for r in c.rows)
     assert all(len(coeffs) == 5 for r in c.rows for coeffs in r)
+
+
+# SHA-256 of the files that construct writes for n = 3..12 and seeds
+# 0..3, concatenated in that order, per kind and bound, taken when each
+# entry was drawn by random.Random.randint and checked one by one.
+CONSTRUCTION_SWEEP = {
+    ("linear", 1): "e1f46483f2664a0be710e9afeaac66d570df87ce7d7de8b409cf1f2d41a92aaa",
+    ("linear", 9): "700edd90e7f18e60034eea4fb7d996d8f536b9bf2d3514497a7aa40e2943095f",
+    ("linear", 10**6): "1aebcbd7b9bed14397973ffe7ef0ffafa50a031be56e059746a92746ea7fe94c",
+    ("linear", 10**18): "b8f4142b88989354188b584605d7b87418ee6288e62cd42e782d75f39563f078",
+    ("determinantal", 1): "b84f6ec34e905b15e97bbf2ab6ef492ff21935c65dc31dae75d867d1ae4d4fdf",
+    ("determinantal", 9): "1735f81ffe988d047d43718753103bbb166cf32ee9c07c2271223b61e7b293af",
+    ("determinantal", 10**6): "21e3232d13ab00ec9ec819d881fb308a9df6a4837098bf9156e6f667012102a8",
+    ("determinantal", 10**18): "262fc878875d7576181dd6e4cd38050cfb17af19b5d0703ddbd00ff65d57c138",
+}
+
+
+@pytest.mark.parametrize("kind, bound", sorted(CONSTRUCTION_SWEEP))
+def test_construction_sweep_is_unchanged(kind, bound):
+    make = random_linear_congruence if kind == "linear" else random_determinantal_congruence
+    digest = hashlib.sha256()
+    for n in range(3, 13):
+        for seed in range(4):
+            text = save_congruence(make(n, seed, bound))
+            digest.update(text.encode("utf-8"))
+            assert save_congruence(load_congruence(text)) == text
+    assert digest.hexdigest() == CONSTRUCTION_SWEEP[kind, bound]
+
+
+@pytest.mark.parametrize("bound", (1, 2, 9, 2**31 - 1, 2**31, 10**6, 10**18, 2**64))
+def test_uniform_draws_are_randint_draws(bound):
+    # The draws replay randint's rejection loop, so the generator must
+    # give the same values and end in the same state on every Python.
+    for seed in range(3):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert _uniform_draws(fast, bound, 500) == [slow.randint(-bound, bound) for _ in range(500)]
+        assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize(

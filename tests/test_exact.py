@@ -6,6 +6,7 @@ products of linear factors.
 """
 
 import gc
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -173,6 +174,72 @@ def assert_kernel_mod(rows, p, rank, kernel):
         assert len(v) == ncols and all(0 <= x < p for x in v) and v[f] == 1
         assert all(u[f] == 0 for u in kernel if u is not v)
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+
+
+def gauss_jordan_mod(rows, p):
+    """(rank, kernel) over GF(p) of rows of exact rationals, each row
+    first cleared of denominators, by full Gauss-Jordan elimination
+    (eliminating above every pivot too): the oracle of
+    `rank_and_kernel_mod`'s forward elimination and back-substitution."""
+    work = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        mult = math.lcm(*(x.denominator for x in row))
+        work.append([int(x * mult) % p for x in row])
+    nrows, ncols = len(work), len(work[0])
+    pivot_cols = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, nrows) if work[i][c]), None)
+        if piv is None:
+            continue
+        inv = pow(work[piv][c], -1, p)
+        row = [x * inv % p for x in work[piv]]
+        work[piv] = work[r]
+        work[r] = row
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], row)]
+        pivot_cols.append(c)
+        if r + 1 == nrows:
+            break
+    kernel = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(work, pivot_cols):
+            v[c] = -row[f] % p
+        kernel.append(tuple(v))
+    return len(pivot_cols), tuple(kernel)
+
+
+@st.composite
+def degenerate_rows(draw):
+    """Rows of int or Fraction entries, some of them combinations of the
+    others, with zero rows and zero columns mixed in."""
+    ints = st.integers(-30, 30)
+    entries = st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 9))) if draw(st.booleans()) else ints
+    ncols = draw(st.integers(1, 7))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(ints), draw(ints)
+        rows.insert(draw(st.integers(0, len(rows))), [s * x + t * y for x, y in zip(a, b)])
+    for _ in range(draw(st.integers(0, 1))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(exact_search, max_examples=300)
+@given(degenerate_rows(), st.sampled_from((2, 3, 7, (1 << 61) - 1)))
+def test_rank_mod_p_matches_gauss_jordan(rows, p):
+    assert rank_and_kernel_mod(rows, p) == gauss_jordan_mod(rows, p)
 
 
 @exact_search
@@ -575,3 +642,21 @@ def test_primitive_vector_canonical_form():
     assert primitive_vector([0, -2, 4]) == (0, 1, -2)
     with pytest.raises(ValueError):
         primitive_vector([0, 0])
+
+
+class Small(int):
+    """An int subclass, which the type scan of plain ints must not pass."""
+
+
+def test_bools_and_int_subclasses_are_stored_as_plain_ints():
+    # Rows of bools only and of int subclasses only, besides mixed rows.
+    m = RationalMatrix([[True, False], [Small(3), Small(0)], [Fraction(4, 2), True]])
+    assert [list(map(type, row)) for row in m] == [[int, int]] * 3
+    assert list(m) == [(1, 0), (3, 0), (2, 1)]
+    for vec in ([True, True], [Small(1), Small(1)], [Small(1), True]):
+        assert list(map(type, m.mat_vec(vec))) == [int, int, int]
+    for vec in ([False, True, True], [Small(0), Small(1), Small(1)]):
+        v = primitive_vector(vec)
+        assert v == (0, 1, 1) and list(map(type, v)) == [int, int, int]
+    with pytest.raises(TypeError):
+        RationalMatrix([[1, 0.5]])

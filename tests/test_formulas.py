@@ -285,12 +285,26 @@ def test_triple_point_formulas_match_rational_oracle():
 
 
 def test_threefold_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
         ThreefoldInvariants(0, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sectional genus must be >= 0$"):
         ThreefoldInvariants(5, -1, 1, 1)
-    with pytest.raises(ValueError):
-        SurfaceInvariants(0, 0, 1, 1)
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
+        SurfaceInvariants(d=0, pi=0, chi=1, k_squared=1)
+
+
+def test_invariants_are_immutable_records():
+    t = ThreefoldInvariants(d=7, pi=4, chi_section=1, chi=1)
+    s = SurfaceInvariants(6, 3, 1, -1)
+    assert (t, s) == (PALATINI, BORDIGA)
+    assert repr(t) == "ThreefoldInvariants(d=7, pi=4, chi_section=1, chi=1)"
+    assert repr(s) == "SurfaceInvariants(d=6, pi=3, chi=1, k_squared=-1)"
+    for record, field in ((t, "chi"), (s, "k_squared")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    assert len({t, PALATINI, s, BORDIGA}) == 2
 
 
 def test_linear_focal_degree():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from quadpoint.catalog import (  # noqa: E402
@@ -35,7 +35,7 @@ from quadpoint.cli import main  # noqa: E402
 from quadpoint.congruence import (  # noqa: E402
     DeterminantalCongruence,
     LinearCongruence,
-    _parse_entry,
+    _parse_entries,
     load_congruence,
     save_congruence,
     twisted_cubic_congruence,
@@ -43,6 +43,7 @@ from quadpoint.congruence import (  # noqa: E402
 from quadpoint.exact import (  # noqa: E402
     MultiPoly,
     RationalMatrix,
+    _rational,
     binary_gcd,
     determinant,
     pfaffian,
@@ -350,10 +351,13 @@ def test_classify_command_matches_the_tuple_api(lines):
 @st.composite
 def congruences(draw):
     n = draw(st.integers(3, 5))
+    # Rationals and integers of any size, so lines of plain ints and
+    # lines with fractions both occur.
+    entries = st.one_of(rationals, st.integers(-(10**20), 10**20))
     if draw(st.booleans()):
-        matrices = [draw(skew_rows(st.just(n + 1), rationals)) for _ in range(n - 1)]
+        matrices = [draw(skew_rows(st.just(n + 1), entries)) for _ in range(n - 1)]
         return LinearCongruence(n, matrices)
-    coefficient_vector = st.lists(rationals, min_size=n + 1, max_size=n + 1)
+    coefficient_vector = st.lists(entries, min_size=n + 1, max_size=n + 1)
     rows = [[draw(coefficient_vector) for _ in range(n - 1)] for _ in range(n)]
     return DeterminantalCongruence(n, rows)
 
@@ -400,8 +404,11 @@ def outcome(parse, tok):
 @settings(exact, max_examples=300)
 @given(st.text(ENTRY_CHARS, min_size=1, max_size=8))
 def test_entry_parse_agrees_with_fraction(tok):
-    if tok.split() == [tok] and "e" not in tok.lower():
-        assert outcome(_parse_entry, tok) == outcome(Fraction, tok)
+    if tok.split() == [tok] and "e" not in tok.lower() and "_" not in tok:
+        parsed = outcome(lambda t: _parse_entries(t, [t]), tok)
+        assert parsed == outcome(lambda t: (Fraction(t),), tok)
+        if isinstance(parsed, tuple):
+            assert type(parsed[0]) is (int if parsed[0].denominator == 1 else Fraction)
     # The same token as the first entry of row 0 of a whole file.
     line = tok + " 0 0 1"
     text = save_congruence(twisted_cubic_congruence()).replace("1 0 0 0", line, 1)
@@ -411,6 +418,79 @@ def test_entry_parse_agrees_with_fraction(tok):
             load_congruence(text)
     else:
         assert load_congruence(text).rows[0][0] == tuple(expected)
+
+
+def per_token_parse(line):
+    """The entries of a file line as the reader took them one token at a
+    time, before an ASCII integer line was read in one pass: an ASCII
+    integer token by int, any other token by Fraction, then stored as
+    `_rational` stores it; exponents and underscores refused."""
+    if "e" in line.lower() or "_" in line:
+        raise ValueError("exponent or underscore")
+    out = []
+    for tok in line.split():
+        digits = tok[1:] if tok[0] in "+-" else tok
+        out.append(int(tok) if digits.isascii() and digits.isdigit() else _rational(Fraction(tok)))
+    return tuple(out)
+
+
+def signed(body):
+    return st.tuples(st.sampled_from(("", "+", "-")), body).map("".join)
+
+
+# File tokens: signed integers with leading zeros, a/b (b = 0 too),
+# decimals, non-ASCII digits, exponents, underscores and junk.
+INTEGER_TOKENS = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    signed(st.from_regex(r"\A0{0,3}[0-9]{1,4}\Z")),
+)
+FILE_TOKENS = st.one_of(
+    INTEGER_TOKENS,
+    st.tuples(st.integers(-99, 99), st.integers(0, 9)).map("%d/%d".__mod__),
+    signed(st.from_regex(r"\A[0-9]{0,3}\.[0-9]{0,3}\Z")),
+    signed(st.text("\u0663\u0664\uff11\uff12\u00b2", min_size=1, max_size=3)),
+    st.tuples(st.integers(-99, 99), st.sampled_from("eE"), st.integers(-9, 9)).map("%d%s%d".__mod__),
+    st.tuples(st.integers(1, 99), st.integers(0, 999)).map("%d_%03d".__mod__),
+    st.text(ENTRY_CHARS + "x#+-", min_size=1, max_size=6).filter(lambda t: t.split() == [t]),
+)
+
+
+# Mostly the 4 entries a line needs, some lines of integers only.
+FILE_LINES = st.one_of(
+    st.lists(FILE_TOKENS, min_size=4, max_size=4),
+    st.lists(INTEGER_TOKENS, min_size=4, max_size=4),
+    st.lists(FILE_TOKENS, min_size=1, max_size=5),
+)
+
+
+@settings(exact, max_examples=400)
+@given(FILE_LINES)
+def test_file_line_reads_as_token_by_token(tokens):
+    # The first entry line of the twisted cubic file, which must hold 4
+    # entries, replaced by the tokens: the loaded values, their types
+    # and every refusal must be those of the per-token reader, and an
+    # accepted file saves back to its canonical text.
+    line = " ".join(tokens)
+    assume(not line.startswith("#"))  # a comment line, not an entry line
+    good = save_congruence(twisted_cubic_congruence())
+    text = good.replace("1 0 0 0", line, 1)
+    try:
+        expected = per_token_parse(line)
+        message = None if len(tokens) == 4 else "line 4: expected 4 entries, got %d" % len(tokens)
+    except (ValueError, ZeroDivisionError):
+        message = "line 4: expected 4 entries, got %d" % len(tokens)
+        if len(tokens) == 4:
+            message = "line 4: non-rational entry in %r" % line
+    if message is not None:
+        with pytest.raises(ValueError) as err:
+            load_congruence(text)
+        assert str(err.value) == message
+        return
+    loaded = load_congruence(text).rows[0][0]
+    assert loaded == expected and list(map(type, loaded)) == list(map(type, expected))
+    canonical = good.replace("1 0 0 0", " ".join(map(str, expected)), 1)
+    assert save_congruence(load_congruence(text)) == canonical
+    assert save_congruence(load_congruence(canonical)) == canonical
 
 
 def test_cofactor_oracle():
