@@ -62,12 +62,13 @@ from .schubert import (
 # larger ones before any of it.  A congruence holds about n^3 entries,
 # `verify` keeps the probe of every trial, each Bareiss step grows with
 # the bit size of --bound, and `schubert lincong` already takes seconds
-# at n = 2000.  sigma_1^l vanishes on G(1,n) for l > 2(n-1).  `scan`
-# makes pi_max + 1 exact solves, one per sectional genus, whatever
-# chi_max is; the chi_max limit is plain input validation and bounds
-# no work.  The Pfaffian of an odd-n file has C(3(n-1)/2, (n+1)/2)
-# terms, and its memoised expansion takes about 10 s at n = 11 on a
-# shared 2-core host.
+# at n = 2000; `schubert degree` ran 70 s at n = 20001, then failed to
+# print its result of more than 4300 digits.  sigma_1^l vanishes on
+# G(1,n) for l > 2(n-1).  `scan` makes pi_max + 1 exact solves, one per
+# sectional genus, whatever chi_max is; the chi_max limit is plain
+# input validation and bounds no work.  The Pfaffian of an odd-n file
+# has C(3(n-1)/2, (n+1)/2) terms, and its memoised expansion takes
+# about 10 s at n = 11 on a shared 2-core host.
 _MAX_CONSTRUCT_N = 64
 _MAX_PFAFFIAN_N = 11
 _MAX_SCHUBERT_N = 1000
@@ -265,7 +266,7 @@ def _cmd_verify_foci(args):
         else:
             # A solved line has gcd degree n-1 by the constant-kernel
             # theorem (foci_check), so a solved trial is ok.
-            text.append("trial %d: gcd degree %d (expected %d) ok" % (i, t.gcd_degree, t.expected))
+            text.append("trial %d: gcd degree %d (expected %d) ok" % (i, t.gcd_degree, c.n - 1))
             tsv.append("%d\t%d\tok" % (i, t.gcd_degree))
     text.append("result = %s" % ("pass" if ok else "fail"))
     _emit(
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument(
         "--multidegree", required=True, help="comma separated, e.g. 1,3,2"
     )
-    p_deg.set_defaults(handler=_cmd_schubert_degree)
+    p_deg.set_defaults(handler=_cmd_schubert_degree, limits=(("n", _MAX_SCHUBERT_N),))
 
     p_for = sub.add_parser("formulas", help="closed-form enumerative counts")
     fsub = p_for.add_subparsers(dest="subcommand", required=True)

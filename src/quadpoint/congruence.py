@@ -3,9 +3,11 @@
 Two constructions are provided: linear congruences cut out on the
 Grassmannian G(1,n) by n-1 skew-symmetric matrices, and determinantal
 congruences given by an n x (n-1) matrix of linear forms whose minors
-vanish on the focal locus.  Everything runs over the rationals; the
-order-one property and the focal length on lines are checked by exact
-linear algebra, never numerically.
+vanish on the focal locus.  Both kinds subclass `Congruence`, which
+evaluates the defining matrix A at a point (`columns_at`); a kind
+supplies only the linear forms of A's columns.  Everything runs over
+the rationals; the order-one property and the focal length on lines
+are checked by exact linear algebra, never numerically.
 
 A random construction is accepted by a genericity certificate modulo
 the fixed prime GENERICITY_PRIME, which is an exact proof: for integer
@@ -22,10 +24,9 @@ from __future__ import annotations
 import operator
 import random
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
     MultiPoly,
@@ -126,17 +127,42 @@ class ProjLine:
         return "ProjLine(%r, %r)" % (self.p0, self.p1)
 
 
-class LinearCongruence:
+class Congruence:
+    """A congruence of lines in P^n given by a matrix A of linear forms
+    with n-1 columns, whose rank drops exactly on the focal locus.
+
+    Each kind supplies `_columns()`: for each column of A, its entries'
+    linear forms, each the coefficient tuple of length n+1.  `columns_at`
+    is the one evaluation of A at a point.
+    """
+
+    __slots__ = ("n",)
+
+    def columns_at(self, point: Sequence) -> tuple:
+        """The columns of A(P), each column's linear forms evaluated at
+        P; that is the rows of A(P)^T."""
+        pt = normalize_point(point)
+        if len(pt) != self.n + 1:
+            raise ValueError("point has wrong length")
+        return tuple(
+            tuple(sum(map(operator.mul, form, pt)) for form in col)
+            for col in self._columns()
+        )
+
+
+class LinearCongruence(Congruence):
     """n-1 skew-symmetric (n+1) x (n+1) matrices A_1..A_{n-1}.
 
     Each matrix cuts a hyperplane section of G(1,n) in the Plucker
     embedding; together they cut a congruence of lines.  The defining
-    (n+1) x (n-1) matrix A(P) has column i equal to A_i*P.  The line
-    through a general point P is the kernel of A(P)^T, whose rows
-    (A_i*P)^T = -tP*A_i vanish at P by skew-symmetry.
+    (n+1) x (n-1) matrix A(P) has column i equal to A_i*P, so the forms
+    of column i are the rows of A_i.  The line through a general point
+    P is the kernel of A(P)^T, whose rows (A_i*P)^T = -tP*A_i vanish at
+    P by skew-symmetry.
     """
 
-    __slots__ = ("n", "matrices")
+    __slots__ = ("matrices",)
+    kind = "linear"
 
     def __init__(self, n: int, matrices: Sequence):
         if n < 3:
@@ -155,19 +181,11 @@ class LinearCongruence:
         self.n = n
         self.matrices = mats
 
-    @property
-    def kind(self) -> str:
-        return "linear"
-
-    def columns_at(self, point: Sequence) -> tuple:
-        """The columns A_i * P of A(P), that is the rows of A(P)^T."""
-        pt = normalize_point(point)
-        if len(pt) != self.n + 1:
-            raise ValueError("point has wrong length")
-        return tuple(m.mat_vec(pt) for m in self.matrices)
+    def _columns(self):
+        return self.matrices
 
 
-class DeterminantalCongruence:
+class DeterminantalCongruence(Congruence):
     """An n x (n-1) matrix of linear forms on P^n.
 
     Entry (i, j) is stored as its coefficient tuple of length n+1.  The
@@ -176,7 +194,8 @@ class DeterminantalCongruence:
     evaluated n x (n-1) matrix A(P).
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("rows",)
+    kind = "determinantal"
 
     def __init__(self, n: int, rows: Sequence):
         if n < 3:
@@ -199,26 +218,8 @@ class DeterminantalCongruence:
         self.n = n
         self.rows = tuple(norm)
 
-    @property
-    def kind(self) -> str:
-        return "determinantal"
-
-    def columns_at(self, point: Sequence) -> tuple:
-        """The columns of A(P), the linear forms of one column of the
-        matrix evaluated at P; that is the rows of A(P)^T."""
-        pt = normalize_point(point)
-        if len(pt) != self.n + 1:
-            raise ValueError("point has wrong length")
-        return tuple(
-            tuple(sum(map(operator.mul, row[j], pt)) for row in self.rows)
-            for j in range(self.n - 1)
-        )
-
-
-# A types.UnionType, not typing.Union: typing caches every Union it
-# builds, and that cache would keep the classes of each re-imported
-# copy of the package alive.
-Congruence = LinearCongruence | DeterminantalCongruence
+    def _columns(self):
+        return zip(*self.rows)
 
 
 # ----- line through a point -----
@@ -268,8 +269,8 @@ def _combined_forms(c: DeterminantalCongruence, lam: Sequence) -> list:
     has coefficient k equal to sum_i lam[i] * (coefficient k of entry
     (i, j))."""
     return [
-        tuple(sum(map(operator.mul, lam, col)) for col in zip(*(row[j] for row in c.rows)))
-        for j in range(c.n - 1)
+        tuple(sum(map(operator.mul, lam, coeffs)) for coeffs in zip(*col))
+        for col in c._columns()
     ]
 
 
@@ -344,8 +345,7 @@ def line_through_point(c: Congruence, point: Sequence) -> ProjLine:
 # ----- focal length on a line -----
 
 
-@dataclass(slots=True)
-class FocalSliceReport:
+class FocalSliceReport(NamedTuple):
     """Outcome of slicing the defining matrix along a congruence line.
 
     minor_degrees lists the degree of each restricted maximal minor in
@@ -449,8 +449,7 @@ def determinant_vanishes_identically(c: LinearCongruence) -> bool:
 # ----- order-one verification -----
 
 
-@dataclass(slots=True)
-class OrderCheckReport:
+class OrderCheckReport(NamedTuple):
     """Aggregate outcome of probing the congruence at random points.
 
     passed is true when at least one probe produced a line and every
@@ -477,7 +476,7 @@ def _derived_seed(seed: int, stage: int, index: int) -> int:
 
 def _random_point(rng: random.Random, n: int, bound: int) -> tuple:
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(n + 1)]
+        coords = _uniform_draws(rng, bound, n + 1)
         if any(coords):
             return tuple(coords)
 
@@ -524,8 +523,7 @@ def order_check(
     return OrderCheckReport(trials, len(lines), focal_skips, failures, len(set(lines)))
 
 
-@dataclass(slots=True)
-class FociTrial:
+class FociTrial(NamedTuple):
     """One probe of the focal-length property: the line through a
     random point must carry a focal scheme of length exactly n-1.
 
@@ -536,12 +534,12 @@ class FociTrial:
     point: tuple
     focal_probe: bool
     gcd_degree: Optional[int]
-    expected: int
     reason: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return self.focal_probe or self.gcd_degree == self.expected
+        # The probe point has n+1 coordinates, and the focal length is n-1.
+        return self.focal_probe or self.gcd_degree == len(self.point) - 2
 
 
 def foci_check(
@@ -579,7 +577,7 @@ def foci_check(
     for point, line, reason in _probes(c, trials, seed, bound):
         solved = line is not None
         focal = not solved and reason is None
-        out.append(FociTrial(point, focal, expected if solved else None, expected, reason))
+        out.append(FociTrial(point, focal, expected if solved else None, reason))
     return tuple(out)
 
 
@@ -615,9 +613,9 @@ def _generic_mod_p(c: Congruence, pt: tuple) -> bool:
     return rank_and_kernel_mod(_combined_forms(c, lam), p)[0] == c.n - 1
 
 
-def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
+def _first_generic(n: int, seed: int, bound: int, draw):
     """The first of MAX_REDRAWS candidates draw(attempt) through whose
-    fixed probe point `solve` finds a unique line.
+    fixed probe point `line_through_point` finds a unique line.
 
     A candidate is accepted as soon as `_generic_mod_p` proves it
     generic.  Theorem: for a fixed prime p and integer rows, full rank
@@ -625,7 +623,7 @@ def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
     the primitive lambda reduces mod p to a nonzero multiple of the
     kernel vector mod p, so the combined forms keep their rank too.
     The certificate proves only one side: when it is inconclusive, the
-    exact `solve` decides, and the accepted draw is the one the exact
+    exact line solve decides, and the accepted draw is the one the exact
     solve alone would accept, for every seed and bound.  Neither path
     is probabilistic.  A rejected draw is counted by the solver's
     reason, and GenericityError reports the counts.
@@ -646,7 +644,7 @@ def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
         if _generic_mod_p(candidate, probe):
             return candidate
         try:
-            solve(candidate, probe)
+            line_through_point(candidate, probe)
         except FocalPointError:
             rejected["focal probe"] += 1
             continue
@@ -656,7 +654,8 @@ def _first_generic(n: int, seed: int, bound: int, kind: str, draw, solve):
         return candidate
     counts = ", ".join("%s %d" % item for item in rejected.items() if item[1])
     raise GenericityError(
-        "no generic %s congruence after %d draws (%s)" % (kind, MAX_REDRAWS, counts)
+        "no generic %s congruence after %d draws (%s)"
+        % (candidate.kind, MAX_REDRAWS, counts)
     )
 
 
@@ -670,7 +669,7 @@ def random_linear_congruence(
         seeds = [_derived_seed(seed, attempt, i) for i in range(n - 1)]
         return LinearCongruence(n, [seeded_skew_matrix(s, n + 1, bound) for s in seeds])
 
-    return _first_generic(n, seed, bound, "linear", draw, line_through_point_linear)
+    return _first_generic(n, seed, bound, draw)
 
 
 def random_determinantal_congruence(
@@ -687,9 +686,7 @@ def random_determinantal_congruence(
         rows = [forms[i : i + n - 1] for i in range(0, len(forms), n - 1)]
         return DeterminantalCongruence(n, rows)
 
-    return _first_generic(
-        n, seed, bound, "determinantal", draw, line_through_point_determinantal
-    )
+    return _first_generic(n, seed, bound, draw)
 
 
 def twisted_cubic_congruence() -> DeterminantalCongruence:
@@ -710,15 +707,12 @@ def save_congruence(c: Congruence) -> str:
     """Plain-text form: kind, n, then matrix entries row by row."""
     lines = ["kind %s" % c.kind, "n %d" % c.n]
     if isinstance(c, LinearCongruence):
-        for idx, m in enumerate(c.matrices):
-            lines.append("matrix %d" % idx)
-            for row in m:
-                lines.append(" ".join([str(v) for v in row]))
+        word, blocks = "matrix", c.matrices
     else:
-        for idx, row in enumerate(c.rows):
-            lines.append("row %d" % idx)
-            for coeffs in row:
-                lines.append(" ".join([str(v) for v in coeffs]))
+        word, blocks = "row", c.rows
+    for idx, block in enumerate(blocks):
+        lines.append("%s %d" % (word, idx))
+        lines += [" ".join([str(v) for v in entries]) for entries in block]
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,12 @@
 """Exact arithmetic substrate: rational matrices, fraction-free elimination,
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
-`rank_and_kernel` and `determinant` take any iterable of rows of exact
-rationals, `int` or Fraction entries (a `RationalMatrix` iterates its
-rows); `_integer_rows` coerces and checks them once and clears each
-row of denominators.  One elimination loop, the in-place Bareiss
+`RationalMatrix` stores a matrix, iterates its rows and tests
+skew-symmetry; `congruence` evaluates matrices of linear forms at a
+point itself (`Congruence.columns_at`).  `rank_and_kernel` and
+`determinant` take any iterable of rows of exact rationals, `int` or
+Fraction entries; `_integer_rows` coerces and checks them once and
+clears each row of denominators.  One elimination loop, the in-place Bareiss
 `_bareiss`, serves both: `determinant` is the permutation sign times
 the last pivot (0 below full rank), and `rank_and_kernel` adds integer
 back-substitution for a primitive kernel basis.  `rank_and_kernel_mod`
@@ -117,12 +119,6 @@ class RationalMatrix:
 
     def row(self, i: int) -> tuple:
         return self._rows[i]
-
-    def mat_vec(self, v: Sequence) -> tuple:
-        vf = _exact_tuple(v)
-        if len(vf) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(map(operator.mul, r, vf)) for r in self._rows)
 
     def is_skew_symmetric(self) -> bool:
         """Whether entry (i, j) equals minus entry (j, i) for all i, j:

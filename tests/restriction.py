@@ -12,7 +12,9 @@ the node values of its maximal minors, one determinant per minor.
 (`_form_from_integer_values`) and takes the gcd of all of them: it
 returns (minor_degrees, gcd_form, gcd_degree, focal_line), the focal
 form included, and `without_form` drops the form to give the three
-fields of the library's `FocalSliceReport`.  `variable` is the
+fields of the library's `FocalSliceReport`.  The oracles evaluate
+A_i * P with `apply`, never with the library's `columns_at`, which
+they check.  `variable` is the
 coordinate polynomial the tests build other polynomials from, and
 `fractional_linear` and `fractional_determinantal` build congruences
 whose entries are Fractions, not all integral.
@@ -31,6 +33,11 @@ from itertools import combinations
 
 from quadpoint.congruence import DeterminantalCongruence, LinearCongruence
 from quadpoint.exact import MultiPoly, binary_gcd
+
+
+def apply(m, v):
+    """The product of a matrix, given by its rows, with a vector."""
+    return [sum(a * x for a, x in zip(row, v)) for row in m]
 
 
 def variable(nvars, i):
@@ -78,7 +85,7 @@ def restricted(c, line):
     """The (n+1) x (n-1) (linear) or n x (n-1) (determinantal) matrix of
     binary forms A(s*p0 + t*p1)."""
     if isinstance(c, LinearCongruence):
-        cols = [(m.mat_vec(line.p0), m.mat_vec(line.p1)) for m in c.matrices]
+        cols = [(apply(m, line.p0), apply(m, line.p1)) for m in c.matrices]
         return [
             [binary_form([u[k], v[k]]) for u, v in cols]
             for k in range(c.n + 1)
@@ -135,7 +142,7 @@ def direct_node_minors(c, line):
     for u in range(size + 1):
         pt = [a + u * b for a, b in zip(line.p0, line.p1)]
         if isinstance(c, LinearCongruence):
-            cols = [m.mat_vec(pt) for m in c.matrices]
+            cols = [apply(m, pt) for m in c.matrices]
             at = [[col[k] for col in cols] for k in range(c.n + 1)]
         else:
             at = [

@@ -3,8 +3,6 @@
 Each criterion prints its own pass/fail line via the conftest hook.
 """
 
-from dataclasses import astuple
-
 from quadpoint.catalog import (
     classify_surfaces,
     classify_threefolds,
@@ -176,7 +174,7 @@ def test_criterion_09_focal_length_on_probe_lines():
     # The focal form s*t, from the test oracle: the library certifies
     # its degree and never builds it.
     oracle = oracle_report(tc, line)
-    assert astuple(report) == without_form(oracle)
+    assert report == without_form(oracle)
     assert oracle[1] == (0, 1, 0)
 
 

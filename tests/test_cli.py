@@ -740,6 +740,7 @@ def test_input_bounds_refused_before_work(capsys, tmp_path):
         (["schubert", "pow", "--n", huge, "--l", "2"], "n must be <= 1000"),
         (["schubert", "pow", "--n", "5", "--l", huge], "l must be <= 1998"),
         (["schubert", "lincong", "--n", huge], "n must be <= 1000"),
+        (["schubert", "degree", "--n", "20001", "--multidegree", ",".join(["1"] * 10001)], "n must be <= 1000"),
         (["scan", "--d", "7", "--pi-max", huge, "--chi-max", "5"], "pi_max must be <= 1000"),
         (["scan", "--d", "7", "--pi-max", "10", "--chi-max", huge], "chi_max must be <= 1000"),
         (["pfaffian", "--in", str(odd13)], "n must be <= 11"),

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +45,9 @@ from quadpoint.exact import (
     seeded_skew_matrix,
 )
 from restriction import (
+    apply,
+    fractional_determinantal,
+    fractional_linear,
     normalized,
     oracle_report,
     restricted,
@@ -115,7 +117,7 @@ def test_solve_record_is_a_basis_of_the_left_kernel():
                 assert rank_and_kernel(rows)[0] == n - 1
                 assert len(kernel) == rows.cols - (n - 1)
                 assert rank_and_kernel(RationalMatrix(kernel))[0] == len(kernel)
-                assert all(not any(rows.mat_vec(v)) for v in kernel)
+                assert all(not any(apply(rows, v)) for v in kernel)
                 if len(kernel) == 2:
                     assert kernel[0] == normalize_point(point)
                     assert all(contains(line, v) for v in kernel)
@@ -190,7 +192,7 @@ def test_twisted_cubic_focal_slice():
     assert rep.gcd_degree == 2
     assert not rep.focal_line
     oracle = oracle_report(tc, line)
-    assert astuple(rep) == without_form(oracle)
+    assert rep == without_form(oracle)
     assert oracle[1] == (0, 1, 0)
     # s*t vanishes at (s, t) = (1, 0) and (0, 1): the points p0 and p1.
     assert is_focal_point(tc, line.p0)
@@ -215,7 +217,7 @@ def test_secant_line_gcd_roots_are_curve_points():
     assert (line.p0, line.p1) == ((1, 0, 0, 0), (0, 1, 1, 1))
     assert rep.gcd_degree == 2
     oracle = oracle_report(tc, line)
-    assert astuple(rep) == without_form(oracle)
+    assert rep == without_form(oracle)
     # s*t - t^2 vanishes at (s, t) = (1, 0) and (1, 1): p0 and p0 + p1.
     assert oracle[1] == (0, 1, -1)
     assert is_focal_point(tc, line.p0)
@@ -348,18 +350,18 @@ def test_redraws_exhausted_counts_each_reason(monkeypatch):
     )
 
 
-def exact_only_first_generic(n, seed, bound, kind, draw, solve):
+def exact_only_first_generic(n, seed, bound, draw):
     """The redraw loop with no certificate, the reference: the exact
     solve decides every draw."""
     probe = tuple(range(1, n + 2))
     for attempt in range(MAX_REDRAWS):
         candidate = draw(attempt)
         try:
-            solve(candidate, probe)
+            line_through_point(candidate, probe)
         except (FocalPointError, DegeneracyError):
             continue
         return candidate
-    raise GenericityError(kind)
+    raise GenericityError(candidate.kind)
 
 
 def test_certificate_accepts_the_draw_the_exact_solve_accepts(monkeypatch):
@@ -657,12 +659,33 @@ def test_linear_focal_point(n):
     cols = c.columns_at(e2)
     assert [len(col) for col in cols] == [n + 1] * (n - 1)
     assert all(x == 0 for x in cols[0])
-    # Column i of A(P) is A_i * P, entry by entry.
+    # Column i of A(P) is A_i * P for the linear kind, and entry (i, j)
+    # evaluated at P for the determinantal kind, entry by entry; with
+    # integer or Fraction data, at a point that normalizes to another
+    # representative.
+    rng = random.Random(n)
     point = tuple(range(3, n + 4))
-    cols = c.columns_at(point)
-    for i, m in enumerate(c.matrices):
-        for k in range(n + 1):
-            assert cols[i][k] == sum(m.entry(k, j) * point[j] for j in range(n + 1))
+    scaled_point = [Fraction(-x, 6) for x in point]
+    for c in (
+        c,
+        random_determinantal_congruence(n, 1, 9),
+        fractional_linear(n, rng),
+        fractional_determinantal(n, rng),
+    ):
+        if isinstance(c, LinearCongruence):
+            expected = [
+                [sum(m.entry(k, j) * point[j] for j in range(n + 1)) for k in range(n + 1)]
+                for m in c.matrices
+            ]
+        else:
+            expected = [
+                [sum(c.rows[i][j][k] * point[k] for k in range(n + 1)) for i in range(n)]
+                for j in range(n - 1)
+            ]
+        for at in (point, scaled_point):
+            assert c.columns_at(at) == tuple(map(tuple, expected))
+        with pytest.raises(ValueError, match="^point has wrong length$"):
+            c.columns_at(point + (1,))
 
 
 def test_focal_test_agrees_with_line_solver():
