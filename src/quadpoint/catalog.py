@@ -15,15 +15,12 @@ from importlib import resources
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .formulas import (
-    ThreefoldInvariants,
     _curve_foursecants12,
     _quadruple_points24,
     _residual24,
     _scroll_degree8,
     _triple_points6,
     focal_degree_bound,
-    foursecant_constraint_residual,
-    quadruple_points,
 )
 
 # (TSV column, VarietyRecord field) in file order.  The seven integer
@@ -319,12 +316,15 @@ def classify_surfaces(records: Sequence[VarietyRecord]) -> tuple:
 
 def scan_exclusion(d: int, pi_range: tuple, chi_range: tuple) -> tuple:
     """Survivors (pi, chi_S, chi_X) over the given inclusive ranges with
-    vanishing 4-secant residual and q = 1.  The residual is affine in
-    chi_S with odd slope 2d - 17, so each pi pins chi_S to one rational
-    value; q is affine in chi_X with slope 6, so chi_S pins chi_X.
-    Integral solutions are re-verified before the chi-range filter, so
-    the work depends on d and the pi range only.  Negative lower pi
-    bounds clamp to 0, since sectional genus cannot be negative.
+    vanishing 4-secant residual and q = 1, found by one integer solve
+    per sectional genus on the numerators of the closed forms (pi_max + 1
+    solves for the range 0..pi_max).  24 residual is affine in chi_S
+    with odd slope 24(2d - 17), so each pi pins chi_S by one divmod; 24 q
+    is affine in chi_X with slope 144, so chi_S pins chi_X by another.
+    Integral solutions are re-verified on the numerators before the
+    chi-range filter, so the work depends on d and the pi range only.
+    Negative lower pi bounds clamp to 0, since sectional genus cannot be
+    negative.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -332,20 +332,20 @@ def scan_exclusion(d: int, pi_range: tuple, chi_range: tuple) -> tuple:
     chi_lo, chi_hi = chi_range
     if pi_lo > pi_hi or chi_lo > chi_hi:
         raise ValueError("empty range")
+    slope = 24 * (2 * d - 17)
     survivors = []
     for pi in range(max(pi_lo, 0), pi_hi + 1):
-        chi_s = -foursecant_constraint_residual(d, pi, 0) / (2 * d - 17)
-        if chi_s.denominator != 1:
+        chi_s, rest = divmod(-_residual24(d, pi, 0), slope)
+        if rest:
             continue
-        chi_s = int(chi_s)
-        chi_x = (1 - quadruple_points(ThreefoldInvariants(d, pi, chi_s, 0))) / 6
-        if chi_x.denominator != 1:
+        chi_x, rest = divmod(24 - _quadruple_points24(d, pi, chi_s, 0), 144)
+        if rest:
             continue
-        solution = (d, pi, chi_s, int(chi_x))
-        if foursecant_constraint_residual(d, pi, chi_s) != 0:
+        solution = (d, pi, chi_s, chi_x)
+        if _residual24(d, pi, chi_s) != 0:
             raise ArithmeticError("scan solution %s fails residual = 0" % (solution,))
-        if quadruple_points(ThreefoldInvariants(*solution)) != 1:
+        if _quadruple_points24(*solution) != 24:
             raise ArithmeticError("scan solution %s fails q = 1" % (solution,))
-        if chi_lo <= chi_s <= chi_hi and chi_lo <= solution[3] <= chi_hi:
-            survivors.append(solution[1:])
+        if chi_lo <= chi_s <= chi_hi and chi_lo <= chi_x <= chi_hi:
+            survivors.append((pi, chi_s, chi_x))
     return tuple(survivors)

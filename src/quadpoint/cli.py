@@ -64,11 +64,13 @@ from .schubert import (
 # the bit size of --bound, and `schubert lincong` already takes seconds
 # at n = 2000; `schubert degree` ran 70 s at n = 20001, then failed to
 # print its result of more than 4300 digits.  sigma_1^l vanishes on
-# G(1,n) for l > 2(n-1).  `scan` makes pi_max + 1 exact solves, one per
-# sectional genus, whatever chi_max is; the chi_max limit is plain
-# input validation and bounds no work.  The Pfaffian of an odd-n file
-# has C(3(n-1)/2, (n+1)/2) terms, and its memoised expansion takes
-# about 10 s at n = 11 on a shared 2-core host.
+# G(1,n) for l > 2(n-1).  `scan` makes pi_max + 1 integer solves, one
+# per sectional genus, on the numerators of the closed forms: 24 times
+# the 4-secant residual has slope 24(2d - 17) in chi_S and 24 q has
+# slope 144 in chi_X, so each solve is two divmods, whatever chi_max is;
+# the chi_max limit is plain input validation and bounds no work.  The
+# Pfaffian of an odd-n file has C(3(n-1)/2, (n+1)/2) terms, and its
+# memoised expansion takes about 10 s at n = 11 on a shared 2-core host.
 _MAX_CONSTRUCT_N = 64
 _MAX_PFAFFIAN_N = 11
 _MAX_SCHUBERT_N = 1000
@@ -555,9 +557,10 @@ def _run(argv) -> int:
     except (ArithmeticError, RuntimeError) as err:
         # An exact self-check failed (an inexact division in the line
         # solve's elimination, a solved line that is not isotropic or
-        # whose combined forms miss its probe or its solved point, or a
-        # Pfaffian of the wrong degree): a fault of the program, not of
-        # the input or of a verified property.
+        # whose combined forms miss its probe or its solved point, a
+        # Pfaffian of the wrong degree, or a scan solution that fails its
+        # re-check): a fault of the program, not of the input or of a
+        # verified property.
         print("error: internal check failed: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

@@ -227,11 +227,16 @@ def determinantal_invariants(n: int) -> FocalLocusInvariants:
 def blowup_center_invariants(n: int) -> FocalLocusInvariants:
     """Degree and sectional genus of the center Z blown up inside
     P^(n-2) to produce the determinantal focal locus; dim Z = n-4
-    (points when n=4, a curve when n=5)."""
+    (points when n=4, a curve when n=5).  Z is cut by the maximal minors
+    of an n x (n+1) matrix of linear forms, so by Eagon-Northcott its
+    curve section has Hilbert polynomial C(D+3,3) - (n+1)C(D+3-n,3) +
+    nC(D+2-n,3), of degree C(n+1, 2) and arithmetic genus
+    n(2n-5)(n+1)/6 + 1.  At n = 4, where Z is points, the genus field
+    holds the same expression's value, 11."""
     if n < 4:
         raise ValueError("n must be >= 4")
     degree = comb(n + 1, 2)
-    genus = _exact_quotient(n * (2 * n - 5) * (n + 1), 6, "sectional genus") - 1
+    genus = _exact_quotient(n * (2 * n - 5) * (n + 1), 6, "sectional genus") + 1
     return FocalLocusInvariants(degree, genus, n - 4)
 
 

@@ -1,7 +1,11 @@
+import fractions
 import json
+import sys
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadpoint import catalog, formulas
 from quadpoint.catalog import (
@@ -290,26 +294,100 @@ def test_scan_exclusion_single_cells_and_edges():
     assert scan_exclusion(7, (4, 4), (2, 2)) == ()
 
 
+def _per_genus_scan(d, pi_range, chi_range):
+    """The scan's oracle: at each pi, solve the test's own expanded
+    residual for chi_S and then 24 q = 24 for chi_X, each slope read off
+    the polynomial by a difference."""
+    chi_lo, chi_hi = chi_range
+    out = []
+    for pi in range(max(pi_range[0], 0), pi_range[1] + 1):
+        r0 = _residual24(d, pi, 0)
+        chi_s, rest = divmod(-r0, _residual24(d, pi, 1) - r0)
+        if rest:
+            continue
+        q0 = _q24(d, pi, chi_s, 0)
+        chi_x, rest = divmod(24 - q0, _q24(d, pi, chi_s, 1) - q0)
+        if not rest and chi_lo <= min(chi_s, chi_x) and max(chi_s, chi_x) <= chi_hi:
+            out.append((pi, chi_s, chi_x))
+    return tuple(out)
+
+
+def _ordered_pair(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(sorted).map(tuple)
+
+
+# Every survivor with d <= 200, pi <= 1000 and |chi| <= 1000 has d in
+# 7..10, 18 or 43 (see the next test), so half the draws take d from the
+# focal window.
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(1, 200), st.integers(7, 10)),
+    _ordered_pair(-10, 1000),
+    _ordered_pair(-1000, 1000),
+)
+@example(10, (0, 1000), (-1000, 1000))
+@example(43, (0, 1000), (-1000, 1000))
+@example(18, (-10, 1000), (-1000, 1000))
+def test_scan_exclusion_matches_the_per_genus_oracle(d, pi_range, chi_range):
+    assert scan_exclusion(d, pi_range, chi_range) == _per_genus_scan(d, pi_range, chi_range)
+
+
+def test_scan_exclusion_edges_at_every_survivor():
+    # Each range end at a survivor's coordinate or one step inside it,
+    # which excludes the survivor, for every survivor of the oracle.
+    found = {d: _per_genus_scan(d, (0, 1000), (-1000, 1000)) for d in range(1, 201)}
+    assert sorted(d for d in found if found[d]) == [7, 8, 9, 10, 18, 43]
+    for d, survivors in found.items():
+        for pi, chi_s, chi_x in survivors:
+            low, high = min(chi_s, chi_x), max(chi_s, chi_x)
+            for ends in product((pi, pi + 1), (pi, pi - 1), (low, low + 1), (high, high - 1)):
+                pi_range, chi_range = ends[:2], ends[2:]
+                if pi_range[0] <= pi_range[1] and chi_range[0] <= chi_range[1]:
+                    want = _per_genus_scan(d, pi_range, chi_range)
+                    assert scan_exclusion(d, pi_range, chi_range) == want
+
+
 def test_scan_work_does_not_grow_with_chi_range(monkeypatch):
     calls = {}
-    for name in ("quadruple_points", "foursecant_constraint_residual"):
+    for name in ("_quadruple_points24", "_residual24"):
         def counted(*args, _name=name, _original=getattr(catalog, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
 
         monkeypatch.setattr(catalog, name, counted)
+    # The public Fraction wrappers in formulas, and the fractions module.
+    public = {
+        getattr(formulas, name).__code__
+        for name in dir(formulas)
+        if not name.startswith("_")
+        and getattr(getattr(formulas, name), "__annotations__", {}).get("return") == "Fraction"
+    }
+    assert len(public) >= 5
+    entered = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code in public or code.co_filename == fractions.__file__):
+            entered.append(code.co_name)
+
     counts = []
     for d in (7, 10):
         for chi_range in ((0, 0), (-1000, 1000)):
             calls.clear()
-            scan_exclusion(d, (0, 40), chi_range)
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                scan_exclusion(d, (0, 40), chi_range)
+            finally:
+                sys.setprofile(previous)
             counts.append(dict(calls))
+    assert entered == []
     assert counts[0] == counts[1] and counts[2] == counts[3]
     for count in counts:
         # One solve per pi, plus q and the re-verification per integral
         # solution.
-        assert 41 <= count["foursecant_constraint_residual"] <= 2 * 41
-        assert count["quadruple_points"] <= 2 * 41
+        assert 41 <= count["_residual24"] <= 2 * 41
+        assert count["_quadruple_points24"] <= 2 * 41
 
 
 def test_scan_excludes_degrees_13_to_15():

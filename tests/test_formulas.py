@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -341,10 +342,28 @@ def test_determinantal_invariants():
         assert determinantal_invariants(n).degree < (n - 1) ** 2
 
 
+def _curve_section_degree_genus(n):
+    """Degree and arithmetic genus of the curve section of the center:
+    its ideal in P^3 is that of the maximal minors of an n x (n+1)
+    matrix of linear forms, so by Eagon-Northcott its Hilbert polynomial
+    is C(D+3,3) - (n+1)C(D+3-n,3) + nC(D+2-n,3) = degree*D + 1 - p_a.
+    comb agrees with the binomial polynomial for D >= n - 2."""
+
+    def hilbert(D):
+        return comb(D + 3, 3) - (n + 1) * comb(D + 3 - n, 3) + n * comb(D + 2 - n, 3)
+
+    degree = hilbert(n + 1) - hilbert(n)
+    assert hilbert(n + 2) - hilbert(n + 1) == degree  # linear in D
+    return degree, 1 + degree * n - hilbert(n)
+
+
 def test_blowup_center_invariants():
-    assert blowup_center_invariants(4) == FocalLocusInvariants(10, 9, 0)
-    assert blowup_center_invariants(5) == FocalLocusInvariants(15, 24, 1)
-    assert blowup_center_invariants(6) == FocalLocusInvariants(21, 48, 2)
+    # n = 4: ten points, and the genus formula's value there.
+    assert blowup_center_invariants(4) == FocalLocusInvariants(10, 11, 0)
+    assert [blowup_center_invariants(n).degree for n in (5, 6)] == [15, 21]
+    for n in range(5, 11):
+        degree, genus = _curve_section_degree_genus(n)
+        assert blowup_center_invariants(n) == FocalLocusInvariants(degree, genus, n - 4)
     with pytest.raises(ValueError):
         blowup_center_invariants(3)
 
