@@ -9,6 +9,14 @@ supplies only the linear forms of A's columns.  Everything runs over
 the rationals; the order-one property and the focal length on lines
 are checked by exact linear algebra, never numerically.
 
+A congruence holds plain ints: scaling a column of A (the linear
+kind's A_i, the determinantal kind's entry j of every row) by a nonzero
+constant keeps the rank and the left kernel of A(P) at every P, so its
+lines and focal locus, and each column is cleared of denominators once,
+when the congruence is built.  `scales` holds the multipliers, all 1
+for integer input; only `save_congruence` and the Pfaffian family read
+them, so a file saves back and `pfaffian` prints the input's rationals.
+
 A random construction is accepted by a genericity certificate modulo
 the fixed prime GENERICITY_PRIME, which is an exact proof: for integer
 rows, a rank that is full mod p is full over Q, because a minor that
@@ -25,12 +33,13 @@ import operator
 import random
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
+    IntMatrix,
     MultiPoly,
-    RationalMatrix,
+    _cleared_rows,
     _exact_tuple,
     _rational,
     _uniform_draws,
@@ -132,11 +141,12 @@ class Congruence:
     with n-1 columns, whose rank drops exactly on the focal locus.
 
     Each kind supplies `_columns()`: for each column of A, its entries'
-    linear forms, each the coefficient tuple of length n+1.  `columns_at`
-    is the one evaluation of A at a point.
+    linear forms, each the coefficient tuple of length n+1 of plain
+    ints.  `columns_at` is the one evaluation of A at a point.  scales[i]
+    is what column i of the input was multiplied by (`_cleared_rows`).
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "scales")
 
     def columns_at(self, point: Sequence) -> tuple:
         """The columns of A(P), each column's linear forms evaluated at
@@ -150,6 +160,11 @@ class Congruence:
         )
 
 
+def _unscaled(forms: Sequence, scale: int) -> Sequence:
+    """The input's forms of a column, its stored forms over its scale."""
+    return forms if scale == 1 else [[Fraction(x, scale) for x in f] for f in forms]
+
+
 class LinearCongruence(Congruence):
     """n-1 skew-symmetric (n+1) x (n+1) matrices A_1..A_{n-1}.
 
@@ -158,7 +173,8 @@ class LinearCongruence(Congruence):
     (n+1) x (n-1) matrix A(P) has column i equal to A_i*P, so the forms
     of column i are the rows of A_i.  The line through a general point
     P is the kernel of A(P)^T, whose rows (A_i*P)^T = -tP*A_i vanish at
-    P by skew-symmetry.
+    P by skew-symmetry.  matrices[i] is A_i times scales[i], an
+    `IntMatrix`.
     """
 
     __slots__ = ("matrices",)
@@ -167,19 +183,21 @@ class LinearCongruence(Congruence):
     def __init__(self, n: int, matrices: Sequence):
         if n < 3:
             raise ValueError("n must be >= 3")
-        mats = tuple(
-            m if isinstance(m, RationalMatrix) else RationalMatrix(m)
-            for m in matrices
-        )
+        mats = [tuple(map(tuple, m)) for m in matrices]
         if len(mats) != n - 1:
             raise ValueError("expected %d matrices, got %d" % (n - 1, len(mats)))
+        cleared = []
+        flat = chain.from_iterable
         for k, m in enumerate(mats):
-            if m.rows != n + 1 or m.cols != n + 1:
+            if len(m) != n + 1 or {len(row) for row in m} != {n + 1}:
                 raise ValueError("matrix %d is not (n+1) x (n+1)" % k)
-            if not m.is_skew_symmetric():
+            rows, scale = _cleared_rows(m)
+            # Entry (j, k) against minus entry (k, j), row by row.
+            if not all(map(operator.eq, flat(rows), map(operator.neg, flat(zip(*rows))))):
                 raise ValueError("matrix %d is not skew-symmetric" % k)
+            cleared.append((IntMatrix(rows), scale))
         self.n = n
-        self.matrices = mats
+        self.matrices, self.scales = map(tuple, zip(*cleared))
 
     def _columns(self):
         return self.matrices
@@ -188,10 +206,10 @@ class LinearCongruence(Congruence):
 class DeterminantalCongruence(Congruence):
     """An n x (n-1) matrix of linear forms on P^n.
 
-    Entry (i, j) is stored as its coefficient tuple of length n+1.  The
-    line through a general point P is cut by the n-1 linear forms
-    obtained from the unique (up to scale) left kernel vector of the
-    evaluated n x (n-1) matrix A(P).
+    Entry (i, j) is stored as its coefficient tuple of length n+1,
+    times scales[j].  The line through a general point P is cut by the
+    n-1 linear forms obtained from the unique (up to scale) left kernel
+    vector of the evaluated n x (n-1) matrix A(P).
     """
 
     __slots__ = ("rows",)
@@ -200,23 +218,19 @@ class DeterminantalCongruence(Congruence):
     def __init__(self, n: int, rows: Sequence):
         if n < 3:
             raise ValueError("n must be >= 3")
-        norm = []
-        for i, row in enumerate(rows):
-            entries = []
+        norm = [tuple(map(tuple, row)) for row in rows]
+        for i, row in enumerate(norm):
             for j, coeffs in enumerate(row):
-                ct = _exact_tuple(coeffs)
-                if len(ct) != n + 1:
-                    raise ValueError(
-                        "entry (%d,%d) needs %d coefficients" % (i, j, n + 1)
-                    )
-                entries.append(ct)
-            if len(entries) != n - 1:
+                if len(coeffs) != n + 1:
+                    raise ValueError("entry (%d,%d) needs %d coefficients" % (i, j, n + 1))
+            if len(row) != n - 1:
                 raise ValueError("row %d needs %d entries" % (i, n - 1))
-            norm.append(tuple(entries))
         if len(norm) != n:
             raise ValueError("expected %d rows, got %d" % (n, len(norm)))
+        columns, scales = zip(*map(_cleared_rows, zip(*norm)))
         self.n = n
-        self.rows = tuple(norm)
+        self.rows = tuple(zip(*columns))
+        self.scales = scales
 
     def _columns(self):
         return zip(*self.rows)
@@ -397,15 +411,14 @@ def focal_points_on_line(c: Congruence, line: ProjLine) -> FocalSliceReport:
 
 
 def _lambda_family(c: LinearCongruence) -> list:
-    """The matrix sum(lambda_i * A_i) with entries in lambda_1..lambda_{n-1}:
-    entry (j, k) is the linear form with coefficient A_i[j][k] on lambda_i."""
+    """The matrix sum(lambda_i * A_i) of the input A_i, with entries in
+    lambda_1..lambda_{n-1}: entry (j, k) is the linear form with
+    coefficient A_i[j][k] on lambda_i, the stored entry over scales[i]."""
     nvars = c.n - 1
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    terms = list(zip(units, map(_unscaled, c.matrices, c.scales)))
     return [
-        [
-            MultiPoly(nvars, {e: m.entry(j, k) for e, m in zip(units, c.matrices)})
-            for k in range(c.n + 1)
-        ]
+        [MultiPoly(nvars, {e: m[j][k] for e, m in terms}) for k in range(c.n + 1)]
         for j in range(c.n + 1)
     ]
 
@@ -587,7 +600,8 @@ def foci_check(
 def _generic_mod_p(c: Congruence, pt: tuple) -> bool:
     """Whether ranks modulo p = GENERICITY_PRIME prove that the
     line solver of c succeeds at pt; False means only that it does not
-    prove it.  The rows of c must be integers, as every draw's are.
+    prove it.  The rows of A(P) are integers, as every congruence's
+    data are.
 
     - Both kinds: A(P)^T has rank n-1 mod p.  A maximal minor that is
       nonzero mod p is a nonzero integer, so A(P)^T has rank n-1 over
@@ -704,12 +718,13 @@ def twisted_cubic_congruence() -> DeterminantalCongruence:
 
 
 def save_congruence(c: Congruence) -> str:
-    """Plain-text form: kind, n, then matrix entries row by row."""
+    """Plain-text form: kind, n, then matrix entries row by row, each
+    the input's entry, stored entry over its column's scale."""
     lines = ["kind %s" % c.kind, "n %d" % c.n]
     if isinstance(c, LinearCongruence):
-        word, blocks = "matrix", c.matrices
+        word, blocks = "matrix", map(_unscaled, c.matrices, c.scales)
     else:
-        word, blocks = "row", c.rows
+        word, blocks = "row", zip(*map(_unscaled, zip(*c.rows), c.scales))
     for idx, block in enumerate(blocks):
         lines.append("%s %d" % (word, idx))
         lines += [" ".join([str(v) for v in entries]) for entries in block]

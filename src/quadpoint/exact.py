@@ -1,31 +1,30 @@
-"""Exact arithmetic substrate: rational matrices, fraction-free elimination,
+"""Exact arithmetic substrate: integer matrices, fraction-free elimination,
 sparse multivariate polynomials, Pfaffians, and binary-form gcd.
 
-`RationalMatrix` stores a matrix, iterates its rows and tests
-skew-symmetry; `congruence` evaluates matrices of linear forms at a
-point itself (`Congruence.columns_at`).  `rank_and_kernel` and
-`determinant` take any iterable of rows of exact rationals, `int` or
-Fraction entries; `_integer_rows` coerces and checks them once and
-clears each row of denominators.  One elimination loop, the in-place Bareiss
-`_bareiss`, serves both: `determinant` is the permutation sign times
-the last pivot (0 below full rank), and `rank_and_kernel` adds integer
-back-substitution for a primitive kernel basis.  `rank_and_kernel_mod`
-is the same job over GF(p), by forward elimination and
-back-substitution on the same integer rows reduced mod p: a lower
-bound on the rank over Q, whose entries never outgrow p.
+`IntMatrix` is a matrix of plain ints, the tuple of its rows.
+`rank_and_kernel`, `rank_and_kernel_mod` and `determinant` take any
+iterable of equally long rows of plain `int`s, checked by one type scan
+(`_int_rows`; anything else raises TypeError): a congruence clears its
+data of denominators once, when it is built (`_cleared_rows`).  One
+elimination loop, the in-place Bareiss `_bareiss`, serves both exact
+jobs: `determinant` is the permutation sign times the last pivot (0
+below full rank), and `rank_and_kernel` adds integer back-substitution
+for a primitive kernel basis.  `rank_and_kernel_mod` is the same job
+over GF(p), by forward elimination and back-substitution on the rows
+reduced mod p: a lower bound on the rank over Q, whose entries never
+outgrow p.
 
 `MultiPoly`, a sparse multivariate polynomial, is the type of the
 Pfaffian.  A binary form in (s, t) is its coefficient sequence, entry k
 that of s^(d-k) * t^k, and `binary_gcd` takes and returns such
 sequences.
 
-Integral data and all elimination stay in Python `int`: matrix entries,
-polynomial coefficients and points that are integers are stored as
-`int`, and `fractions.Fraction` appears only for input that is not
-integral.  Every division is exact (checked, or a `Fraction`); no
-operation introduces floating point.  Data that is already plain
-`int` is recognised by one type scan (`_exact_tuple`) and passes
-through as it is; only other entries go through `_rational` one by one.
+All elimination runs in Python `int`; polynomial coefficients and
+points that are integral are stored as `int`, and `fractions.Fraction`
+appears only for those that are not.  Every division is exact (checked,
+or a `Fraction`); no operation introduces floating point.  Plain `int`
+data is recognised by one type scan (`_exact_tuple`) and passes through
+as it is; only other entries go through `_rational` one by one.
 """
 
 from __future__ import annotations
@@ -74,6 +73,19 @@ def _cleared(values: Sequence) -> tuple:
     return [x.numerator * (mult // x.denominator) for x in values], mult
 
 
+def _cleared_rows(rows: tuple) -> tuple:
+    """(rows, multiplier): equally long tuples of exact rationals (see
+    `_rational`) times the lcm of all their denominators, as tuples of
+    plain ints.  Rows of plain ints, which one type scan finds, come
+    back as they are, multiplier 1."""
+    flat = tuple(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) <= _INT:
+        return rows, 1
+    ints, mult = _cleared(tuple(map(_rational, flat)))
+    k = len(rows[0])
+    return tuple(tuple(ints[i : i + k]) for i in range(0, len(ints), k)), mult
+
+
 def primitive_vector(vec: Sequence) -> tuple:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive.
 
@@ -89,71 +101,27 @@ def primitive_vector(vec: Sequence) -> tuple:
     return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
-def _rational_rows(rows: Iterable[Iterable]) -> tuple:
-    """The rows as a tuple of equally long, nonempty tuples of exact
-    rationals (see `_exact_tuple`)."""
-    data = tuple(map(_exact_tuple, rows))
-    if not data or not data[0]:
+class IntMatrix(tuple):
+    """A matrix of plain ints: the tuple of its rows, each a tuple.
+    `rows` is the number of rows and `row(i)` row i."""
+
+    __slots__ = ()
+    rows = property(len)
+    row = tuple.__getitem__
+
+
+def _int_rows(rows: Iterable[Iterable]) -> list:
+    """The rows as a list of new lists, for elimination in place: they
+    must be nonempty and equally long, and every entry a plain `int`
+    (TypeError otherwise; a bool or a Fraction is refused too)."""
+    work = list(map(list, rows))
+    if not work or not work[0]:
         raise ValueError("matrix must have at least one row and one column")
-    if len(set(map(len, data))) != 1:
+    if len(set(map(len, work))) != 1:
         raise ValueError("ragged rows")
-    return data
-
-
-class RationalMatrix:
-    """Immutable matrix of exact rationals, stored row-major; integral
-    entries are stored as `int`, the others as Fraction."""
-
-    __slots__ = ("rows", "cols", "_rows")
-
-    def __init__(self, rows_data: Iterable[Iterable]):
-        self._rows = _rational_rows(rows_data)
-        self.rows = len(self._rows)
-        self.cols = len(self._rows[0])
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def entry(self, i: int, j: int):
-        return self._rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self._rows[i]
-
-    def is_skew_symmetric(self) -> bool:
-        """Whether entry (i, j) equals minus entry (j, i) for all i, j:
-        the entries row by row against those of the transpose negated."""
-        if self.rows != self.cols:
-            return False
-        flat = itertools.chain.from_iterable
-        entries, transposed = flat(self._rows), flat(zip(*self._rows))
-        return all(map(operator.eq, entries, map(operator.neg, transposed)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return "RationalMatrix[%s]" % body
-
-
-def _integer_rows(rows: Iterable[Iterable]) -> tuple:
-    """The rows (see `_rational_rows`) as lists cleared of denominators,
-    with the product of the row multipliers.
-
-    Row scaling changes neither rank nor kernel, and it multiplies the
-    determinant by the returned product.
-    """
-    out = []
-    scale = 1
-    for row in _rational_rows(rows):
-        ints, mult = _cleared(list(row))
-        scale *= mult
-        out.append(ints)
-    return out, scale
+    if not set(map(type, itertools.chain.from_iterable(work))) <= _INT:
+        raise TypeError("matrix entries must be plain ints")
+    return work
 
 
 def _bareiss(work: list) -> tuple:
@@ -195,9 +163,9 @@ def _bareiss(work: list) -> tuple:
 
 
 def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
-    """Rank of the matrix with the given rows of exact rationals,
-    together with a primitive integer basis of its right kernel, one
-    vector per free column f, in ascending order of f.
+    """Rank of the matrix with the given rows of plain ints (see
+    `_int_rows`), together with a primitive integer basis of its right
+    kernel, one vector per free column f, in ascending order of f.
 
     After `_bareiss`, with D the last pivot (1 at rank 0), the vector
     of f has v[f] = D and 0 on the other free columns; integer
@@ -205,7 +173,7 @@ def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
     entry a minor of the matrix, so each division is exact; a remainder
     raises ArithmeticError.
     """
-    work, _ = _integer_rows(rows)
+    work = _int_rows(rows)
     ncols = len(work[0])
     pivot_cols, _ = _bareiss(work)
     rank = len(pivot_cols)
@@ -228,8 +196,8 @@ def rank_and_kernel(rows: Iterable[Iterable]) -> tuple:
 
 
 def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
-    """Rank over GF(p), p a prime, of the `_integer_rows` of the given
-    rows of exact rationals, together with a basis of their right
+    """Rank over GF(p), p a prime, of the matrix with the given rows of
+    plain ints (see `_int_rows`), together with a basis of its right
     kernel mod p: one vector per free column f, with entries in
     [0, p), 1 at f and 0 on the other free columns.
 
@@ -241,7 +209,7 @@ def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
     is at most the rank over Q, and equal to it unless p divides every
     nonzero minor of that size.
     """
-    work = [[x % p for x in row] for row in _integer_rows(rows)[0]]
+    work = [[x % p for x in row] for row in _int_rows(rows)]
     nrows, ncols = len(work), len(work[0])
     pivot_cols = []
     for c in range(ncols):
@@ -277,20 +245,19 @@ def rank_and_kernel_mod(rows: Iterable[Iterable], p: int) -> tuple:
 
 def determinant(rows: Iterable[Iterable]):
     """Exact determinant of the square matrix with the given rows of
-    exact rationals, by fraction-free elimination: the permutation sign
-    times the last Bareiss pivot over the row scaling, 0 below full
-    rank; an `int` when it is integral.
+    plain ints (see `_int_rows`), by fraction-free elimination: the
+    permutation sign times the last Bareiss pivot, 0 below full rank.
 
     Only tests call it today, and it stays here because the
     benchmark's tracer looks it up by name.
     """
-    work, scale = _integer_rows(rows)
+    work = _int_rows(rows)
     if len(work) != len(work[0]):
         raise ValueError("determinant requires a square matrix")
     pivot_cols, sign = _bareiss(work)
     if len(pivot_cols) < len(work):
         return 0
-    return _rational(Fraction(sign * work[-1][-1], scale))
+    return sign * work[-1][-1]
 
 
 def ring_determinant(rows: Sequence[Sequence], zero):
@@ -549,7 +516,7 @@ def _uniform_draws(rng: random.Random, bound: int, count: int) -> list:
     return out
 
 
-def seeded_skew_matrix(seed: int, size: int, bound: int) -> RationalMatrix:
+def seeded_skew_matrix(seed: int, size: int, bound: int) -> IntMatrix:
     """Skew-symmetric integer size x size matrix whose entries above the
     diagonal are uniform in [-bound, bound], drawn row by row.
 
@@ -566,7 +533,7 @@ def seeded_skew_matrix(seed: int, size: int, bound: int) -> RationalMatrix:
         upper.append([0] * (i + 1) + draws[pos : pos + size - 1 - i])
         pos += size - 1 - i
     # Row i is minus column i of the upper triangle before i, then row i.
-    return RationalMatrix(
-        list(map(operator.neg, col[:i])) + row[i:]
+    return IntMatrix(
+        tuple(map(operator.neg, col[:i])) + tuple(row[i:])
         for i, (row, col) in enumerate(zip(upper, zip(*upper)))
     )

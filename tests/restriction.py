@@ -14,10 +14,13 @@ returns (minor_degrees, gcd_form, gcd_degree, focal_line), the focal
 form included, and `without_form` drops the form to give the three
 fields of the library's `FocalSliceReport`.  The oracles evaluate
 A_i * P with `apply`, never with the library's `columns_at`, which
-they check.  `variable` is the
-coordinate polynomial the tests build other polynomials from, and
-`fractional_linear` and `fractional_determinantal` build congruences
-whose entries are Fractions, not all integral.
+they check, and they read the congruence's input rationals,
+`input_matrices` and `input_rows`: a congruence stores each column of
+A cleared of denominators, and its input entry is the stored entry over
+that column's scale.  `variable` is the coordinate polynomial the tests
+build other polynomials from, and `fractional_linear` and
+`fractional_determinantal` build congruences whose input entries are
+Fractions, not all integral, so that their columns' scales are not 1.
 
 A binary form is its coefficient tuple, entry k that of s^(d-k) * t^k,
 as `exact.binary_gcd` takes and returns it.  The oracles also build
@@ -38,6 +41,23 @@ from quadpoint.exact import MultiPoly, binary_gcd
 def apply(m, v):
     """The product of a matrix, given by its rows, with a vector."""
     return [sum(a * x for a, x in zip(row, v)) for row in m]
+
+
+def _over(form, scale):
+    """A stored form over its column's scale: the input form."""
+    return form if scale == 1 else [Fraction(x, scale) for x in form]
+
+
+def input_matrices(c):
+    """The input A_i of a linear congruence: each stored entry over its
+    matrix's scale."""
+    return [[_over(row, s) for row in m] for m, s in zip(c.matrices, c.scales)]
+
+
+def input_rows(c):
+    """The input rows of linear forms of a determinantal congruence:
+    each stored coefficient of entry (i, j) over column j's scale."""
+    return [[_over(f, s) for f, s in zip(row, c.scales)] for row in c.rows]
 
 
 def variable(nvars, i):
@@ -85,7 +105,7 @@ def restricted(c, line):
     """The (n+1) x (n-1) (linear) or n x (n-1) (determinantal) matrix of
     binary forms A(s*p0 + t*p1)."""
     if isinstance(c, LinearCongruence):
-        cols = [(apply(m, line.p0), apply(m, line.p1)) for m in c.matrices]
+        cols = [(apply(m, line.p0), apply(m, line.p1)) for m in input_matrices(c)]
         return [
             [binary_form([u[k], v[k]]) for u, v in cols]
             for k in range(c.n + 1)
@@ -100,7 +120,7 @@ def restricted(c, line):
             )
             for coeffs in row
         ]
-        for row in c.rows
+        for row in input_rows(c)
     ]
 
 
@@ -142,12 +162,12 @@ def direct_node_minors(c, line):
     for u in range(size + 1):
         pt = [a + u * b for a, b in zip(line.p0, line.p1)]
         if isinstance(c, LinearCongruence):
-            cols = [apply(m, pt) for m in c.matrices]
+            cols = [apply(m, pt) for m in input_matrices(c)]
             at = [[col[k] for col in cols] for k in range(c.n + 1)]
         else:
             at = [
                 [sum(a * x for a, x in zip(coeffs, pt)) for coeffs in row]
-                for row in c.rows
+                for row in input_rows(c)
             ]
         scales = [math.lcm(*(x.denominator for x in row)) for row in at]
         cleared = [[int(x * k) for x in row] for row, k in zip(at, scales)]

@@ -20,7 +20,7 @@ from quadpoint.congruence import (
     random_linear_congruence,
     twisted_cubic_congruence,
 )
-from quadpoint.exact import MultiPoly, RationalMatrix, rank_and_kernel
+from quadpoint.exact import MultiPoly, rank_and_kernel
 from quadpoint.formulas import (
     SurfaceInvariants,
     ThreefoldInvariants,
@@ -130,13 +130,13 @@ def _probe_lines(kind, n, seed):
         if kind == "linear":
             for m in c.matrices:
                 residual = sum(
-                    line.p0[j] * m.entry(j, k) * line.p1[k]
+                    line.p0[j] * m[j][k] * line.p1[k]
                     for j in range(n + 1)
                     for k in range(n + 1)
                 )
                 assert residual == 0
         else:
-            _, left = rank_and_kernel(RationalMatrix(c.columns_at(point)))
+            _, left = rank_and_kernel(c.columns_at(point))
             lam = left[0]
             rows = restricted(c, line)
             for j in range(n - 1):

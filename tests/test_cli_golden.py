@@ -5,7 +5,9 @@ order` and `verify foci` (text and json) for both congruence kinds,
 n = 3..6 and seeds 1, 2, from before the line path went integer-only.
 `data/command_golden.json` holds `collect_commands`: every other
 subcommand in text, json and tsv, `classify` on the builtin catalog and
-on a catalog file.  An intended change of the output
+on a catalog file, and `verify order`, `verify foci` and (odd n,
+linear) `pfaffian` on the `fraction_file`s of both kinds at n = 3 and
+5, whose entries are not all integral.  An intended change of the output
 must regenerate the file with
 
     PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests'); \
@@ -28,6 +30,7 @@ import io
 import json
 import random
 import tempfile
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -67,6 +70,31 @@ def collect(subs=("order", "foci")):
     return results
 
 
+def fraction_file(kind, n):
+    """Congruence file text of the seed-1 draw of the kind at n, each
+    entry divided by a seeded denominator in 1..9, so that every column
+    of A mixes integral and non-integral entries.  A skew matrix keeps
+    one denominator per pair (j, k), (k, j)."""
+    rng = random.Random("golden fractions %s %d" % (kind, n))
+    lines = ["kind %s" % kind, "n %d" % n]
+    if kind == "linear":
+        for idx, m in enumerate(congruence.random_linear_congruence(n, 1).matrices):
+            denominators = [[0] * (n + 1) for _ in range(n + 1)]
+            for j in range(n + 1):
+                for k in range(j, n + 1):
+                    denominators[j][k] = denominators[k][j] = rng.randint(1, 9)
+            lines.append("matrix %d" % idx)
+            lines += [
+                " ".join(str(Fraction(x, d)) for x, d in zip(row, dens))
+                for row, dens in zip(m, denominators)
+            ]
+    else:
+        for idx, row in enumerate(congruence.random_determinantal_congruence(n, 1).rows):
+            lines.append("row %d" % idx)
+            lines += [" ".join(str(Fraction(x, rng.randint(1, 9))) for x in form) for form in row]
+    return "\n".join(lines) + "\n"
+
+
 def _commands(tmp):
     """Command lines outside the line path, without --format."""
     for n in (3, 4, 5):
@@ -99,6 +127,14 @@ def _commands(tmp):
     path = str(Path(tmp) / "determinantal-4-1.cong")
     main(["construct", "--kind", "determinantal", "--n", "4", "--seed", "1", "--out", path])
     yield ["pfaffian", "--in", path]
+    for kind in ("linear", "determinantal"):
+        for n in (3, 5):
+            path = Path(tmp) / ("%s-%d-fractions.cong" % (kind, n))
+            path.write_text(fraction_file(kind, n), encoding="utf-8")
+            for sub in ("order", "foci"):
+                yield ["verify", sub, "--in", str(path), "--seed", "1"]
+            if kind == "linear":
+                yield ["pfaffian", "--in", str(path)]
     for dim in ([], ["--dim", "2"], ["--dim", "3"]):
         yield ["classify", "--catalog", "builtin"] + dim
     yield ["classify", "--catalog", "builtin", "--multiplicity", "2"]

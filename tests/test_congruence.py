@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -36,8 +37,8 @@ from quadpoint.congruence import (
     twisted_cubic_congruence,
 )
 from quadpoint.exact import (
+    IntMatrix,
     MultiPoly,
-    RationalMatrix,
     _bareiss,
     _uniform_draws,
     rank_and_kernel,
@@ -48,6 +49,8 @@ from restriction import (
     apply,
     fractional_determinantal,
     fractional_linear,
+    input_matrices,
+    input_rows,
     normalized,
     oracle_report,
     restricted,
@@ -59,7 +62,7 @@ from restriction import (
 
 # Focal test oracle: it ranks A(P) itself, where the library ranks A(P)^T.
 def is_focal_point(c, point):
-    return rank_and_kernel(RationalMatrix(zip(*c.columns_at(point))))[0] < c.n - 1
+    return rank_and_kernel(zip(*c.columns_at(point)))[0] < c.n - 1
 
 
 # Membership oracle: the point lies on the line when it adds no rank to
@@ -113,10 +116,10 @@ def test_solve_record_is_a_basis_of_the_left_kernel():
                 line = line_through_point(c, point)
                 assert line._kernel[0] is c
                 kernel = line._kernel[1:]
-                rows = RationalMatrix(c.columns_at(point))
+                rows = c.columns_at(point)
                 assert rank_and_kernel(rows)[0] == n - 1
-                assert len(kernel) == rows.cols - (n - 1)
-                assert rank_and_kernel(RationalMatrix(kernel))[0] == len(kernel)
+                assert len(kernel) == len(rows[0]) - (n - 1)
+                assert rank_and_kernel(kernel)[0] == len(kernel)
                 assert all(not any(apply(rows, v)) for v in kernel)
                 if len(kernel) == 2:
                     assert kernel[0] == normalize_point(point)
@@ -179,7 +182,7 @@ def test_twisted_cubic_line_and_lambda():
     assert line == ProjLine((1, 0, 0, 0), (0, 0, 0, 1))
     # lambda solves the transposed system by hand: rows evaluate to
     # (1,0), (0,0), (0,1), so only the middle row drops out.
-    _, left = rank_and_kernel(RationalMatrix(tc.columns_at((1, 0, 0, 1))))
+    _, left = rank_and_kernel(tc.columns_at((1, 0, 0, 1)))
     assert left == ((0, 1, 0),)
 
 
@@ -245,8 +248,8 @@ def test_line_outside_congruence_has_trivial_gcd():
 def test_linear_construction_shapes():
     c = random_linear_congruence(5, 42, 9)
     assert len(c.matrices) == 4
-    assert all(m.rows == m.cols == 6 for m in c.matrices)
-    assert all(m.is_skew_symmetric() for m in c.matrices)
+    assert all(type(m) is IntMatrix and m.rows == len(m.row(0)) == 6 for m in c.matrices)
+    assert all(m[j][k] == -m[k][j] for m in c.matrices for j in range(6) for k in range(6))
     assert len(random_linear_congruence(4, 7, 9).matrices) == 3
     assert len(random_linear_congruence(3, 1, 9).matrices) == 2
     with pytest.raises(ValueError):
@@ -281,9 +284,13 @@ def test_construction_sweep_is_unchanged(kind, bound):
     digest = hashlib.sha256()
     for n in range(3, 13):
         for seed in range(4):
-            text = save_congruence(make(n, seed, bound))
+            c = make(n, seed, bound)
+            text = save_congruence(c)
             digest.update(text.encode("utf-8"))
-            assert save_congruence(load_congruence(text)) == text
+            loaded = load_congruence(text)
+            assert save_congruence(loaded) == text
+            # A draw and an integer file store their columns unscaled.
+            assert c.scales == loaded.scales == (1,) * (n - 1)
     assert digest.hexdigest() == CONSTRUCTION_SWEEP[kind, bound]
 
 
@@ -427,7 +434,7 @@ def test_congruence_validation():
     zero4 = [[0] * 4 for _ in range(4)]
     with pytest.raises(ValueError):
         LinearCongruence(3, [zero4])
-    not_skew = RationalMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    not_skew = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     with pytest.raises(ValueError):
         LinearCongruence(3, [not_skew, not_skew])
     with pytest.raises(ValueError):
@@ -441,7 +448,7 @@ def test_linear_line_membership_residuals():
         line = line_through_point_linear(c, tuple(range(2, n + 3)))
         for m in c.matrices:
             residual = sum(
-                line.p0[j] * m.entry(j, k) * line.p1[k]
+                line.p0[j] * m[j][k] * line.p1[k]
                 for j in range(n + 1)
                 for k in range(n + 1)
             )
@@ -450,27 +457,29 @@ def test_linear_line_membership_residuals():
 
 
 def test_rational_scaling_keeps_lines_and_slices():
-    # Scaling each A_i (linear) or each row of linear forms
-    # (determinantal) by a positive rational scales rows of A(P) and of
-    # the combined forms, so the kernels, the line and the focal slice
-    # (minors up to a positive factor, normalised gcd) are unchanged:
-    # each line is solved, and sliced, on its own congruence.
+    # Scaling each A_i (linear), each row of linear forms or each column
+    # (determinantal) by a positive rational scales rows or columns of
+    # A(P) and of the combined forms, so the kernels, the line and the
+    # focal slice (minors up to a positive factor, normalised gcd) are
+    # unchanged: each line is solved, and sliced, on its own congruence,
+    # and the order and foci reports are equal.  A congruence stores its
+    # columns cleared of denominators on this theorem.
     rng = random.Random(8)
     for n in (3, 4, 5, 6):
         factors = [Fraction(rng.randrange(1, p), p) for p in rng.choices((2, 3, 5, 97), k=n)]
         lin = random_linear_congruence(n, n, 9)
         scaled_lin = LinearCongruence(
-            n,
-            [
-                [[x * r for x in m.row(i)] for i in range(m.rows)]
-                for m, r in zip(lin.matrices, factors)
-            ],
+            n, [[[x * r for x in row] for row in m] for m, r in zip(lin.matrices, factors)]
         )
         det = random_determinantal_congruence(n, n, 9)
         scaled_det = DeterminantalCongruence(
             n, [[[x * r for x in coeffs] for coeffs in row] for row, r in zip(det.rows, factors)]
         )
-        for c, scaled in ((lin, scaled_lin), (det, scaled_det)):
+        column_scaled_det = DeterminantalCongruence(
+            n, [[[x * r for x in coeffs] for coeffs, r in zip(row, factors)] for row in det.rows]
+        )
+        cases = ((lin, scaled_lin), (det, scaled_det), (det, column_scaled_det))
+        for c, scaled in cases:
             for _ in range(3):
                 point = [rng.randint(-9, 9) for _ in range(n + 1)]
                 line = line_through_point(c, point)
@@ -480,6 +489,20 @@ def test_rational_scaling_keeps_lines_and_slices():
                 report = focal_points_on_line(scaled, other)
                 assert report == focal_points_on_line(c, line)
                 assert report.gcd_degree == n - 1
+            assert order_check(scaled, 4, n) == order_check(c, 4, n)
+            assert foci_check(scaled, 4, n) == foci_check(c, 4, n)
+        if n % 2:
+            # With c_i = 1 / r_i, Pf(sum lambda_i * A_i / c_i) is
+            # Pf(sum lambda_i * A_i) with lambda_i -> lambda_i / c_i,
+            # substituted termwise.
+            substituted = MultiPoly(
+                n - 1,
+                {
+                    e: a * math.prod(r**k for r, k in zip(factors, e))
+                    for e, a in pfaffian_polynomial(lin).terms.items()
+                },
+            )
+            assert pfaffian_polynomial(scaled_lin) == substituted
 
 
 def test_two_points_determine_the_line():
@@ -594,7 +617,7 @@ def test_lambda_combination_vanishes_on_line():
         c = random_determinantal_congruence(n, 3, 9)
         point = tuple(range(2, n + 3))
         line = line_through_point_determinantal(c, point)
-        _, left = rank_and_kernel(RationalMatrix(c.columns_at(point)))
+        _, left = rank_and_kernel(c.columns_at(point))
         lam = left[0]
         rows = restricted(c, line)
         for j in range(n - 1):
@@ -672,18 +695,23 @@ def test_linear_focal_point(n):
         fractional_linear(n, rng),
         fractional_determinantal(n, rng),
     ):
+        # The expectation reads the input rationals; column i of A(P) is
+        # stored times scales[i].
         if isinstance(c, LinearCongruence):
             expected = [
-                [sum(m.entry(k, j) * point[j] for j in range(n + 1)) for k in range(n + 1)]
-                for m in c.matrices
+                [sum(m[k][j] * point[j] for j in range(n + 1)) for k in range(n + 1)]
+                for m in input_matrices(c)
             ]
         else:
+            rows = input_rows(c)
             expected = [
-                [sum(c.rows[i][j][k] * point[k] for k in range(n + 1)) for i in range(n)]
+                [sum(rows[i][j][k] * point[k] for k in range(n + 1)) for i in range(n)]
                 for j in range(n - 1)
             ]
         for at in (point, scaled_point):
-            assert c.columns_at(at) == tuple(map(tuple, expected))
+            found = c.columns_at(at)
+            assert all(type(x) is int for col in found for x in col)
+            assert [[Fraction(x, s) for x in col] for col, s in zip(found, c.scales)] == expected
         with pytest.raises(ValueError, match="^point has wrong length$"):
             c.columns_at(point + (1,))
 
@@ -763,7 +791,7 @@ def test_probes_do_not_repeat_construction_draws():
             c = random_linear_congruence(n, seed, 9)
             (trial,) = foci_check(c, trials=1, seed=seed, bound=9)
             a1 = c.matrices[0]
-            drawn = tuple(a1.entry(0, k) for k in range(1, n + 1)) + (a1.entry(1, 2),)
+            drawn = tuple(a1[0][k] for k in range(1, n + 1)) + (a1[1][2],)
             assert trial.point != drawn
 
 
@@ -871,7 +899,7 @@ def lambda_family_rows(c):
     return [
         [
             sum(
-                (scaled(variable(nvars, i), c.matrices[i].entry(j, k)) for i in range(nvars)),
+                (scaled(variable(nvars, i), input_matrices(c)[i][j][k]) for i in range(nvars)),
                 MultiPoly(nvars),
             )
             for k in range(size)
@@ -889,11 +917,7 @@ def test_lambda_family_matches_arithmetic_oracle():
         c = random_linear_congruence(n, n, 9)
         factors = [Fraction(rng.randrange(1, p), p) for p in rng.choices((2, 3, 5, 97), k=n - 1)]
         scaled = LinearCongruence(
-            n,
-            [
-                [[x * r for x in m.row(i)] for i in range(m.rows)]
-                for m, r in zip(c.matrices, factors)
-            ],
+            n, [[[x * r for x in row] for row in m] for m, r in zip(c.matrices, factors)]
         )
         for cong in (c, scaled):
             assert congruence._lambda_family(cong) == lambda_family_rows(cong)

@@ -6,7 +6,6 @@ products of linear factors.
 """
 
 import gc
-import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -16,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadpoint.exact import (
+    IntMatrix,
     MultiPoly,
-    RationalMatrix,
+    _cleared_rows,
     _exact_tuple,
     binary_gcd,
     determinant,
@@ -69,31 +69,38 @@ def random_rational(rng, bound=9):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 5))
 
 
+def random_integer(rng, bound=9):
+    """An entry of the eliminations' random rows: they take plain ints."""
+    return rng.randint(-bound, bound)
+
+
 # ----- rank and kernel -----
 
 
 def test_integral_entries_are_stored_as_int():
-    from_ints = RationalMatrix([[1, -2], [0, 3]])
-    from_fractions = RationalMatrix([[Fraction(1), Fraction(-4, 2)], [Fraction(0), "3"]])
-    assert from_fractions == from_ints
-    assert hash(from_fractions) == hash(from_ints)
-    assert repr(from_fractions) == repr(from_ints) == "RationalMatrix[1 -2; 0 3]"
-    assert all(type(x) is int for i in range(2) for x in from_fractions.row(i))
-    mixed = RationalMatrix([[Fraction(1, 2), True]])
-    assert [type(x) for x in mixed.row(0)] == [Fraction, int]
-    assert mixed.row(0) == (Fraction(1, 2), 1)
+    # Rows of exact rationals are cleared of denominators by one
+    # multiplier, the lcm of all of them, and stored as plain ints.
+    from_ints = _cleared_rows(((1, -2), (0, 3)))
+    from_fractions = _cleared_rows(((Fraction(1), Fraction(-4, 2)), (Fraction(0), "3")))
+    assert from_fractions == from_ints == (((1, -2), (0, 3)), 1)
+    assert all(type(x) is int for row in from_fractions[0] for x in row)
+    mixed = _cleared_rows(((Fraction(1, 2), True), (Fraction(-1, 3), 0)))
+    assert mixed == (((3, 6), (-2, 0)), 6)
+    assert all(type(x) is int for row in mixed[0] for x in row)
     with pytest.raises(TypeError):
-        RationalMatrix([[0.5]])
+        _cleared_rows(((0.5,),))
+    m = IntMatrix(from_ints[0])
+    assert m == ((1, -2), (0, 3)) and m.rows == 2 and m.row(1) == (0, 3)
 
 
 def test_rank_identity():
-    rank, basis = rank_and_kernel(RationalMatrix([[1, 0], [0, 1]]))
+    rank, basis = rank_and_kernel([[1, 0], [0, 1]])
     assert rank == 2
     assert basis == ()
 
 
 def test_rank_single_row():
-    rank, basis = rank_and_kernel(RationalMatrix([[1, 1, 1]]))
+    rank, basis = rank_and_kernel([[1, 1, 1]])
     assert rank == 1
     assert len(basis) == 2
     for v in basis:
@@ -101,8 +108,7 @@ def test_rank_single_row():
 
 
 def test_kernel_of_coordinate_rows():
-    m = RationalMatrix([[1, 0, 0, 0], [0, 0, 0, 1]])
-    rank, basis = rank_and_kernel(m)
+    rank, basis = rank_and_kernel([[1, 0, 0, 0], [0, 0, 0, 1]])
     assert rank == 2
     assert sorted(basis) == [(0, 0, 1, 0), (0, 1, 0, 0)]
 
@@ -112,9 +118,8 @@ def test_rank_equals_rank_of_transpose():
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        data = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
-        transpose = RationalMatrix(zip(*data))
-        assert rank_and_kernel(RationalMatrix(data))[0] == rank_and_kernel(transpose)[0]
+        data = [[random_integer(rng) for _ in range(cols)] for _ in range(rows)]
+        assert rank_and_kernel(data)[0] == rank_and_kernel(zip(*data))[0]
 
 
 def test_rank_nullity_and_annihilation():
@@ -126,19 +131,16 @@ def test_rank_nullity_and_annihilation():
         inner = rng.randint(1, 3)
         a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
         b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
-        m = RationalMatrix(
-            [
-                [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-                for i in range(rows)
-            ]
-        )
+        m = [
+            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)
+        ]
         rank, basis = rank_and_kernel(m)
         assert rank + len(basis) == cols
         for v in basis:
             assert not any(apply(m, v))
         if basis:
-            span = RationalMatrix(basis)
-            assert rank_and_kernel(span)[0] == len(basis)
+            assert rank_and_kernel(basis)[0] == len(basis)
 
 
 PRIMES = (2, 3, 5, 7, (1 << 61) - 1)
@@ -178,15 +180,11 @@ def assert_kernel_mod(rows, p, rank, kernel):
 
 
 def gauss_jordan_mod(rows, p):
-    """(rank, kernel) over GF(p) of rows of exact rationals, each row
-    first cleared of denominators, by full Gauss-Jordan elimination
-    (eliminating above every pivot too): the oracle of
-    `rank_and_kernel_mod`'s forward elimination and back-substitution."""
-    work = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        mult = math.lcm(*(x.denominator for x in row))
-        work.append([int(x * mult) % p for x in row])
+    """(rank, kernel) over GF(p) of rows of integers by full
+    Gauss-Jordan elimination (eliminating above every pivot too): the
+    oracle of `rank_and_kernel_mod`'s forward elimination and
+    back-substitution."""
+    work = [[x % p for x in row] for row in rows]
     nrows, ncols = len(work), len(work[0])
     pivot_cols = []
     for c in range(ncols):
@@ -219,12 +217,11 @@ def gauss_jordan_mod(rows, p):
 
 @st.composite
 def degenerate_rows(draw):
-    """Rows of int or Fraction entries, some of them combinations of the
-    others, with zero rows and zero columns mixed in."""
+    """Rows of integers, some of them combinations of the others, with
+    zero rows and zero columns mixed in."""
     ints = st.integers(-30, 30)
-    entries = st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 9))) if draw(st.booleans()) else ints
     ncols = draw(st.integers(1, 7))
-    rows = [[draw(entries) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    rows = [[draw(ints) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(0, 2))):
         a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
         s, t = draw(ints), draw(ints)
@@ -268,8 +265,7 @@ def test_rank_lost_only_mod_p():
         rows = [[1, p - 1], [1 + p, p - 1]]
         assert rank_and_kernel(rows)[0] == 2
         assert rank_and_kernel_mod(rows, p) == (1, ((1, 1),))
-    # Fractions are cleared row by row first: 1/2 * (1, 2) becomes (1, 2).
-    assert rank_and_kernel_mod([[Fraction(1, 2), 1]], 5) == (1, ((3, 1),))
+    assert rank_and_kernel_mod([[1, 2]], 5) == (1, ((3, 1),))
     assert rank_and_kernel_mod([[0, 0, 0]], 7) == (0, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
@@ -278,28 +274,28 @@ def test_determinant_matches_permutation_oracle():
     cases = []
     for _ in range(25):
         n = rng.randint(1, 6)
-        cases.append([[random_rational(rng) for _ in range(n)] for _ in range(n)])
+        cases.append([[random_integer(rng) for _ in range(n)] for _ in range(n)])
     for n in (2, 3, 4, 5, 6):
-        rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        rows = [[random_integer(rng) for _ in range(n)] for _ in range(n)]
         repeated = [list(r) for r in rows]
         repeated[-1] = list(repeated[0])
         zero_col = [list(r) for r in rows]
         for r in zero_col:
-            r[n // 2] = Fraction(0)
+            r[n // 2] = 0
         # Every row but the last starts with 0, so the first pivot needs a
         # row swap.
-        swapped = [[Fraction(0)] + r[1:] for r in rows[:-1]] + [rows[-1]]
+        swapped = [[0] + r[1:] for r in rows[:-1]] + [rows[-1]]
         cases += [repeated, zero_col, swapped]
     for rows in cases:
-        assert determinant(RationalMatrix(rows)) == perm_det(rows, Fraction(0))
+        assert determinant(rows) == perm_det(rows, 0)
 
 
-# The row containers that rank_and_kernel and determinant accept.
+# The row containers that the eliminations accept.
 ROW_CONTAINERS = {
     "list": lambda rows: [list(r) for r in rows],
     "tuple": lambda rows: tuple(tuple(r) for r in rows),
     "generator": lambda rows: (iter(r) for r in rows),
-    "RationalMatrix": RationalMatrix,
+    "IntMatrix": lambda rows: IntMatrix(map(tuple, rows)),
 }
 
 
@@ -309,18 +305,24 @@ def test_row_containers_give_the_same_results(wrap):
     for _ in range(20):
         size = rng.randint(1, 4)
         cols = rng.randint(1, 5)
-        data = [[random_rational(rng) for _ in range(cols)] for _ in range(size)]
-        assert rank_and_kernel(wrap(data)) == rank_and_kernel(RationalMatrix(data))
-        square = [[random_rational(rng) for _ in range(size)] for _ in range(size)]
-        assert determinant(wrap(square)) == perm_det(square, Fraction(0))
+        data = [[random_integer(rng) for _ in range(cols)] for _ in range(size)]
+        assert rank_and_kernel(wrap(data)) == rank_and_kernel(data)
+        assert rank_and_kernel_mod(wrap(data), 7) == rank_and_kernel_mod(data, 7)
+        square = [[random_integer(rng) for _ in range(size)] for _ in range(size)]
+        assert determinant(wrap(square)) == perm_det(square, 0)
 
 
-@pytest.mark.parametrize("function", [rank_and_kernel, determinant])
+def rank_and_kernel_mod_7(rows):
+    return rank_and_kernel_mod(rows, 7)
+
+
+@pytest.mark.parametrize("function", [rank_and_kernel, determinant, rank_and_kernel_mod_7])
 @pytest.mark.parametrize(
     "rows, error",
     [([], ValueError), ([[]], ValueError), ([[1, 2], [3]], ValueError),
-     ([[1, 0], [0, 0.5]], TypeError)],
-    ids=["no-rows", "empty-row", "ragged", "float"],
+     ([[1, 0], [0, 0.5]], TypeError), ([[1, 0], [0, Fraction(1, 2)]], TypeError),
+     ([[1, 0], [True, 1]], TypeError)],
+    ids=["no-rows", "empty-row", "ragged", "float", "fraction", "bool"],
 )
 def test_rows_are_checked(function, rows, error):
     for wrap in ROW_CONTAINERS.values():
@@ -331,7 +333,7 @@ def test_rows_are_checked(function, rows, error):
 @pytest.mark.parametrize(
     "rows, value",
     [([[2, 1], [1, 1]], 1), ([[1, 2], [2, 4]], 0),
-     ([[Fraction(1, 2), 0], [0, 4]], 2), ([[0, 1], [1, 0]], -1)],
+     ([[1, 0], [0, 2]], 2), ([[0, 1], [1, 0]], -1)],
 )
 def test_determinant_of_integer_value_is_int(rows, value):
     det = determinant(rows)
@@ -622,13 +624,18 @@ def test_seeded_skew_matrix_is_deterministic():
     assert all(abs(x) <= 9 and x.denominator == 1 for i in range(4) for x in a.row(i))
 
 
+def is_skew_symmetric(m):
+    return all(m[j][k] == -m[k][j] for j in range(len(m)) for k in range(len(m)))
+
+
 def test_seeded_skew_matrix_shape():
     m = seeded_skew_matrix(1, 2, 5)
-    assert m.is_skew_symmetric()
-    assert m.entry(0, 0) == 0
-    assert abs(m.entry(0, 1)) <= 5
+    assert type(m) is IntMatrix and m.rows == 2 and len(m.row(0)) == 2
+    assert is_skew_symmetric(m)
+    assert m[0][0] == 0
+    assert abs(m[0][1]) <= 5
     for seed in (1, 2):
-        assert seeded_skew_matrix(seed, 6, 9).is_skew_symmetric()
+        assert is_skew_symmetric(seeded_skew_matrix(seed, 6, 9))
 
 
 def test_seeded_skew_matrix_rejects_bad_sizes():
@@ -651,13 +658,15 @@ class Small(int):
 
 def test_bools_and_int_subclasses_are_stored_as_plain_ints():
     # Rows of bools only and of int subclasses only, besides mixed rows.
-    m = RationalMatrix([[True, False], [Small(3), Small(0)], [Fraction(4, 2), True]])
+    m, mult = _cleared_rows(((True, False), (Small(3), Small(0)), (Fraction(4, 2), True)))
     assert [list(map(type, row)) for row in m] == [[int, int]] * 3
-    assert list(m) == [(1, 0), (3, 0), (2, 1)]
+    assert list(m) == [(1, 0), (3, 0), (2, 1)] and mult == 1
+    for rows in (((True, False),), ((Small(3), Small(0)),)):
+        assert list(map(type, _cleared_rows(rows)[0][0])) == [int, int]
     for vec in ([True, True], [Small(1), Small(1)], [Small(1), True]):
         assert list(map(type, _exact_tuple(vec))) == [int, int]
     for vec in ([False, True, True], [Small(0), Small(1), Small(1)]):
         v = primitive_vector(vec)
         assert v == (0, 1, 1) and list(map(type, v)) == [int, int, int]
     with pytest.raises(TypeError):
-        RationalMatrix([[1, 0.5]])
+        _cleared_rows(((1, 0.5),))

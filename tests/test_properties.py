@@ -8,6 +8,7 @@ reproducible and leaves no files behind.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -42,7 +43,6 @@ from quadpoint.congruence import (  # noqa: E402
 )
 from quadpoint.exact import (  # noqa: E402
     MultiPoly,
-    RationalMatrix,
     _rational,
     binary_gcd,
     determinant,
@@ -101,7 +101,7 @@ def cofactor(g, f):
 @exact
 @given(skew_rows(st.sampled_from((2, 4, 6, 8)), small_ints))
 def test_pfaffian_squared_is_determinant(rows):
-    assert pfaffian(rows) ** 2 == determinant(RationalMatrix(rows))
+    assert pfaffian(rows) ** 2 == determinant(rows)
 
 
 binary_forms = st.lists(small_ints, min_size=1, max_size=5).filter(any)
@@ -350,24 +350,53 @@ def test_classify_command_matches_the_tuple_api(lines):
 
 @st.composite
 def congruences(draw):
+    """(congruence, input): the input is its A_i (linear kind) or its
+    rows of linear forms (determinantal kind)."""
     n = draw(st.integers(3, 5))
     # Rationals and integers of any size, so lines of plain ints and
-    # lines with fractions both occur.
+    # lines with fractions both occur, and some congruences of integers.
     entries = st.one_of(rationals, st.integers(-(10**20), 10**20))
     if draw(st.booleans()):
+        entries = st.integers(-(10**20), 10**20)
+    if draw(st.booleans()):
         matrices = [draw(skew_rows(st.just(n + 1), entries)) for _ in range(n - 1)]
-        return LinearCongruence(n, matrices)
+        return LinearCongruence(n, matrices), matrices
     coefficient_vector = st.lists(entries, min_size=n + 1, max_size=n + 1)
     rows = [[draw(coefficient_vector) for _ in range(n - 1)] for _ in range(n)]
-    return DeterminantalCongruence(n, rows)
+    return DeterminantalCongruence(n, rows), rows
+
+
+def input_columns(c, data):
+    """(input entries, stored entries) of each column of A: all entries
+    of A_i for the linear kind, of entry j of every row for the
+    determinantal kind."""
+    flat = itertools.chain.from_iterable
+    if isinstance(c, LinearCongruence):
+        return [(list(flat(m)), list(flat(stored))) for m, stored in zip(data, c.matrices)]
+    return [
+        (list(flat(row[j] for row in data)), list(flat(row[j] for row in c.rows)))
+        for j in range(c.n - 1)
+    ]
 
 
 @exact
 @given(congruences())
-def test_congruence_text_roundtrip(c):
+def test_congruence_text_roundtrip(drawn):
+    c, data = drawn
+    # Each column is stored as plain ints over one scale, the lcm of its
+    # input denominators; integer input is stored unscaled.
+    columns = input_columns(c, data)
+    assert len(c.scales) == len(columns) == c.n - 1
+    for (given_entries, stored), scale in zip(columns, c.scales):
+        assert all(type(x) is int for x in stored)
+        assert [Fraction(x, scale) for x in stored] == given_entries
+        assert scale == math.lcm(*(Fraction(x).denominator for x in given_entries))
+    if all(type(x) is int for entries, _ in columns for x in entries):
+        assert c.scales == (1,) * (c.n - 1)
     text = save_congruence(c)
     loaded = load_congruence(text)
     assert type(loaded) is type(c) and loaded.n == c.n
+    assert loaded.scales == c.scales
     if isinstance(c, LinearCongruence):
         assert loaded.matrices == c.matrices
     else:
@@ -379,6 +408,14 @@ def test_congruence_text_roundtrip(c):
 # Arabic-Indic, fullwidth and superscript digits, the separators that
 # Fraction reads, the exponent letter and whitespace.
 ENTRY_CHARS = "+-0123456789/._eE\u0663\u0664\uff11\uff12\u00b2 \t\u00a0"
+
+
+def input_form(c):
+    """Entry (0, 0) of a determinantal congruence as its file gave it:
+    each stored coefficient, a plain int, over column 0's scale."""
+    stored = c.rows[0][0]
+    assert all(type(x) is int for x in stored)
+    return tuple(Fraction(x, c.scales[0]) for x in stored)
 
 
 def fraction_parse(line):
@@ -417,7 +454,7 @@ def test_entry_parse_agrees_with_fraction(tok):
         with pytest.raises(ValueError, match="line 4"):
             load_congruence(text)
     else:
-        assert load_congruence(text).rows[0][0] == tuple(expected)
+        assert input_form(load_congruence(text)) == tuple(expected)
 
 
 def per_token_parse(line):
@@ -486,8 +523,9 @@ def test_file_line_reads_as_token_by_token(tokens):
             load_congruence(text)
         assert str(err.value) == message
         return
-    loaded = load_congruence(text).rows[0][0]
-    assert loaded == expected and list(map(type, loaded)) == list(map(type, expected))
+    parsed = _parse_entries(line, tokens)
+    assert parsed == expected and list(map(type, parsed)) == list(map(type, expected))
+    assert input_form(load_congruence(text)) == expected
     canonical = good.replace("1 0 0 0", " ".join(map(str, expected)), 1)
     assert save_congruence(load_congruence(text)) == canonical
     assert save_congruence(load_congruence(canonical)) == canonical

@@ -50,16 +50,12 @@ UNREACHED = {
     "catalog.save_catalog.cells": "a step of save_catalog",
     "catalog.classify_threefolds": CLASSIFY,
     "catalog.classify_surfaces": CLASSIFY,
-    "exact.RationalMatrix.row": "perfbench reads matrix rows with it",
     "congruence.load_congruence.fail": "the error path; every golden input file is valid",
     "congruence.ProjLine.__eq__": "set() of probe lines compares only lines of equal hash",
     "congruence.ProjLine.__repr__": "the line in a refusal of the slice",
     "exact.MultiPoly.__repr__": "debugging output",
     "exact.MultiPoly.__str__": "debugging output",
     "exact.MultiPoly.__sub__": "ring_determinant subtracts with it",
-    "exact.RationalMatrix.__eq__": "value semantics of a matrix",
-    "exact.RationalMatrix.__hash__": "value semantics of a matrix",
-    "exact.RationalMatrix.__repr__": "debugging output",
 }
 
 
